@@ -23,9 +23,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codes import asymptotic_x0, hamming_gv_check
+from .codes import asymptotic_x0
 from .errors import ConfigError, FitError, ShapeError, SizingError, ValidationError
-from .runner import run
+from .runner import BOUNDS_HEADER, bounds_rows, format_csv, run
 from .scenario import load_scenario
 
 
@@ -45,16 +45,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    print("n,k,hamming_ok,gv_ok")
-    for n in range(1, args.n_max + 1):
-        for k in range(0, min(args.k_max, n) + 1):
-            row = hamming_gv_check(n, k)
-            print(f"{row.n},{row.k},{'true' if row.hamming_ok else 'false'},{'true' if row.gv_ok else 'false'}")
+    sys.stdout.write(format_csv(BOUNDS_HEADER, bounds_rows(1, args.n_max, 0, args.k_max)))
     return 0
 
 
 def _cmd_x0(args) -> int:
-    print(f"{asymptotic_x0():.17g}")
+    print(repr(asymptotic_x0()))  # shortest decimal that reads back as the converged double
     return 0
 
 
@@ -66,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="path to a scenario config")
     p_run.add_argument("--out", default=None, help="output directory (overrides the scenario)")
     p_run.add_argument("--seed", type=int, default=None, help="seed override")
-    p_run.add_argument("--workers", type=int, default=1, help="process count for sweep points")
+    p_run.add_argument("--workers", type=int, default=1, help="accepted and ignored; sweeps run serially")
     p_run.add_argument("--no-svg", action="store_true", help="skip plot emission")
     p_run.set_defaults(func=_cmd_run)
 

@@ -373,17 +373,20 @@ def asymptotic_bound_gap(x: float) -> float:
     return x * math.log(3.0) + entropy - math.log(2.0)
 
 
-def asymptotic_x0(tolerance: float = 1e-10) -> float:
+def asymptotic_x0() -> float:
     """Asymptotic correctable error fraction per register qubit.
 
     Half the unique root y* in (0, 1/2) of y ln 3 + H(y) = ln 2, located by
-    bisection; the feasible fraction window is [x0, 2 x0] with x0 = y*/2.
+    bisection until the midpoint equals an endpoint, so every printed digit
+    is resolved; the feasible fraction window is [x0, 2 x0] with x0 = y*/2.
     """
     lo, hi = 1e-15, 0.5
     if asymptotic_bound_gap(hi) < 0:
         raise ValidationError("no sign change on (0, 1/2)")
-    while hi - lo > tolerance:
+    while True:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
         if asymptotic_bound_gap(mid) < 0:
             lo = mid
         else:

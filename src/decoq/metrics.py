@@ -1,14 +1,20 @@
 """Correction-efficiency metrics.
 
-The figure of merit is the survival probability of an encoded logical state
-that is evolved jointly with its environment, run through unitary recovery
-with a fresh ancilla, and compared with itself:
+The figure of merit is the weight an encoded logical state loses when it is
+evolved jointly with its environment and then run through syndrome recovery:
 
-    F_psi(t) = tr[ R U(t) (rho_env (x) P_psi (x) P_anc) U(t)^dag R^dag P_psi ].
+    E_psi(t) = sum_s tr[ (1 - P_psi) K_s U(t) (rho_env (x) P_psi) U(t)^dag K_s^dag ],
 
-Everything here is evaluated by propagating the eigenvectors of the initial
-environment state, which reproduces the trace exactly while keeping the error
-1 - F numerically clean far below machine-epsilon-of-one.
+with K_s the Kraus operators of the recovery channel.  Every K_s maps into the
+code space, so each propagated start vector |e_i> (x) |j_L> reads out as one
+2 x 2 logical block A per syndrome and environment component.  Writing
+A = a_0 + a.sigma, only the traceless part survives the complement projector,
+and with the 3 x 3 Hermitian C = sum a a^dag the error on the Bloch sphere is
+
+    E(r) = tr C - r^T (Re C) r + w.r,    w = 2 (Im C_yz, Im C_zx, Im C_xy).
+
+Nothing is subtracted from one, so errors far below machine epsilon of one
+keep their digits, and the supremum over |r| = 1 is found exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from . import tolerances as tol
 from .tensor import _as_complex, partial_trace_array, require_hermitian
 from .pauli import embed
 from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec, evolve
-from .codes import CodeSpec, asymptotic_x0, encode_logical, recovery_channel, recovery_unitary
+from .codes import CodeSpec, asymptotic_x0, encode_logical, recovery_channel
 
 
 @dataclass(frozen=True)
@@ -106,111 +112,6 @@ def _logical_amplitudes(psi_logical) -> tuple[complex, complex]:
     return complex(alpha), complex(beta)
 
 
-class _CorrectionPipeline:
-    """Precomputed machinery for repeated fidelity evaluations.
-
-    Holds the eigendecompositions of the joint Hamiltonian and of the initial
-    environment state, plus the unitary recovery.  The joint unitary acts on
-    environment (x) register and the recovery on register (x) ancilla, so a
-    propagated vector is reshaped rather than embedded in the full space.
-    """
-
-    def __init__(self, code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray):
-        self.code = code
-        self.env = env
-        self.de = env.dim
-        self.dc = code.register_dim
-        self.da = code.ancilla_dim
-        v = _as_complex(v)
-        d = self.de * self.dc
-        if v.shape != (d, d):
-            raise ShapeError(f"interaction shape {v.shape} does not match env {self.de} x register {self.dc}")
-        h = v if h0 is None else h0.matrix() + v
-        if h.shape != (d, d):
-            raise ShapeError("free Hamiltonian dimensions do not match the interaction")
-        h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "joint Hamiltonian")
-        self.evals, self.evecs = np.linalg.eigh(h)
-
-        w, vecs = np.linalg.eigh(env.rho0.array)
-        keep = w > 1e-15
-        self.env_weights = w[keep]
-        self.env_vecs = vecs[:, keep]
-
-        self.recovery = recovery_unitary(code)
-        anc = np.zeros(self.da, dtype=complex)
-        anc[0] = 1.0
-        self.ancilla = anc
-
-    def encoded(self, psi_logical) -> np.ndarray:
-        alpha, beta = _logical_amplitudes(psi_logical)
-        return encode_logical(self.code, alpha, beta).amplitudes
-
-    def _recovered(self, psi_bar: np.ndarray, t: float):
-        """Yield (weight, amplitude sheet, residual block) per environment eigenvector.
-
-        The amplitude sheet collects <psi_bar | . > over register indices, the
-        residual block is the orthogonal remainder; together they split every
-        propagated vector against the encoded state.
-        """
-        phases = np.exp(-1j * self.evals * float(t))
-        for wi, evec in zip(self.env_weights, self.env_vecs.T):
-            vec0 = np.kron(evec, psi_bar)
-            vec_t = self.evecs @ (phases * (self.evecs.conj().T @ vec0))
-            joint = np.kron(vec_t, self.ancilla).reshape(self.de, self.dc * self.da)
-            after = (joint @ self.recovery.T).reshape(self.de, self.dc, self.da)
-            amp = np.einsum("c,eca->ea", psi_bar.conj(), after)
-            resid = after - psi_bar[None, :, None] * amp[:, None, :]
-            yield float(wi), amp, resid
-
-    def fidelity(self, psi_logical, t: float) -> float:
-        psi_bar = self.encoded(psi_logical)
-        f = 0.0
-        for wi, amp, _ in self._recovered(psi_bar, t):
-            f += wi * float(np.sum(np.abs(amp) ** 2))
-        if f < -tol.FIDELITY_RANGE_TOL or f > 1.0 + tol.FIDELITY_RANGE_TOL:
-            raise ValidationError(f"fidelity {f!r} outside [0, 1]")
-        return min(max(f, 0.0), 1.0)
-
-    def error_direct(self, psi_logical, t: float) -> float:
-        """Error via the complement projector; exact for values far below 1."""
-        psi_bar = self.encoded(psi_logical)
-        e = 0.0
-        for wi, _, resid in self._recovered(psi_bar, t):
-            e += wi * float(np.vdot(resid, resid).real)
-        if e < -tol.FIDELITY_RANGE_TOL or e > 1.0 + tol.FIDELITY_RANGE_TOL:
-            raise ValidationError(f"error value {e!r} outside [0, 1]")
-        return max(e, 0.0)
-
-
-def fidelity(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, psi_logical, t: float) -> float:
-    """Survival probability of the encoded state after evolution and recovery."""
-    return _CorrectionPipeline(code, env, h0, v).fidelity(psi_logical, t)
-
-
-def error_functional(
-    code: CodeSpec,
-    env: EnvironmentModel,
-    h0: FreeHamiltonian | None,
-    v: np.ndarray,
-    psi_logical,
-    t: float,
-    method: str = "fidelity",
-) -> float:
-    """1 - fidelity, or the same trace with the complement projector.
-
-    ``method="fidelity"`` subtracts from one; ``method="projector"`` computes
-    the orthogonal weight directly, which stays exact for errors far below
-    machine epsilon of one.  The two agree within the reconstruction
-    tolerance.
-    """
-    pipeline = _CorrectionPipeline(code, env, h0, v)
-    if method == "fidelity":
-        return 1.0 - pipeline.fidelity(psi_logical, t)
-    if method == "projector":
-        return pipeline.error_direct(psi_logical, t)
-    raise ShapeError(f"unknown method {method!r}; use 'fidelity' or 'projector'")
-
-
 def _bloch_pair(theta: float, phi: float) -> tuple[complex, complex]:
     return (
         complex(math.cos(theta / 2.0)),
@@ -218,49 +119,169 @@ def _bloch_pair(theta: float, phi: float) -> tuple[complex, complex]:
     )
 
 
-def code_error(
-    code: CodeSpec,
-    env: EnvironmentModel,
-    h0: FreeHamiltonian | None,
-    v: np.ndarray,
-    t: float,
-    grid: tuple[int, int] = (12, 12),
-) -> CodeErrorResult:
-    """Supremum of the error over the encoded logical sphere.
+def _bloch_vector(psi_logical) -> np.ndarray:
+    """Bloch vector of alpha |0_L> + beta |1_L>, after the same norm gate as ``encode_logical``."""
+    alpha, beta = _logical_amplitudes(psi_logical)
+    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm_sq - 1.0) > tol.LOGICAL_NORM_TOL:
+        raise ValidationError(f"|alpha|^2 + |beta|^2 = {norm_sq!r} deviates from 1")
+    cross = alpha.conjugate() * beta
+    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(alpha) ** 2 - abs(beta) ** 2]) / norm_sq
 
-    The sphere is scanned on a (theta, phi) grid of at least 8 x 8 and the
-    cell around the maximum is rescanned at triple density.  The orthogonal
-    projector route is used pointwise so small values keep full precision.
+
+def _start_vectors(code: CodeSpec, env: EnvironmentModel) -> np.ndarray:
+    """Columns sqrt(w_i) |e_i> (x) |j_L> over the environment eigenvectors with w_i > 0."""
+    w, vecs = np.linalg.eigh(env.rho0.array)
+    keep = w > 1e-15
+    env_part = vecs[:, keep] * np.sqrt(w[keep])
+    cols = np.einsum("ei,cj->ecij", env_part, code.encoder)
+    return cols.reshape(env.dim * code.register_dim, -1)
+
+
+def _logical_readout(code: CodeSpec) -> np.ndarray:
+    """encoder^dag K_s per recovery Kraus operator, stacked as (syndrome, 2, 2^n).
+
+    Exact only because every K_s maps into the code space, which is checked here."""
+    enc = code.encoder
+    outside = np.eye(code.register_dim) - enc @ enc.conj().T
+    readout = []
+    for k in recovery_channel(code).operators:
+        defect = float(np.max(np.abs(outside @ k)))
+        if defect > tol.CHANNEL_TOL:
+            raise ValidationError(f"recovery operator leaves the code space, defect {defect:.3e}")
+        readout.append(enc.conj().T @ k)
+    return np.stack(readout)
+
+
+def _pauli_covariance(readout: np.ndarray, vecs: np.ndarray, env_dim: int) -> np.ndarray:
+    """C = sum a a^dag over the traceless Pauli parts a of the logical blocks of ``vecs``."""
+    sheets = vecs.reshape(env_dim, readout.shape[2], -1, 2)
+    blocks = np.einsum("sac,ecij->seiaj", readout, sheets).reshape(-1, 2, 2)
+    a00, a01, a10, a11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    a = np.stack([(a01 + a10) / 2.0, 1j * (a01 - a10) / 2.0, (a00 - a11) / 2.0])
+    return a @ a.conj().T
+
+
+def _twist(c: np.ndarray) -> np.ndarray:
+    """Linear coefficient w of the sphere quadratic, from the antisymmetric part of C."""
+    return 2.0 * np.array([c[1, 2].imag, c[2, 0].imag, c[0, 1].imag])
+
+
+def _sphere_error(c: np.ndarray, r: np.ndarray) -> float:
+    """E(r) = tr C - r^T (Re C) r + w.r."""
+    m = c.real
+    return float(np.trace(m) - r @ m @ r + _twist(c) @ r)
+
+
+def _checked_error(e: float) -> float:
+    if e < -tol.FIDELITY_RANGE_TOL or e > 1.0 + tol.FIDELITY_RANGE_TOL:
+        raise ValidationError(f"error value {e!r} outside [0, 1]")
+    return min(max(e, 0.0), 1.0)
+
+
+def _sphere_argmax(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit vector r maximising w.r - r^T m r for a real symmetric 3 x 3 ``m``.
+
+    The maximiser solves (m + lam) r = w / 2 with m + lam >= 0.  In the
+    eigenbasis of m, with gaps d_i = m_i - m_0 and s = lam + m_0, |r| = 1 is
+    a secular equation falling in s, bisected to float resolution between
+    max(|g_i| - d_i) and |g|.  The hard case s = 0 completes the unit norm
+    along the bottom eigenvector; the better of the two candidates is returned.
     """
-    n_theta, n_phi = int(grid[0]), int(grid[1])
-    if n_theta < 8 or n_phi < 8:
-        raise ShapeError(f"state grid must be at least 8 x 8, got {grid}")
-    pipeline = _CorrectionPipeline(code, env, h0, v)
+    evals, evecs = np.linalg.eigh(m)
+    g = [float(x) for x in evecs.T @ w / 2.0]
+    gaps = [float(x - evals[0]) for x in evals]
 
-    def error_at(theta: float, phi: float) -> float:
-        return pipeline.error_direct(_bloch_pair(theta, phi), t)
+    def norm_sq(s: float) -> float:
+        return sum((gi / (d + s)) ** 2 for gi, d in zip(g, gaps))  # each term <= 1 for s >= lo
 
-    d_theta = math.pi / (n_theta - 1)
-    d_phi = 2.0 * math.pi / n_phi
-    best = (-1.0, 0.0, 0.0)
-    for i in range(n_theta):
-        theta = i * d_theta
-        for j in range(n_phi):
-            phi = j * d_phi
-            e = error_at(theta, phi)
-            if e > best[0]:
-                best = (e, theta, phi)
+    candidates = []
+    hi = math.sqrt(sum(gi * gi for gi in g))
+    if hi > 0.0:
+        lo = max(0.0, max(abs(gi) - d for gi, d in zip(g, gaps)))
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if norm_sq(mid) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        candidates.append(np.array([gi / (d + hi) for gi, d in zip(g, gaps)]))
+    hard = np.array([gi / d if d > 0.0 else 0.0 for gi, d in zip(g, gaps)])
+    spare = 1.0 - float(hard @ hard)
+    if spare >= 0.0:
+        hard[0] = math.copysign(math.sqrt(spare), g[0])
+        candidates.append(hard)
 
-    # local 3x refinement around the coarse maximum
-    _, theta0, phi0 = best
-    for di in range(-3, 4):
-        theta = min(max(theta0 + di * d_theta / 3.0, 0.0), math.pi)
-        for dj in range(-3, 4):
-            phi = (phi0 + dj * d_phi / 3.0) % (2.0 * math.pi)
-            e = error_at(theta, phi)
-            if e > best[0]:
-                best = (e, theta, phi)
-    return CodeErrorResult(value=best[0], theta=best[1], phi=best[2])
+    def score(coords: np.ndarray) -> float:
+        r = evecs @ coords / np.linalg.norm(coords)
+        return float(w @ r - r @ m @ r)
+
+    best = max(candidates, key=score)
+    r = evecs @ best
+    return r / np.linalg.norm(r)
+
+
+class _CorrectionPipeline:
+    """E(t) for one code, environment and Hamiltonian; built once, queried per t.
+
+    Holds one eigendecomposition of the joint Hamiltonian, the start vectors
+    |e_i> (x) |j_L> (weighted by the environment eigenvalues) in that
+    eigenbasis, and the logical readout of the recovery channel.  A query at
+    time t propagates only those 2 m vectors and reduces them to the 3 x 3
+    Pauli covariance C of the module docstring.
+    """
+
+    def __init__(self, code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray):
+        self.env_dim = env.dim
+        v = _as_complex(v)
+        d = env.dim * code.register_dim
+        if v.shape != (d, d):
+            raise ShapeError(f"interaction shape {v.shape} does not match env {env.dim} x register {code.register_dim}")
+        h = v if h0 is None else h0.matrix() + v
+        if h.shape != (d, d):
+            raise ShapeError("free Hamiltonian dimensions do not match the interaction")
+        h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "joint Hamiltonian")
+        self.evals, self.evecs = np.linalg.eigh(h)
+        self.start = self.evecs.conj().T @ _start_vectors(code, env)
+        self.readout = _logical_readout(code)
+
+    def covariance(self, t: float) -> np.ndarray:
+        phases = np.exp(-1j * self.evals * float(t))
+        vecs = self.evecs @ (phases[:, None] * self.start)
+        return _pauli_covariance(self.readout, vecs, self.env_dim)
+
+    def error_direct(self, psi_logical, t: float) -> float:
+        """Error of one encoded state: the sphere quadratic at its Bloch vector."""
+        r = _bloch_vector(psi_logical)
+        return _checked_error(_sphere_error(self.covariance(t), r))
+
+    def supremum(self, t: float) -> CodeErrorResult:
+        """Exact maximum of the error over the logical Bloch sphere, with its angles."""
+        c = self.covariance(t)
+        scale = float(np.trace(c).real)
+        if scale == 0.0:  # C = 0: no error anywhere, reported at the pole
+            return CodeErrorResult(value=0.0, theta=0.0, phi=0.0)
+        r = _sphere_argmax(c.real / scale, _twist(c) / scale)
+        theta = math.acos(min(max(float(r[2]), -1.0), 1.0))
+        phi = math.atan2(float(r[1]), float(r[0])) % (2.0 * math.pi)
+        return CodeErrorResult(value=_checked_error(_sphere_error(c, r)), theta=theta, phi=phi)
+
+
+def fidelity(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, psi_logical, t: float) -> float:
+    """Survival probability 1 - E of the encoded state after evolution and recovery."""
+    return 1.0 - error_functional(code, env, h0, v, psi_logical, t)
+
+
+def error_functional(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, psi_logical, t: float) -> float:
+    """Weight of the encoded state lost after evolution and recovery."""
+    return _CorrectionPipeline(code, env, h0, v).error_direct(psi_logical, t)
+
+
+def code_error(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, t: float) -> CodeErrorResult:
+    """Supremum of the error over the encoded logical sphere, exact up to rounding."""
+    return _CorrectionPipeline(code, env, h0, v).supremum(t)
 
 
 def fit_power_law(
@@ -310,11 +331,12 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
     Only chains of k+1 interaction factors on pairwise distinct qubits
     survive recovery and the complement projector, so the coefficient is
 
-        || (1 - P_psi) R W (|env_i> (x) |psi_bar> (x) |anc>) ||^2 / ((k+1)!)^2
+        sum_s || (1 - P_psi) K_s W (|env_i> (x) |psi_bar>) ||^2 / ((k+1)!)^2
 
     summed over the environment eigenvectors, with W the sum of ordered
-    products V^{l_1} ... V^{l_{k+1}} over distinct index tuples.  Defined for
-    non-contact interactions only.
+    products V^{l_1} ... V^{l_{k+1}} over distinct index tuples.  W is applied
+    to the same start vectors as the time evolution and reduced by the same
+    sphere quadratic.  Defined for non-contact interactions only.
     """
     if interaction.kind != "non_contact":
         raise UnsupportedInteractionError("the short-time coefficient requires a non-contact interaction")
@@ -324,7 +346,7 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
 
-    de, dc, da = env.dim, code.register_dim, code.ancilla_dim
+    de, dc = env.dim, code.register_dim
     n = code.n
     per_qubit = []
     for l in range(1, n + 1):
@@ -342,24 +364,8 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
             prod = prod @ per_qubit[idx]
         w_total += prod
 
-    alpha, beta = _logical_amplitudes(psi_logical)
-    psi_bar = encode_logical(code, alpha, beta).amplitudes
-    recovery = recovery_unitary(code)
-    anc = np.zeros(da, dtype=complex)
-    anc[0] = 1.0
-
-    w, vecs = np.linalg.eigh(env.rho0.array)
-    total = 0.0
-    for wi, evec in zip(w, vecs.T):
-        if wi <= 1e-15:
-            continue
-        vec = w_total @ np.kron(evec, psi_bar)
-        joint = np.kron(vec, anc).reshape(de, dc * da)
-        after = (joint @ recovery.T).reshape(de, dc, da)
-        amp = np.einsum("c,eca->ea", psi_bar.conj(), after)
-        resid = after - psi_bar[None, :, None] * amp[:, None, :]
-        total += float(wi) * float(np.vdot(resid, resid).real)
-    return total / math.factorial(k + 1) ** 2
+    c = _pauli_covariance(_logical_readout(code), w_total @ _start_vectors(code, env), de)
+    return _sphere_error(c, _bloch_vector(psi_logical)) / math.factorial(k + 1) ** 2
 
 
 def error_bound(t: float, k: int, v_norm: float) -> float:

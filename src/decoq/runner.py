@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,8 @@ from .dynamics import (
 )
 from .metrics import (
     FidelityCurve,
-    code_error,
+    _bloch_pair,
+    _CorrectionPipeline,
     error_bound,
     fit_power_law,
     periodic_correction_decay,
@@ -69,11 +69,10 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+def format_csv(header: list[str], rows) -> str:
+    """CSV text with a header line, LF endings and the fixed cell formats."""
+    lines = [",".join(header)] + [",".join(_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _sha256(path: str) -> str:
@@ -82,15 +81,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _bloch_state(theta: float, phi: float) -> tuple[complex, complex]:
-    import math
-
-    return (
-        complex(math.cos(theta / 2.0)),
-        complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0),
-    )
 
 
 def _materialize(scenario: Scenario, seed: int):
@@ -128,20 +118,6 @@ def _guard(scenario: Scenario, code: CodeSpec, env_dim: int) -> None:
         )
 
 
-def _sweep_point(args):
-    code_name, env, h0, v, t, grid = args
-    code = build_code(code_name)
-    res = code_error(code, env, h0, v, float(t), grid)
-    return (float(t), res.value, res.theta, res.phi)
-
-
-def _map_points(tasks, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(task) for task in tasks]
-
-
 class _Outputs:
     """Collects written files and warnings for the manifest."""
 
@@ -155,7 +131,8 @@ class _Outputs:
         return os.path.join(self.out_dir, name)
 
     def csv(self, name: str, header: list[str], rows) -> None:
-        _write_csv(self.path(name), header, rows)
+        with open(self.path(name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(format_csv(header, rows))
 
     def svg(self, name: str, series, axes: AxesSpec) -> None:
         dropped = emit_svg(series, axes, self.path(name))
@@ -171,12 +148,12 @@ def _fit_rows(label: str, samples) -> list[tuple]:
 _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_max", "residual"]
 
 
-def _run_scaling(scenario: Scenario, seed: int, workers: int, out: _Outputs, check_bounds: bool) -> None:
+def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: bool) -> None:
     code, env, spec, v, h0 = _materialize(scenario, seed)
     _guard(scenario, code, env.dim)
-    ts = scenario.time_grid.times()
-    grid = (scenario.n_theta, scenario.n_phi)
-    points = _map_points([(scenario.code, env, h0, v, t, grid) for t in ts], workers)
+    pipeline = _CorrectionPipeline(code, env, h0, v)
+    sups = [(float(t), pipeline.supremum(float(t))) for t in scenario.time_grid.times()]
+    points = [(t, sup.value, sup.theta, sup.phi) for t, sup in sups]
     v_norm = operator_norm(v)
     k = code.k_corr
 
@@ -243,11 +220,9 @@ def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
         if not (1 <= k_pos <= code.n and 1 <= l_pos <= code.n):
             raise ConfigError(f"pair ({k_pos},{l_pos}) outside 1..{code.n}")
     env = trivial_environment(code.n)
-    psi = _bloch_state(scenario.state_theta, scenario.state_phi)
+    psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     ts = scenario.time_grid.times()
     pairs = {(k_pos, l_pos): w for k_pos, l_pos, w in scenario.pair_flip}
-
-    from .metrics import _CorrectionPipeline  # local import keeps the public surface small
 
     curves = {}
     for label, h in (
@@ -267,25 +242,28 @@ def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
         )
 
 
-def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
-    if not (1 <= scenario.n_min <= scenario.n_max):
-        raise ConfigError("bounds table needs 1 <= n_min <= n_max")
-    if not (0 <= scenario.k_min <= scenario.k_max):
-        raise ConfigError("bounds table needs 0 <= k_min <= k_max")
+BOUNDS_HEADER = ["n", "k", "hamming_ok", "gv_ok"]
+
+
+def bounds_rows(n_min: int, n_max: int, k_min: int, k_max: int) -> list[tuple[int, int, bool, bool]]:
+    """Feasibility rows for n in n_min..n_max and k in k_min..min(k_max, n)."""
     rows = []
-    for n in range(scenario.n_min, scenario.n_max + 1):
-        for k in range(scenario.k_min, min(scenario.k_max, n) + 1):
+    for n in range(n_min, n_max + 1):
+        for k in range(k_min, min(k_max, n) + 1):
             row = hamming_gv_check(n, k)
             rows.append((row.n, row.k, row.hamming_ok, row.gv_ok))
-    out.csv("bounds.csv", ["n", "k", "hamming_ok", "gv_ok"], rows)
+    return rows
+
+
+def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
+    rows = bounds_rows(scenario.n_min, scenario.n_max, scenario.k_min, scenario.k_max)
+    out.csv("bounds.csv", BOUNDS_HEADER, rows)
 
 
 def _run_periodic(scenario: Scenario, seed: int, out: _Outputs) -> None:
     code, env, spec, v, h0 = _materialize(scenario, seed)
     _guard(scenario, code, env.dim)
-    if scenario.halvings < 0:
-        raise ConfigError("halvings must be non-negative")
-    psi = _bloch_state(scenario.state_theta, scenario.state_phi)
+    psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     rate_rows = []
     plot_series = []
     for i in range(scenario.halvings + 1):
@@ -315,7 +293,11 @@ def run(
     workers: int = 1,
     plots: bool | None = None,
 ) -> RunManifest:
-    """Execute a scenario and return the manifest (also written as manifest.json)."""
+    """Execute a scenario and return the manifest (also written as manifest.json).
+
+    ``workers`` is accepted for compatibility and ignored: a sweep runs
+    serially from one pipeline built per scenario.
+    """
     started = time.monotonic()
     effective_seed = scenario.seed if seed is None else int(seed)
     effective_out = scenario.out if out_dir is None else str(out_dir)
@@ -332,9 +314,9 @@ def run(
     out = _Outputs(effective_out)
 
     if scenario.kind == "scaling_sweep":
-        _run_scaling(scenario, effective_seed, workers, out, check_bounds=False)
+        _run_scaling(scenario, effective_seed, out, check_bounds=False)
     elif scenario.kind == "bound_check":
-        _run_scaling(scenario, effective_seed, workers, out, check_bounds=True)
+        _run_scaling(scenario, effective_seed, out, check_bounds=True)
     elif scenario.kind == "intro_example":
         _run_intro(scenario, effective_seed, out)
     elif scenario.kind == "bounds_table":

@@ -59,8 +59,6 @@ class Scenario:
     interaction_kind: str = "non_contact"
     contact_terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...] = ()
     time_grid: TimeGrid = TimeGrid()
-    n_theta: int = 12
-    n_phi: int = 12
     state_theta: float = 1.2
     state_phi: float = 0.5
     single_flip_omegas: tuple[float, ...] = (0.9, 1.1, 0.75, 1.3, 0.85)
@@ -90,6 +88,16 @@ class Scenario:
             raise ConfigError("environment dimension must be at least 1")
         if self.max_dim < 2:
             raise ConfigError("dimension cap must allow at least one qubit")
+        if not self.dt > 0:
+            raise ConfigError("correction interval dt must be positive")
+        if self.cycles < 10:
+            raise ConfigError(f"need at least 10 correction cycles for a stable rate, got {self.cycles}")
+        if self.halvings < 0:
+            raise ConfigError("halvings must be non-negative")
+        if not 1 <= self.n_min <= self.n_max:
+            raise ConfigError("bounds table needs 1 <= n_min <= n_max")
+        if not 0 <= self.k_min <= self.k_max:
+            raise ConfigError("bounds table needs 0 <= k_min <= k_max")
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -157,7 +165,9 @@ def _parse_contact_terms(raw: str, where: str) -> tuple[tuple[float, tuple[tuple
     return tuple(terms)
 
 
-# section -> key -> (scenario field, parser tag)
+# section -> key -> (scenario field, parser tag); a field of None parses the
+# value and discards it, which keeps files with a [state_grid] loading although
+# the supremum over the logical sphere needs no grid.
 _SCHEMA = {
     "scenario": {
         "kind": ("kind", "str"),
@@ -183,8 +193,8 @@ _SCHEMA = {
         "spacing": ("_tg_spacing", "str"),
     },
     "state_grid": {
-        "n_theta": ("n_theta", "int"),
-        "n_phi": ("n_phi", "int"),
+        "n_theta": (None, "int"),
+        "n_phi": (None, "int"),
     },
     "state": {
         "theta": ("state_theta", "float"),
@@ -243,6 +253,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         field_name, tag = _SCHEMA[section][key]
         value = _PARSERS[tag](raw_value, f"line {lineno}, key {key!r}")
+        if field_name is None:
+            continue
         if field_name.startswith("_tg_"):
             grid_overrides[field_name[4:]] = value
         else:
@@ -290,10 +302,6 @@ def serialize_scenario(s: Scenario) -> str:
         f"end = {s.time_grid.end!r}",
         f"points = {s.time_grid.points}",
         f"spacing = {s.time_grid.spacing}",
-        "",
-        "[state_grid]",
-        f"n_theta = {s.n_theta}",
-        f"n_phi = {s.n_phi}",
         "",
         "[state]",
         f"theta = {s.state_theta!r}",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from decoq.errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
 from decoq.tensor import DensityMatrix, operator_norm
@@ -10,14 +11,21 @@ from decoq.dynamics import (
     EnvironmentModel,
     InteractionSpec,
     build_noncontact,
+    evolve,
     free_hamiltonian,
     random_environment,
     trivial_environment,
 )
-from decoq.codes import asymptotic_x0, build_code
+from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_unitary
 from decoq.metrics import (
     BoundReport,
     FidelityCurve,
+    _bloch_pair,
+    _CorrectionPipeline,
+    _pauli_covariance,
+    _sphere_argmax,
+    _sphere_error,
+    _twist,
     bound_report,
     code_error,
     error_bound,
@@ -33,6 +41,41 @@ from decoq.metrics import (
 from conftest import random_density, random_hermitian
 
 PSI = (0.6, 0.8j)
+SHIPPED_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
+
+
+class DilationReference:
+    """E through the unitary dilation: propagate, append a fresh ancilla,
+    apply ``recovery_unitary`` and weigh the complement of the encoded state."""
+
+    def __init__(self, code, env, h0, v, t):
+        self.code, self.env = code, env
+        self.u = evolve(h0, v, t)
+        self.recovery = recovery_unitary(code)
+        self.ancilla = np.zeros(code.ancilla_dim, dtype=complex)
+        self.ancilla[0] = 1.0
+        self.env_weights, self.env_vecs = np.linalg.eigh(env.rho0.array)
+
+    def __call__(self, psi_logical) -> float:
+        de, dc, da = self.env.dim, self.code.register_dim, self.code.ancilla_dim
+        psi_bar = encode_logical(self.code, *psi_logical).amplitudes
+        total = 0.0
+        for wi, evec in zip(self.env_weights, self.env_vecs.T):
+            if wi <= 1e-15:
+                continue
+            vec_t = self.u @ np.kron(evec, psi_bar)
+            joint = np.kron(vec_t, self.ancilla).reshape(de, dc * da)
+            after = (joint @ self.recovery.T).reshape(de, dc, da)
+            amp = np.einsum("c,eca->ea", psi_bar.conj(), after)
+            resid = after - psi_bar[None, :, None] * amp[:, None, :]
+            total += float(wi) * float(np.vdot(resid, resid).real)
+        return total
+
+
+def shipped_model(name, seed):
+    code = build_code(name)
+    env = random_environment(code.n, 2, seed=seed)
+    return code, env, free_hamiltonian(env), build_noncontact(env)
 
 
 def dephasing_environment(rng, de):
@@ -62,7 +105,7 @@ class TestFidelity:
         code = build_code("five_qubit")
         v = build_noncontact(env)
         assert fidelity(code, env, free_hamiltonian(env), v, PSI, 2.0) == pytest.approx(1.0, abs=1e-12)
-        e = error_functional(code, env, None, v, PSI, 2.0, method="projector")
+        e = error_functional(code, env, None, v, PSI, 2.0)
         assert e == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_dephasing_analytic(self, rng):
@@ -76,21 +119,22 @@ class TestFidelity:
         expected = 0.5 + np.trace(env.rho0.array @ scipy.linalg.expm(-2j * h * t)).real / 2.0
         assert fidelity(code, env, None, v, psi_plus, t) == pytest.approx(expected, abs=1e-12)
 
-    def test_routes_agree(self):
-        env = random_environment(5, 2, seed=23)
-        code = build_code("five_qubit")
-        v = build_noncontact(env)
-        h0 = free_hamiltonian(env)
-        for t in (0.01, 0.3, 1.1):
-            via_f = error_functional(code, env, h0, v, PSI, t, method="fidelity")
-            direct = error_functional(code, env, h0, v, PSI, t, method="projector")
-            assert abs(via_f - direct) < 1e-10
+    def test_matches_dilation_reference(self, rng):
+        for name in SHIPPED_CODES:
+            code, env, h0, v = shipped_model(name, 23)
+            pipeline = _CorrectionPipeline(code, env, h0, v)
+            for t in (0.02, 0.2, 0.9):
+                reference = DilationReference(code, env, h0, v, t)
+                for _ in range(4):
+                    raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                    psi = tuple(raw / np.linalg.norm(raw))
+                    want = reference(psi)
+                    assert pipeline.error_direct(psi, t) == pytest.approx(want, rel=1e-9), (name, t)
 
-    def test_unknown_method(self):
-        env = trivial_environment(1)
-        code = build_code("identity")
-        with pytest.raises(ShapeError):
-            error_functional(code, env, None, np.zeros((2, 2)), PSI, 0.1, method="guess")
+    def test_fidelity_is_one_minus_error(self):
+        code, env, h0, v = shipped_model("repetition-3", 29)
+        f = fidelity(code, env, h0, v, PSI, 0.3)
+        assert f == 1.0 - error_functional(code, env, h0, v, PSI, 0.3)
 
     def test_energy_scale_equivariance(self):
         # exp(-i (sV) (t/s)) = exp(-i V t): rescaling energy and time cancels
@@ -114,26 +158,101 @@ class TestCodeError:
         env = random_environment(1, 2, seed=31)
         code = build_code("identity")
         v = build_noncontact(env)
-        sup = code_error(code, env, None, v, 0.4, grid=(8, 8))
-        pole = error_functional(code, env, None, v, (1.0, 0.0), 0.4, method="projector")
-        generic = error_functional(code, env, None, v, PSI, 0.4, method="projector")
+        sup = code_error(code, env, None, v, 0.4)
+        pole = error_functional(code, env, None, v, (1.0, 0.0), 0.4)
+        generic = error_functional(code, env, None, v, PSI, 0.4)
         assert sup.value + 1e-14 >= pole
         assert sup.value + 1e-14 >= generic
         assert float(sup) == sup.value
 
-    def test_grid_doubling_stable(self):
-        env = random_environment(1, 2, seed=37)
-        code = build_code("identity")
-        v = build_noncontact(env)
-        coarse = code_error(code, env, None, v, 0.5, grid=(8, 8)).value
-        fine = code_error(code, env, None, v, 0.5, grid=(16, 16)).value
-        assert abs(fine - coarse) / fine < 0.02
+    def test_supremum_dominates_reference_grid(self):
+        # the exact supremum is at least every point of a 16 x 16 grid
+        # evaluated through the dilation, up to their 1e-9 agreement
+        for name, t in (("identity", 0.5), ("repetition-3", 0.3), ("five_qubit", 0.05)):
+            code, env, h0, v = shipped_model(name, 37)
+            sup = _CorrectionPipeline(code, env, h0, v).supremum(t)
+            reference = DilationReference(code, env, h0, v, t)
+            grid = [
+                reference(_bloch_pair(theta, phi))
+                for theta in np.linspace(0.0, math.pi, 16)
+                for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+            ]
+            assert sup.value >= max(grid) * (1.0 - 1e-9), name
+            assert reference(_bloch_pair(sup.theta, sup.phi)) == pytest.approx(sup.value, rel=1e-9)
 
-    def test_small_grid_rejected(self):
-        env = random_environment(1, 2, seed=31)
-        code = build_code("identity")
-        with pytest.raises(ShapeError):
-            code_error(code, env, None, build_noncontact(env), 0.1, grid=(4, 12))
+    def test_angles_in_range(self):
+        code, env, h0, v = shipped_model("five_qubit", 41)
+        pipeline = _CorrectionPipeline(code, env, h0, v)
+        for t in (1e-3, 0.1, 1.0):
+            sup = pipeline.supremum(t)
+            assert 0.0 <= sup.theta <= math.pi
+            assert 0.0 <= sup.phi < 2.0 * math.pi
+
+    def test_zero_covariance_reports_pole(self):
+        # no coupling and no free term: the blocks are exactly the identity
+        code = build_code("repetition-3")
+        env = trivial_environment(3)
+        sup = _CorrectionPipeline(code, env, None, np.zeros((8, 8))).supremum(0.7)
+        assert (sup.value, sup.theta, sup.phi) == (0.0, 0.0, 0.0)
+
+
+def _sphere_points(rng, count):
+    pts = rng.standard_normal((count, 3))
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    return np.vstack([axes, pts / np.linalg.norm(pts, axis=1, keepdims=True)])
+
+
+_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestSphereMaximum:
+    @_PROPERTY
+    @given(st.lists(_entries, min_size=9, max_size=9), st.lists(_entries, min_size=3, max_size=3),
+           st.sampled_from([0.0, 1e-6, 1.0]))
+    def test_beats_sampled_points(self, b_entries, w_entries, w_scale):
+        b = np.array(b_entries).reshape(3, 3)
+        m = b @ b.T
+        w = w_scale * np.array(w_entries)
+        r = _sphere_argmax(m, w)
+        assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+        best = float(w @ r - r @ m @ r)
+        pts = _sphere_points(np.random.default_rng(0), 400)
+        sampled = pts @ w - np.einsum("pi,ij,pj->p", pts, m, pts)
+        assert best >= float(np.max(sampled)) - 1e-12
+        # global optimality certificate of the trust-region subproblem: the
+        # gradient w - 2 m r is 2 lam r, and m + lam is positive semidefinite
+        grad = w - 2.0 * m @ r
+        lam = float(grad @ r) / 2.0
+        assert np.linalg.norm(grad - 2.0 * lam * r) <= 1e-6
+        assert np.linalg.eigvalsh(m + lam * np.eye(3))[0] >= -1e-6
+
+    @_PROPERTY
+    @given(st.lists(_entries, min_size=24, max_size=24))
+    def test_physical_error_in_unit_interval(self, entries):
+        # three logical Kraus blocks of a random channel, stacked as a 6 x 2 isometry
+        g = np.array(entries[:12]).reshape(6, 2) + 1j * np.array(entries[12:]).reshape(6, 2)
+        if np.linalg.svd(g, compute_uv=False)[-1] < 1e-6:
+            return
+        q, _ = np.linalg.qr(g)
+        c = _pauli_covariance(np.eye(2, dtype=complex)[None], q, 3)
+        values = [_sphere_error(c, p) for p in _sphere_points(np.random.default_rng(1), 100)]
+        assert min(values) >= -1e-12 and max(values) <= 1.0 + 1e-12
+        scale = float(np.trace(c).real)
+        if scale > 0.0:
+            r = _sphere_argmax(c.real / scale, _twist(c) / scale)
+            top = _sphere_error(c, r)
+            assert -1e-12 <= top <= 1.0 + 1e-12
+            assert top >= max(values) - 1e-12
+
+    def test_hard_case_zero_w(self):
+        m = np.diag([0.5, 0.2, 0.9])
+        r = _sphere_argmax(m, np.zeros(3))
+        assert abs(r[1]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_matrix_and_zero_w(self):
+        r = _sphere_argmax(np.zeros((3, 3)), np.zeros(3))
+        assert np.linalg.norm(r) == pytest.approx(1.0)
 
 
 class TestFitPowerLaw:
@@ -198,7 +317,7 @@ class TestLeadingCoefficient:
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         c = leading_coefficient(code, env, spec, psi_plus, 0)
         t = 1e-4
-        e = error_functional(code, env, None, v, psi_plus, t, method="projector")
+        e = error_functional(code, env, None, v, psi_plus, t)
         assert e / t ** 2 == pytest.approx(c, rel=1e-6)
 
     def test_zero_coupling_gives_zero(self):

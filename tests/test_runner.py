@@ -1,7 +1,14 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
+from scipy.optimize import brentq
+
+from decoq.codes import asymptotic_bound_gap
 
 from decoq.cli import main
 from decoq.errors import ShapeError, SizingError
@@ -15,8 +22,6 @@ SWEEP = Scenario(
     seed=42,
     env_dim=2,
     time_grid=TimeGrid(0.004, 0.12, 10, "log"),
-    n_theta=8,
-    n_phi=8,
 )
 
 BOUNDS = Scenario(kind="bounds_table", n_min=1, n_max=12, k_min=1, k_max=2, plots=False)
@@ -157,8 +162,6 @@ class TestSvg:
             code="identity",
             env_dim=2,
             time_grid=TimeGrid(0.0, 0.12, 13, "linear"),
-            n_theta=8,
-            n_phi=8,
         )
         manifest = run(s, out_dir=str(tmp_path))
         assert any("dropped" in w for w in manifest.warnings)
@@ -215,7 +218,29 @@ class TestCli:
     def test_x0_command(self, capsys):
         assert main(["x0"]) == 0
         value = float(capsys.readouterr().out.strip())
-        assert value == pytest.approx(0.0946448124450402, abs=1e-12)
+        assert value == pytest.approx(0.09464481245761588, abs=1e-12)
+        root = brentq(asymptotic_bound_gap, 1e-12, 0.5, xtol=1e-16, rtol=1e-15) / 2.0
+        assert value == pytest.approx(root, abs=1e-15)
+
+    def test_bounds_command_matches_table(self, tmp_path, capsys):
+        s = Scenario(kind="bounds_table", n_min=1, n_max=12, k_min=0, k_max=2, plots=False)
+        run(s, out_dir=str(tmp_path))
+        assert main(["bounds", "--n-max", "12", "--k-max", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == (tmp_path / "bounds.csv").read_text()
+        rows = [tuple(map(int, line.split(",")[:2])) for line in printed.strip().split("\n")[1:]]
+        assert rows == [(n, k) for n in range(1, 13) for k in range(0, min(2, n) + 1)]
+
+    @pytest.mark.parametrize(
+        "section",
+        ["[correction]\ncycles = 5", "[correction]\nhalvings = -1", "[bounds]\nn_min = 0"],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, section):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nkind = periodic_correction\ncode = repetition-3\n{section}\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_svg_flag(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -245,3 +270,21 @@ def test_parse_then_run_matches_direct_scenario(tmp_path):
     run(parse_scenario(text), out_dir=str(tmp_path / "a"))
     run(SWEEP, out_dir=str(tmp_path / "b"))
     assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # the package imports and sweeps without pulling in scipy
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from decoq.runner import run\n"
+        "from decoq.scenario import Scenario, TimeGrid\n"
+        "s = Scenario(kind='scaling_sweep', code='identity', plots=False,"
+        " time_grid=TimeGrid(0.004, 0.12, 10, 'log'))\n"
+        f"run(s, out_dir={str(tmp_path)!r})\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sweep.csv").exists()

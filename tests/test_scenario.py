@@ -123,6 +123,21 @@ class TestTimeGrid:
         assert s.time_grid.end == TimeGrid().end
 
 
+    def test_state_grid_accepted_and_ignored(self):
+        text = MINIMAL + "[state_grid]\nn_theta = 9\nn_phi = 17\n"
+        assert parse_scenario(text) == parse_scenario(MINIMAL)
+        with pytest.raises(ConfigError, match="key 'n_phi'"):
+            parse_scenario(MINIMAL + "[state_grid]\nn_phi = many\n")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cycles", 9), ("dt", 0.0), ("halvings", -1), ("n_min", 0), ("n_max", 0), ("k_min", -1), ("k_max", -1)],
+    )
+    def test_value_ranges(self, field, value):
+        with pytest.raises(ConfigError):
+            Scenario(kind="bounds_table", **{field: value})
+
+
 class TestRoundTrip:
     def test_default_scenario(self):
         s = Scenario(kind="scaling_sweep")
@@ -141,8 +156,6 @@ class TestRoundTrip:
             interaction_kind="contact",
             contact_terms=((0.9, ((1, 1), (1, 2))), (1.1, ((2, 4),))),
             time_grid=TimeGrid(1e-4, 0.25, 21, "linear"),
-            n_theta=9,
-            n_phi=17,
             state_theta=0.31,
             state_phi=2.9,
             single_flip_omegas=(1.0, 2.0, 3.0, 4.0, 5.0),
