@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 configuration problems, 3 sizing guard,
-4 validation or fit failures at run time.
+Exit codes: 0 success, 2 configuration problems (including an output
+directory that cannot be created or written), 3 sizing guard (environment x
+register dimension above max_dim), 4 validation or fit failures at run time.
 
 CSV columns by file:
     sweep.csv                t, E, bound, argmax_theta, argmax_phi
@@ -31,14 +32,13 @@ from .scenario import load_scenario
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    manifest = run(
-        scenario,
-        out_dir=args.out,
-        seed=args.seed,
-        workers=args.workers,
-        plots=False if args.no_svg else None,
-    )
-    print(f"wrote {len(manifest.files)} files to {args.out or scenario.out} (seed {manifest.seed})")
+    out_dir = args.out or scenario.out
+    try:
+        manifest = run(scenario, out_dir=args.out, seed=args.seed, workers=args.workers,
+                       plots=False if args.no_svg else None)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
+    print(f"wrote {len(manifest.files)} files to {out_dir} (seed {manifest.seed})")
     for warning in manifest.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
 from . import tolerances as tol
-from .tensor import _as_complex, partial_trace_array, require_hermitian
+from .tensor import _as_complex, require_hermitian
 from .pauli import embed
-from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec, evolve
+from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec
 from .codes import CodeSpec, asymptotic_x0, encode_logical, recovery_channel
 
 
@@ -247,10 +247,13 @@ class _CorrectionPipeline:
         self.start = self.evecs.conj().T @ _start_vectors(code, env)
         self.readout = _logical_readout(code)
 
-    def covariance(self, t: float) -> np.ndarray:
+    def propagate(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        """U(t) x for the columns x whose eigenbasis coefficients evecs^dag x are ``coeffs``."""
         phases = np.exp(-1j * self.evals * float(t))
-        vecs = self.evecs @ (phases[:, None] * self.start)
-        return _pauli_covariance(self.readout, vecs, self.env_dim)
+        return self.evecs @ (phases[:, None] * coeffs)
+
+    def covariance(self, t: float) -> np.ndarray:
+        return _pauli_covariance(self.readout, self.propagate(t, self.start), self.env_dim)
 
     def error_direct(self, psi_logical, t: float) -> float:
         """Error of one encoded state: the sphere quadratic at its Bloch vector."""
@@ -426,47 +429,43 @@ def periodic_correction_decay(
     cycles: int,
     psi_logical,
     apply_correction: bool = True,
-    reset_environment: bool = False,
 ) -> DecayResult:
-    """Fidelity trace under stroboscopic recovery every ``dt``.
+    """Fidelity under stroboscopic recovery every ``dt``; the rate is minus the slope of log F in t.
 
-    The joint environment + register state is kept between cycles; each
-    recovery consumes a fresh ancilla, which is what the Kraus form of the
-    recovery channel implements.  ``reset_environment`` discards environment
-    correlations after each correction instead.  The rate is the negative
-    slope of log F against total time.
+    Each recovery consumes a fresh ancilla and ends in the code space, so the
+    corrected state is held exactly on environment (x) logical qubit, where a
+    cycle applies M_s = encoder^dag K_s U(dt) (1 (x) encoder); the environment is
+    kept.  Uncorrected, the encoded start vectors are propagated to each m dt.
     """
     if int(cycles) < 10:
         raise ShapeError("need at least 10 cycles for a stable rate")
     if float(dt) <= 0:
         raise ShapeError("cycle time must be positive")
-    alpha, beta = _logical_amplitudes(psi_logical)
-    psi_bar = encode_logical(code, alpha, beta).amplitudes
+    psi_bar = encode_logical(code, *_logical_amplitudes(psi_logical)).amplitudes
+    psi_l = code.encoder.conj().T @ psi_bar
+    pipeline = _CorrectionPipeline(code, env, h0, v)
     de, dc = env.dim, code.register_dim
 
-    u = evolve(h0, v, float(dt))
-    if u.shape != (de * dc, de * dc):
-        raise ShapeError("interaction dimensions do not match environment x register")
-    p_psi = np.outer(psi_bar, psi_bar.conj())
-    p_full = np.kron(np.eye(de, dtype=complex), p_psi)
-    rho = np.kron(env.rho0.array, p_psi)
-    eye_e = np.eye(de, dtype=complex)
-    kraus = [np.kron(eye_e, op) for op in recovery_channel(code).operators]
+    if apply_correction:
+        lifted = pipeline.evecs.conj().T @ np.kron(np.eye(de), code.encoder)
+        moved = pipeline.propagate(float(dt), lifted).reshape(de, dc, 2 * de)
+        kraus = np.einsum("sac,ecx->seax", pipeline.readout, moved).reshape(-1, 2 * de, 2 * de)
+        rho = np.kron(env.rho0.array, np.outer(psi_l, psi_l.conj()))
+    else:
+        start = pipeline.start.reshape(len(pipeline.evals), -1, 2) @ psi_l
 
     samples = [(0, 0.0, 1.0)]
     for m in range(1, int(cycles) + 1):
-        rho = u @ rho @ u.conj().T
         if apply_correction:
-            rho = sum(op @ rho @ op.conj().T for op in kraus)
-        if reset_environment:
-            register = partial_trace_array(rho, (de, dc), (1,))
-            rho = np.kron(env.rho0.array, register)
-        f = float(np.einsum("ij,ji->", rho, p_full).real)
-        samples.append((m, m * float(dt), f))
+            rho = (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+            f = np.einsum("eiej,i,j->", rho.reshape(de, 2, de, 2), psi_l.conj(), psi_l).real
+        else:
+            kept = psi_bar.conj() @ pipeline.propagate(m * float(dt), start).reshape(de, dc, -1)
+            f = np.vdot(kept, kept).real
+        samples.append((m, m * float(dt), float(f)))
 
-    ts = np.array([s[1] for s in samples if s[2] > 0.0])
-    lf = np.log([s[2] for s in samples if s[2] > 0.0])
-    if ts.size < 2:
+    ts, fs = zip(*((t, f) for _, t, f in samples if f > 0.0))  # never empty: F = 1 at t = 0
+    if len(ts) < 2:
         raise FitError("fidelity collapsed to zero; shorten dt or the cycle count")
-    slope, _ = np.polyfit(ts, lf, 1)
+    slope, _ = np.polyfit(ts, np.log(fs), 1)
     return DecayResult(rate=-float(slope), samples=tuple(samples))

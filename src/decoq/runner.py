@@ -110,10 +110,10 @@ def _materialize(scenario: Scenario, seed: int):
 
 
 def _guard(scenario: Scenario, code: CodeSpec, env_dim: int) -> None:
-    joint = env_dim * code.register_dim * code.ancilla_dim
+    joint = env_dim * code.register_dim
     if joint > scenario.max_dim:
         raise SizingError(
-            f"joint dimension {env_dim} x {code.register_dim} x {code.ancilla_dim} = {joint} "
+            f"joint dimension {env_dim} x {code.register_dim} (environment x register) = {joint} "
             f"exceeds the cap {scenario.max_dim}"
         )
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tolerances as tol
 from .errors import ConfigError
 
 KINDS = ("scaling_sweep", "intro_example", "bounds_table", "periodic_correction", "bound_check")
@@ -98,6 +99,12 @@ class Scenario:
             raise ConfigError("bounds table needs 1 <= n_min <= n_max")
         if not 0 <= self.k_min <= self.k_max:
             raise ConfigError("bounds table needs 0 <= k_min <= k_max")
+        if self.kind in ("scaling_sweep", "intro_example") and self.time_grid.points < tol.FIT_MIN_SAMPLES:
+            raise ConfigError(f"{self.kind} fits over at least {tol.FIT_MIN_SAMPLES} time points, got {self.time_grid.points}")
+        unordered = [(min(k, l), max(k, l)) for k, l, _ in self.pair_flip]
+        for pair in unordered:
+            if pair[0] == pair[1] or unordered.count(pair) > 1:
+                raise ConfigError(f"pair flip {pair[0]}-{pair[1]} must join two distinct qubits and appear once")
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -233,6 +240,7 @@ _PARSERS = {
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document; every unknown name is an error with its line."""
     section = None
+    seen: dict[tuple[str, str], int] = {}
     fields: dict[str, object] = {}
     grid_overrides: dict[str, object] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -251,6 +259,9 @@ def parse_scenario(text: str) -> Scenario:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
+        if (section, key) in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} in section [{section}] repeats line {seen[section, key]}")
+        seen[section, key] = lineno
         field_name, tag = _SCHEMA[section][key]
         value = _PARSERS[tag](raw_value, f"line {lineno}, key {key!r}")
         if field_name is None:

@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from decoq.errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
 from decoq.tensor import DensityMatrix, operator_norm
 from decoq.dynamics import (
+    ContactTerm,
     EnvironmentModel,
     InteractionSpec,
     build_noncontact,
     evolve,
     free_hamiltonian,
+    interaction_matrix,
     random_environment,
     trivial_environment,
 )
-from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_unitary
+from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
 from decoq.metrics import (
     BoundReport,
     FidelityCurve,
@@ -70,6 +72,24 @@ class DilationReference:
             resid = after - psi_bar[None, :, None] * amp[:, None, :]
             total += float(wi) * float(np.vdot(resid, resid).real)
         return total
+
+
+def dense_periodic_reference(code, env, h0, v, dt, cycles, psi_logical, corrected):
+    """Fidelity trace on the full joint density matrix: one ``evolve`` step per
+    cycle, then every kron(1_env, K_s) of the recovery channel."""
+    psi_bar = encode_logical(code, *psi_logical).amplitudes
+    eye_e = np.eye(env.dim)
+    p_full = np.kron(eye_e, np.outer(psi_bar, psi_bar.conj()))
+    rho = np.kron(env.rho0.array, np.outer(psi_bar, psi_bar.conj()))
+    u = evolve(h0, v, dt)
+    kraus = [np.kron(eye_e, k) for k in recovery_channel(code).operators]
+    fidelities = [1.0]
+    for _ in range(cycles):
+        rho = u @ rho @ u.conj().T
+        if corrected:
+            rho = sum(k @ rho @ k.conj().T for k in kraus)
+        fidelities.append(float(np.einsum("ij,ji->", rho, p_full).real))
+    return fidelities
 
 
 def shipped_model(name, seed):
@@ -327,8 +347,6 @@ class TestLeadingCoefficient:
         assert leading_coefficient(code, env, spec, PSI, 1) == 0.0
 
     def test_contact_rejected(self):
-        from decoq.dynamics import ContactTerm
-
         env = random_environment(5, 2, seed=5)
         code = build_code("five_qubit")
         spec = InteractionSpec("contact", terms=(ContactTerm(1.0, (1, 1, 0, 0, 0)),))
@@ -392,13 +410,33 @@ class TestPeriodicCorrection:
         off = periodic_correction_decay(code, env, h0, v, 0.05, 20, PSI, apply_correction=False)
         assert on.rate < off.rate
 
-    def test_environment_reset_changes_little_here(self):
-        env = random_environment(3, 2, seed=47)
+    @pytest.mark.parametrize("name", SHIPPED_CODES)
+    def test_matches_dense_reference(self, name):
+        for seed in (61, 67):
+            code, env, h0, v = shipped_model(name, seed)
+            for dt in (0.12, 0.03):
+                for corrected in (True, False):
+                    decay = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
+                    want = dense_periodic_reference(code, env, h0, v, dt, 40, PSI, corrected)
+                    got = [f for _, _, f in decay.samples]
+                    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (seed, dt, corrected)
+
+    def test_contact_matches_dense_reference(self):
+        code = build_code("five_qubit")
+        env = trivial_environment(code.n)
+        terms = (ContactTerm(0.9, (1, 1, 0, 0, 0)), ContactTerm(-0.4, (0, 0, 3, 0, 2)), ContactTerm(0.3, (0, 0, 0, 2, 0)))
+        v = interaction_matrix(InteractionSpec("contact", terms=terms), env_dim=1)
+        for corrected in (True, False):
+            decay = periodic_correction_decay(code, env, None, v, 0.2, 40, PSI, apply_correction=corrected)
+            want = dense_periodic_reference(code, env, None, v, 0.2, 40, PSI, corrected)
+            assert np.max(np.abs(np.subtract([f for _, _, f in decay.samples], want))) <= 1e-12
+
+    def test_unnormalised_state_rejected(self):
+        env = random_environment(3, 2, seed=53)
         code = build_code("repetition-3")
         v = build_noncontact(env)
-        kept = periodic_correction_decay(code, env, None, v, 0.05, 15, PSI)
-        reset = periodic_correction_decay(code, env, None, v, 0.05, 15, PSI, reset_environment=True)
-        assert kept.samples[1][2] == pytest.approx(reset.samples[1][2], abs=1e-12)
+        with pytest.raises(ValidationError):
+            periodic_correction_decay(code, env, None, v, 0.1, 12, (1.0, 1.0))
 
     def test_sample_layout(self):
         env = random_environment(3, 2, seed=53)

@@ -98,7 +98,7 @@ class TestSizingGuard:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_intro_guard(self, tmp_path):
-        s = Scenario(kind="intro_example", code="repetition-5", max_dim=100)
+        s = Scenario(kind="intro_example", code="repetition-5", max_dim=16)
         with pytest.raises(SizingError):
             run(s, out_dir=str(tmp_path))
 
@@ -199,15 +199,15 @@ class TestCli:
         assert "sizing error" in capsys.readouterr().err
 
     def test_fit_failure_exit_4(self, tmp_path, capsys):
-        cfg = tmp_path / "short.cfg"
+        # enough points, but every error sits below the fit floor
+        cfg = tmp_path / "tiny.cfg"
         cfg.write_text(
             "[scenario]\nkind = scaling_sweep\ncode = identity\n"
-            "[time_grid]\nstart = 0.004\nend = 0.12\npoints = 5\n"
-            "[state_grid]\nn_theta = 8\nn_phi = 8\n",
+            "[time_grid]\nstart = 1e-9\nend = 1e-8\npoints = 10\n",
             encoding="utf-8",
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
-        assert "error" in capsys.readouterr().err
+        assert "only 0 samples above the floor" in capsys.readouterr().err
 
     def test_bounds_command(self, capsys):
         assert main(["bounds", "--n-max", "5", "--k-max", "1"]) == 0
@@ -241,6 +241,33 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[scenario]\nkind = bounds_table\nkind = intro_example\n",
+            "[scenario]\nkind = intro_example\ncode = repetition-3\n[pair_flip]\npairs = 1-2:0.8, 1-2:0.5\n",
+            "[scenario]\nkind = intro_example\ncode = repetition-3\n[pair_flip]\npairs = 1-2:0.8, 2-1:0.3\n",
+            "[scenario]\nkind = intro_example\ncode = repetition-3\n[pair_flip]\npairs = 1-1:0.8\n",
+            "[scenario]\nkind = scaling_sweep\ncode = identity\n[time_grid]\npoints = 5\n",
+            "[scenario]\nkind = intro_example\ncode = repetition-3\n[time_grid]\npoints = 7\n",
+        ],
+        ids=["repeated_key", "repeated_pair", "reversed_pair", "self_pair", "sweep_points_5", "intro_points_7"],
+    )
+    def test_rejected_config_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nkind = bounds_table\n", encoding="utf-8")
+        (tmp_path / "plain").write_text("not a directory", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "plain" / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write") and err.count("\n") == 1
 
     def test_no_svg_flag(self, tmp_path):
         cfg = tmp_path / "s.cfg"
