@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 configuration problems (including an output
-directory that cannot be created or written), 3 sizing guard (environment x
-register dimension above max_dim), 4 validation or fit failures at run time.
+directory that cannot be created or written, and a nan or infinite number),
+3 sizing guard (environment x register dimension above max_dim), 4
+validation, fit or linear-algebra failures at run time.
 
 CSV columns by file:
     sweep.csv                t, E, bound, argmax_theta, argmax_phi
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .codes import asymptotic_x0
 from .errors import ConfigError, FitError, ShapeError, SizingError, ValidationError
@@ -87,7 +90,7 @@ def main(argv=None) -> int:
     except SizingError as exc:
         print(f"sizing error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ShapeError, FitError) as exc:
+    except (ValidationError, ShapeError, FitError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -230,7 +230,8 @@ class _CorrectionPipeline:
     |e_i> (x) |j_L> (weighted by the environment eigenvalues) in that
     eigenbasis, and the logical readout of the recovery channel.  A query at
     time t propagates only those 2 m vectors and reduces them to the 3 x 3
-    Pauli covariance C of the module docstring.
+    Pauli covariance C of the module docstring; ``decay`` runs periodic
+    recovery on the same eigendecomposition and readout.
     """
 
     def __init__(self, code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray):
@@ -246,6 +247,7 @@ class _CorrectionPipeline:
         self.evals, self.evecs = np.linalg.eigh(h)
         self.start = self.evecs.conj().T @ _start_vectors(code, env)
         self.readout = _logical_readout(code)
+        self.code, self.rho0 = code, env.rho0.array
 
     def propagate(self, t: float, coeffs: np.ndarray) -> np.ndarray:
         """U(t) x for the columns x whose eigenbasis coefficients evecs^dag x are ``coeffs``."""
@@ -270,6 +272,46 @@ class _CorrectionPipeline:
         theta = math.acos(min(max(float(r[2]), -1.0), 1.0))
         phi = math.atan2(float(r[1]), float(r[0])) % (2.0 * math.pi)
         return CodeErrorResult(value=_checked_error(_sphere_error(c, r)), theta=theta, phi=phi)
+
+    def decay(self, dt: float, cycles: int, psi_logical, apply_correction: bool = True) -> DecayResult:
+        """Fidelity under stroboscopic recovery every ``dt``; the rate is minus the slope of log F in t.
+
+        Each recovery consumes a fresh ancilla and ends in the code space, so the
+        corrected state is held exactly on environment (x) logical qubit, where a
+        cycle applies M_s = encoder^dag K_s U(dt) (1 (x) encoder); the environment is
+        kept.  Uncorrected, the encoded start vectors are propagated to each m dt.
+        """
+        if int(cycles) < 10:
+            raise ShapeError("need at least 10 cycles for a stable rate")
+        if not 0.0 < float(dt) < math.inf:
+            raise ShapeError("cycle time must be positive and finite")
+        psi_bar = encode_logical(self.code, *_logical_amplitudes(psi_logical)).amplitudes
+        psi_l = self.code.encoder.conj().T @ psi_bar
+        de, dc = self.env_dim, self.code.register_dim
+
+        if apply_correction:
+            lifted = self.evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
+            moved = self.propagate(float(dt), lifted).reshape(de, dc, 2 * de)
+            kraus = np.einsum("sac,ecx->seax", self.readout, moved).reshape(-1, 2 * de, 2 * de)
+            rho = np.kron(self.rho0, np.outer(psi_l, psi_l.conj()))
+        else:
+            start = self.start.reshape(len(self.evals), -1, 2) @ psi_l
+
+        samples = [(0, 0.0, 1.0)]
+        for m in range(1, int(cycles) + 1):
+            if apply_correction:
+                rho = (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+                f = np.einsum("eiej,i,j->", rho.reshape(de, 2, de, 2), psi_l.conj(), psi_l).real
+            else:
+                kept = psi_bar.conj() @ self.propagate(m * float(dt), start).reshape(de, dc, -1)
+                f = np.vdot(kept, kept).real
+            samples.append((m, m * float(dt), float(f)))
+
+        ts, fs = zip(*((t, f) for _, t, f in samples if f > 0.0))  # never empty: F = 1 at t = 0
+        if len(ts) < 2:
+            raise FitError("fidelity collapsed to zero; shorten dt or the cycle count")
+        slope, _ = np.polyfit(ts, np.log(fs), 1)
+        return DecayResult(rate=-float(slope), samples=tuple(samples))
 
 
 def fidelity(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, psi_logical, t: float) -> float:
@@ -430,42 +472,5 @@ def periodic_correction_decay(
     psi_logical,
     apply_correction: bool = True,
 ) -> DecayResult:
-    """Fidelity under stroboscopic recovery every ``dt``; the rate is minus the slope of log F in t.
-
-    Each recovery consumes a fresh ancilla and ends in the code space, so the
-    corrected state is held exactly on environment (x) logical qubit, where a
-    cycle applies M_s = encoder^dag K_s U(dt) (1 (x) encoder); the environment is
-    kept.  Uncorrected, the encoded start vectors are propagated to each m dt.
-    """
-    if int(cycles) < 10:
-        raise ShapeError("need at least 10 cycles for a stable rate")
-    if float(dt) <= 0:
-        raise ShapeError("cycle time must be positive")
-    psi_bar = encode_logical(code, *_logical_amplitudes(psi_logical)).amplitudes
-    psi_l = code.encoder.conj().T @ psi_bar
-    pipeline = _CorrectionPipeline(code, env, h0, v)
-    de, dc = env.dim, code.register_dim
-
-    if apply_correction:
-        lifted = pipeline.evecs.conj().T @ np.kron(np.eye(de), code.encoder)
-        moved = pipeline.propagate(float(dt), lifted).reshape(de, dc, 2 * de)
-        kraus = np.einsum("sac,ecx->seax", pipeline.readout, moved).reshape(-1, 2 * de, 2 * de)
-        rho = np.kron(env.rho0.array, np.outer(psi_l, psi_l.conj()))
-    else:
-        start = pipeline.start.reshape(len(pipeline.evals), -1, 2) @ psi_l
-
-    samples = [(0, 0.0, 1.0)]
-    for m in range(1, int(cycles) + 1):
-        if apply_correction:
-            rho = (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
-            f = np.einsum("eiej,i,j->", rho.reshape(de, 2, de, 2), psi_l.conj(), psi_l).real
-        else:
-            kept = psi_bar.conj() @ pipeline.propagate(m * float(dt), start).reshape(de, dc, -1)
-            f = np.vdot(kept, kept).real
-        samples.append((m, m * float(dt), float(f)))
-
-    ts, fs = zip(*((t, f) for _, t, f in samples if f > 0.0))  # never empty: F = 1 at t = 0
-    if len(ts) < 2:
-        raise FitError("fidelity collapsed to zero; shorten dt or the cycle count")
-    slope, _ = np.polyfit(ts, np.log(fs), 1)
-    return DecayResult(rate=-float(slope), samples=tuple(samples))
+    """Fidelity trace and decay rate under recovery every ``dt``; see ``_CorrectionPipeline.decay``."""
+    return _CorrectionPipeline(code, env, h0, v).decay(dt, cycles, psi_logical, apply_correction)

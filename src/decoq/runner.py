@@ -39,7 +39,6 @@ from .metrics import (
     _CorrectionPipeline,
     error_bound,
     fit_power_law,
-    periodic_correction_decay,
     stabilization_bound,
     threshold_time,
 )
@@ -263,15 +262,14 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
 def _run_periodic(scenario: Scenario, seed: int, out: _Outputs) -> None:
     code, env, spec, v, h0 = _materialize(scenario, seed)
     _guard(scenario, code, env.dim)
+    pipeline = _CorrectionPipeline(code, env, h0, v)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     rate_rows = []
     plot_series = []
     for i in range(scenario.halvings + 1):
         dt = scenario.dt / 2 ** i
         for corrected in (True, False):
-            decay = periodic_correction_decay(
-                code, env, h0, v, dt, scenario.cycles, psi, apply_correction=corrected
-            )
+            decay = pipeline.decay(dt, scenario.cycles, psi, apply_correction=corrected)
             tag = "on" if corrected else "off"
             out.csv(f"periodic_{i}_{tag}.csv", ["cycle", "total_t", "fidelity"], decay.samples)
             rate_rows.append((dt, corrected, decay.rate))

@@ -8,6 +8,7 @@ typos cannot silently fall back to defaults.  ``parse_scenario`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,9 +125,12 @@ def _parse_int(raw: str, where: str) -> int:
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
@@ -144,9 +148,10 @@ def _parse_pairs(raw: str, where: str) -> tuple[tuple[int, int, float], ...]:
             try:
                 pair_part, omega_part = chunk.split(":")
                 k_part, l_part = pair_part.split("-")
-                items.append((int(k_part), int(l_part), float(omega_part)))
+                k_pos, l_pos = int(k_part), int(l_part)
             except ValueError:
                 raise ConfigError(f"{where}: expected items like '1-2:0.8', got {chunk!r}") from None
+            items.append((k_pos, l_pos, _parse_float(omega_part.strip(), where)))
     return tuple(sorted(items))
 
 
@@ -158,9 +163,9 @@ def _parse_contact_terms(raw: str, where: str) -> tuple[tuple[float, tuple[tuple
             chunk = chunk.strip()
             try:
                 omega_part, ops_part = chunk.split(":")
-                omega = float(omega_part)
             except ValueError:
                 raise ConfigError(f"{where}: expected items like '0.9:x1 x2', got {chunk!r}") from None
+            omega = _parse_float(omega_part.strip(), where)
             factors = []
             for op in ops_part.split():
                 if len(op) < 2 or op[0] not in _AXIS_LETTERS:

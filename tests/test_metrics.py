@@ -421,6 +421,27 @@ class TestPeriodicCorrection:
                     got = [f for _, _, f in decay.samples]
                     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (seed, dt, corrected)
 
+    def test_non_power_of_two_environment(self):
+        # d_e = 3 is not a power of two, so a slip in the (environment, register) reshapes shows
+        code = build_code("repetition-3")
+        env = random_environment(code.n, 3, seed=71)
+        h0, v = free_hamiltonian(env), build_noncontact(env)
+        for dt in (0.12, 0.03):
+            for corrected in (True, False):
+                decay = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
+                want = dense_periodic_reference(code, env, h0, v, dt, 40, PSI, corrected)
+                got = [f for _, _, f in decay.samples]
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (dt, corrected)
+
+    def test_reused_pipeline_matches_fresh_builds(self):
+        code, env, h0, v = shipped_model("five_qubit", 73)
+        pipeline = _CorrectionPipeline(code, env, h0, v)
+        for i in range(3):
+            dt = 0.12 / 2 ** i
+            for corrected in (True, False):
+                fresh = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
+                assert pipeline.decay(dt, 40, PSI, apply_correction=corrected) == fresh, (dt, corrected)
+
     def test_contact_matches_dense_reference(self):
         code = build_code("five_qubit")
         env = trivial_environment(code.n)
@@ -453,8 +474,9 @@ class TestPeriodicCorrection:
         v = build_noncontact(env)
         with pytest.raises(ShapeError):
             periodic_correction_decay(code, env, None, v, 0.1, 5, PSI)
-        with pytest.raises(ShapeError):
-            periodic_correction_decay(code, env, None, v, -0.1, 12, PSI)
+        for dt in (-0.1, math.inf, math.nan):
+            with pytest.raises(ShapeError):
+                periodic_correction_decay(code, env, None, v, dt, 12, PSI)
 
 
 def test_operator_norm_feeds_bound():

@@ -5,9 +5,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import decoq.cli
+import decoq.metrics
 from decoq.codes import asymptotic_bound_gap
 
 from decoq.cli import main
@@ -25,6 +28,7 @@ SWEEP = Scenario(
 )
 
 BOUNDS = Scenario(kind="bounds_table", n_min=1, n_max=12, k_min=1, k_max=2, plots=False)
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def read(path):
@@ -122,6 +126,20 @@ class TestPeriodicKind:
         on = float(rates[1].split(",")[2])
         off = float(rates[2].split(",")[2])
         assert on < off
+
+    def test_one_pipeline_per_scenario(self, tmp_path, monkeypatch):
+        builds = []
+        original = decoq.metrics._CorrectionPipeline.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(decoq.metrics._CorrectionPipeline, "__init__", counted)
+        s = Scenario(kind="periodic_correction", code="repetition-3", cycles=10, halvings=2, plots=False)
+        manifest = run(s, out_dir=str(tmp_path))
+        assert len(manifest.files) == 7
+        assert len(builds) == 1
 
 
 class TestSvg:
@@ -251,8 +269,12 @@ class TestCli:
             "[scenario]\nkind = intro_example\ncode = repetition-3\n[pair_flip]\npairs = 1-1:0.8\n",
             "[scenario]\nkind = scaling_sweep\ncode = identity\n[time_grid]\npoints = 5\n",
             "[scenario]\nkind = intro_example\ncode = repetition-3\n[time_grid]\npoints = 7\n",
+            "[scenario]\nkind = scaling_sweep\ncode = five_qubit\n[interaction]\nkind = contact\nterms = -inf:x1 x2\n",
         ],
-        ids=["repeated_key", "repeated_pair", "reversed_pair", "self_pair", "sweep_points_5", "intro_points_7"],
+        ids=[
+            "repeated_key", "repeated_pair", "reversed_pair", "self_pair", "sweep_points_5", "intro_points_7",
+            "contact_weight_inf",
+        ],
     )
     def test_rejected_config_exit_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
@@ -260,6 +282,43 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "shipped, old, new",
+        [
+            ("exponent_law", "coupling_bound = 1.0", "coupling_bound = nan"),
+            ("exponent_law", "coupling_bound = 1.0", "coupling_bound = inf"),
+            ("exponent_law", "end = 8e-3", "end = inf"),
+            ("periodic_correction", "coupling_bound = 1.0", "coupling_bound = nan"),
+            ("periodic_correction", "dt = 0.12", "dt = inf"),
+            ("intro_example", "theta = 1.2", "theta = nan"),
+            ("intro_example", "omegas = 0.9,", "omegas = nan,"),
+            ("intro_example", "pairs = 1-2:0.8", "pairs = 1-2:nan"),
+        ],
+        ids=[
+            "sweep_coupling_nan", "sweep_coupling_inf", "sweep_end_inf", "periodic_coupling_nan",
+            "periodic_dt_inf", "intro_theta_nan", "intro_omega_nan", "intro_pair_nan",
+        ],
+    )
+    def test_non_finite_exit_2(self, tmp_path, capsys, shipped, old, new):
+        text = (SCENARIO_DIR / f"{shipped}.cfg").read_text(encoding="utf-8")
+        assert old in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line") and "finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_linalg_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(decoq.cli, "run", fail)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nkind = bounds_table\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
