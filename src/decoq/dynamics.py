@@ -29,7 +29,7 @@ from .tensor import (
     partial_trace,
     require_hermitian,
 )
-from .pauli import embed, pauli_string
+from .pauli import PAULIS, embed, pauli_string
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,8 @@ class FreeHamiltonian:
         out = kron(self.env_term, np.eye(dc))
         eye_e = np.eye(de, dtype=complex)
         for l, q in enumerate(self.qubit_terms, start=1):
+            if not np.any(q):
+                continue
             single = np.kron(
                 np.kron(np.eye(2 ** (l - 1), dtype=complex), q),
                 np.eye(2 ** (n - l), dtype=complex),
@@ -209,16 +211,27 @@ class InteractionSpec:
 
 
 def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.ndarray:
-    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register."""
+    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register.
+
+    sigma^l_mu sends register index i to i with bit l flipped (x, y) or kept
+    (z), times the phase sigma_mu[b, b'] of that bit, so each h^l_mu is added
+    straight into the (d_e, 2^n, d_e, 2^n) view at those index pairs.
+    """
     n = env.n_qubits if n_qubits is None else int(n_qubits)
     if n != env.n_qubits:
         raise ShapeError(f"environment provides couplings for {env.n_qubits} qubits, asked for {n}")
-    d = env.dim * 2 ** n
-    v = np.zeros((d, d), dtype=complex)
+    de, dc = env.dim, 2 ** n
+    v = np.zeros((de * dc, de * dc), dtype=complex)
+    blocks = v.reshape(de, dc, de, dc)
+    rows = np.arange(dc)
     for l, triple in enumerate(env.couplings, start=1):
+        shift = n - l  # qubit 1 is the most significant bit
+        bits = (rows >> shift) & 1
         for mu, h in enumerate(triple, start=1):
             if np.any(h):
-                v += kron(h, embed(mu, l, n))
+                flip = 0 if mu == 3 else 1
+                phase = PAULIS[mu][bits, bits ^ flip]
+                blocks[:, rows, :, rows ^ (flip << shift)] += phase[:, None, None] * h
     require_hermitian(v, tol.HERMITIAN_TOL, "non-contact interaction")
     return v
 

@@ -19,6 +19,7 @@ keep their digits, and the supremum over |r| = 1 is found exactly.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -223,18 +224,74 @@ def _sphere_argmax(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return r / np.linalg.norm(r)
 
 
-class _CorrectionPipeline:
-    """E(t) for one code, environment and Hamiltonian; built once, queried per t.
+def _state_error(c: np.ndarray, psi_logical) -> float:
+    """Error of one encoded state: the sphere quadratic of C at its Bloch vector."""
+    return _checked_error(_sphere_error(c, _bloch_vector(psi_logical)))
 
-    Holds one eigendecomposition of the joint Hamiltonian, the start vectors
-    |e_i> (x) |j_L> (weighted by the environment eigenvalues) in that
-    eigenbasis, and the logical readout of the recovery channel.  A query at
-    time t propagates only those 2 m vectors and reduces them to the 3 x 3
-    Pauli covariance C of the module docstring; ``decay`` runs periodic
-    recovery on the same eigendecomposition and readout.
+
+def _sphere_supremum(c: np.ndarray) -> CodeErrorResult:
+    """Exact maximum over the logical Bloch sphere of the error with covariance C, with its angles."""
+    scale = float(np.trace(c).real)
+    if scale == 0.0:  # C = 0: no error anywhere, reported at the pole
+        return CodeErrorResult(value=0.0, theta=0.0, phi=0.0)
+    r = _sphere_argmax(c.real / scale, _twist(c) / scale)
+    theta = math.acos(min(max(float(r[2]), -1.0), 1.0))
+    phi = math.atan2(float(r[1]), float(r[0])) % (2.0 * math.pi)
+    return CodeErrorResult(value=_checked_error(_sphere_error(c, r)), theta=theta, phi=phi)
+
+
+TAYLOR_MIN_DIM = 256  # joint dimension from which a short time grid skips the eigendecomposition
+TAYLOR_MAX_TERMS = 30  # with t ||H - mu||_1 <= 1 the series stops by P_20; the cap guards other callers
+
+
+def _taylor_terms(shifted: np.ndarray, x: np.ndarray, tau: float) -> list[np.ndarray]:
+    """P_j = (tau^j / j!) A^j x for A = ``shifted``, until two consecutive terms are at most 2^-53 ||x||_1.
+
+    With tau ||A||_1 <= 1 each ||P_j||_1 <= ||x||_1 / j!, so the loop stops by j = 20;
+    past TAYLOR_MAX_TERMS terms it raises ``ValidationError``.
+    """
+    terms = [x]
+    limit = 2.0 ** -53 * np.linalg.norm(x, 1)
+    small = 0
+    while small < 2:
+        if len(terms) == TAYLOR_MAX_TERMS:
+            raise ValidationError(f"Taylor series of exp(-iHt) did not converge in {TAYLOR_MAX_TERMS} terms")
+        terms.append((tau / len(terms)) * (shifted @ terms[-1]))
+        small = small + 1 if np.linalg.norm(terms[-1], 1) <= limit else 0
+    return terms
+
+
+def _taylor_sum(terms: list[np.ndarray], t: float, tau: float, mu: float) -> np.ndarray:
+    """exp(-i mu t) sum_j (-i t / tau)^j P_j, by Horner's rule: exp(-iHt) x for H = A + mu."""
+    step = -1j * t / tau if tau > 0.0 else 0.0
+    acc = terms[-1]
+    for p in reversed(terms[:-1]):
+        acc = p + step * acc
+    return cmath.exp(-1j * mu * t) * acc
+
+
+class _CorrectionPipeline:
+    """E(t) for one code, environment and Hamiltonian; built once, queried per time grid.
+
+    Holds the joint Hamiltonian H, the start vectors |e_i> (x) |j_L> (weighted
+    by the environment eigenvalues) and the logical readout of the recovery
+    channel.  ``covariances`` propagates only those 2 m vectors to each t and
+    reduces them to the 3 x 3 Pauli covariance C of the module docstring,
+    from which ``_sphere_supremum`` and ``_state_error`` read E; ``supremum``
+    and ``error_direct`` do both for a single t.  ``decay`` runs periodic
+    recovery on the eigendecomposition of H, which is computed on first use
+    and at most once.  ``readout`` may be passed in to share it between
+    pipelines on the same code.
     """
 
-    def __init__(self, code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray):
+    def __init__(
+        self,
+        code: CodeSpec,
+        env: EnvironmentModel,
+        h0: FreeHamiltonian | None,
+        v: np.ndarray,
+        readout: np.ndarray | None = None,
+    ):
         self.env_dim = env.dim
         v = _as_complex(v)
         d = env.dim * code.register_dim
@@ -243,35 +300,55 @@ class _CorrectionPipeline:
         h = v if h0 is None else h0.matrix() + v
         if h.shape != (d, d):
             raise ShapeError("free Hamiltonian dimensions do not match the interaction")
-        h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "joint Hamiltonian")
-        self.evals, self.evecs = np.linalg.eigh(h)
-        self.start = self.evecs.conj().T @ _start_vectors(code, env)
-        self.readout = _logical_readout(code)
+        self.h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "joint Hamiltonian")
+        self.start = _start_vectors(code, env)
+        self.readout = _logical_readout(code) if readout is None else readout
         self.code, self.rho0 = code, env.rho0.array
+        self._eigen = None
+
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of H and the start vectors in that basis; one ``eigh``, on first use."""
+        if self._eigen is None:
+            evals, evecs = np.linalg.eigh(self.h)
+            self._eigen = evals, evecs, evecs.conj().T @ self.start
+        return self._eigen
 
     def propagate(self, t: float, coeffs: np.ndarray) -> np.ndarray:
         """U(t) x for the columns x whose eigenbasis coefficients evecs^dag x are ``coeffs``."""
-        phases = np.exp(-1j * self.evals * float(t))
-        return self.evecs @ (phases[:, None] * coeffs)
+        evals, evecs, _ = self.eigenbasis()
+        phases = np.exp(-1j * evals * float(t))
+        return evecs @ (phases[:, None] * coeffs)
 
-    def covariance(self, t: float) -> np.ndarray:
-        return _pauli_covariance(self.readout, self.propagate(t, self.start), self.env_dim)
+    def covariances(self, times) -> list[np.ndarray]:
+        """C at each t of ``times``; the one place that chooses how exp(-iHt) is applied.
+
+        From d = TAYLOR_MIN_DIM on, and when tau ||H - mu||_1 <= 1 for tau = max |t|
+        and mu = tr H / d, the start vectors are propagated by one Taylor power
+        basis shared by every t (about a dozen products with H); otherwise by
+        the eigendecomposition.
+        """
+        times = [float(t) for t in times]
+        if not all(math.isfinite(t) for t in times):
+            raise ShapeError(f"propagation times must be finite, got {times}")
+        d = len(self.h)
+        tau = max((abs(t) for t in times), default=0.0)
+        if d >= TAYLOR_MIN_DIM:
+            mu = float(np.trace(self.h).real) / d
+            shifted = self.h - mu * np.eye(d)
+            if tau * float(np.abs(shifted).sum(axis=0).max()) <= 1.0:
+                terms = _taylor_terms(shifted, self.start, tau)
+                vecs = [_taylor_sum(terms, t, tau, mu) for t in times]
+                return [_pauli_covariance(self.readout, x, self.env_dim) for x in vecs]
+        start = self.eigenbasis()[2]
+        return [_pauli_covariance(self.readout, self.propagate(t, start), self.env_dim) for t in times]
 
     def error_direct(self, psi_logical, t: float) -> float:
-        """Error of one encoded state: the sphere quadratic at its Bloch vector."""
-        r = _bloch_vector(psi_logical)
-        return _checked_error(_sphere_error(self.covariance(t), r))
+        """Error of one encoded state at time t."""
+        return _state_error(self.covariances([t])[0], psi_logical)
 
     def supremum(self, t: float) -> CodeErrorResult:
-        """Exact maximum of the error over the logical Bloch sphere, with its angles."""
-        c = self.covariance(t)
-        scale = float(np.trace(c).real)
-        if scale == 0.0:  # C = 0: no error anywhere, reported at the pole
-            return CodeErrorResult(value=0.0, theta=0.0, phi=0.0)
-        r = _sphere_argmax(c.real / scale, _twist(c) / scale)
-        theta = math.acos(min(max(float(r[2]), -1.0), 1.0))
-        phi = math.atan2(float(r[1]), float(r[0])) % (2.0 * math.pi)
-        return CodeErrorResult(value=_checked_error(_sphere_error(c, r)), theta=theta, phi=phi)
+        """Exact maximum of the error over the logical Bloch sphere at time t, with its angles."""
+        return _sphere_supremum(self.covariances([t])[0])
 
     def decay(self, dt: float, cycles: int, psi_logical, apply_correction: bool = True) -> DecayResult:
         """Fidelity under stroboscopic recovery every ``dt``; the rate is minus the slope of log F in t.
@@ -288,14 +365,15 @@ class _CorrectionPipeline:
         psi_bar = encode_logical(self.code, *_logical_amplitudes(psi_logical)).amplitudes
         psi_l = self.code.encoder.conj().T @ psi_bar
         de, dc = self.env_dim, self.code.register_dim
+        evals, evecs, start = self.eigenbasis()
 
         if apply_correction:
-            lifted = self.evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
+            lifted = evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
             moved = self.propagate(float(dt), lifted).reshape(de, dc, 2 * de)
             kraus = np.einsum("sac,ecx->seax", self.readout, moved).reshape(-1, 2 * de, 2 * de)
             rho = np.kron(self.rho0, np.outer(psi_l, psi_l.conj()))
         else:
-            start = self.start.reshape(len(self.evals), -1, 2) @ psi_l
+            start = start.reshape(len(evals), -1, 2) @ psi_l
 
         samples = [(0, 0.0, 1.0)]
         for m in range(1, int(cycles) + 1):

@@ -37,6 +37,9 @@ from .metrics import (
     FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
+    _logical_readout,
+    _sphere_supremum,
+    _state_error,
     error_bound,
     fit_power_law,
     stabilization_bound,
@@ -151,8 +154,9 @@ def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: boo
     code, env, spec, v, h0 = _materialize(scenario, seed)
     _guard(scenario, code, env.dim)
     pipeline = _CorrectionPipeline(code, env, h0, v)
-    sups = [(float(t), pipeline.supremum(float(t))) for t in scenario.time_grid.times()]
-    points = [(t, sup.value, sup.theta, sup.phi) for t, sup in sups]
+    ts = [float(t) for t in scenario.time_grid.times()]
+    sups = [_sphere_supremum(c) for c in pipeline.covariances(ts)]
+    points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
     v_norm = operator_norm(v)
     k = code.k_corr
 
@@ -220,16 +224,17 @@ def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
             raise ConfigError(f"pair ({k_pos},{l_pos}) outside 1..{code.n}")
     env = trivial_environment(code.n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
-    ts = scenario.time_grid.times()
+    ts = [float(t) for t in scenario.time_grid.times()]
     pairs = {(k_pos, l_pos): w for k_pos, l_pos, w in scenario.pair_flip}
+    readout = _logical_readout(code)  # one recovery readout serves both drives
 
     curves = {}
     for label, h in (
         ("single_flip", single_flip_hamiltonian(scenario.single_flip_omegas)),
         ("pair_flip", pair_flip_hamiltonian(pairs, code.n)),
     ):
-        pipeline = _CorrectionPipeline(code, env, None, h)
-        curves[label] = [(float(t), pipeline.error_direct(psi, float(t))) for t in ts]
+        pipeline = _CorrectionPipeline(code, env, None, h, readout)
+        curves[label] = [(t, _state_error(c, psi)) for t, c in zip(ts, pipeline.covariances(ts))]
         out.csv(f"{label}.csv", ["t", "E"], curves[label])
     fit_rows = _fit_rows("single_flip", curves["single_flip"]) + _fit_rows("pair_flip", curves["pair_flip"])
     out.csv("fit_summary.csv", _FIT_HEADER, fit_rows)

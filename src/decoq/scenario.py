@@ -30,6 +30,8 @@ class TimeGrid:
     spacing: str = "log"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ConfigError(f"time grid ends must be finite, got {self.start!r} and {self.end!r}")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.points < 1:
@@ -90,6 +92,19 @@ class Scenario:
             raise ConfigError("environment dimension must be at least 1")
         if self.max_dim < 2:
             raise ConfigError("dimension cap must allow at least one qubit")
+        numbers = {
+            "coupling_bound": (self.coupling_bound,),
+            "beta": (self.beta,),
+            "state theta": (self.state_theta,),
+            "state phi": (self.state_phi,),
+            "dt": (self.dt,),
+            "single-flip omegas": self.single_flip_omegas,
+            "pair-flip weights": tuple(w for _, _, w in self.pair_flip),
+            "contact weights": tuple(omega for omega, _ in self.contact_terms),
+        }
+        for name, values in numbers.items():
+            if not all(math.isfinite(x) for x in values):
+                raise ConfigError(f"{name} must be finite, got {values}")
         if not self.dt > 0:
             raise ConfigError("correction interval dt must be positive")
         if self.cycles < 10:

@@ -101,6 +101,16 @@ class TestFreeHamiltonian:
         h0 = free_hamiltonian(env)
         assert np.allclose(h0.matrix(), kron(env.h_env, np.eye(4)))
 
+    def test_zero_terms_skipped_without_changing_values(self, rng):
+        # skipping a zero term keeps a -0.0 that adding +0.0 turned into +0.0,
+        # so values are equal and bytes are equal when no -0.0 arises
+        terms = (np.zeros((2, 2), dtype=complex), random_hermitian(rng, 2), np.zeros((2, 2), dtype=complex))
+        h0 = FreeHamiltonian(random_hermitian(rng, 3), terms)
+        assert np.array_equal(h0.matrix(), kron_free_matrix(h0))
+        for de in (1, 2, 3, 8):
+            h0 = free_hamiltonian(random_environment(5, de, seed=de))
+            assert h0.matrix().tobytes() == kron_free_matrix(h0).tobytes(), de
+
     def test_rejects_wrong_qubit_shape(self):
         with pytest.raises(ShapeError):
             FreeHamiltonian(np.zeros((2, 2)), (np.zeros((3, 3)),))
@@ -136,7 +146,50 @@ class TestFlipDrives:
             pair_flip_hamiltonian({(1, 4): 1.0}, 3)
 
 
+def kron_noncontact(env: EnvironmentModel) -> np.ndarray:
+    """Reference V: one dense kron(h, sigma^l_mu) per nonzero coupling, added in (l, mu) order."""
+    n = env.n_qubits
+    d = env.dim * 2 ** n
+    v = np.zeros((d, d), dtype=complex)
+    for l, triple in enumerate(env.couplings, start=1):
+        for mu, h in enumerate(triple, start=1):
+            if np.any(h):
+                v += kron(h, embed(mu, l, n))
+    return v
+
+
+def kron_free_matrix(h0: FreeHamiltonian) -> np.ndarray:
+    """Reference H0: the environment term plus one kron per qubit term, zero terms included."""
+    de, n = h0.env_dim, h0.n_qubits
+    out = kron(h0.env_term, np.eye(2 ** n))
+    for l, q in enumerate(h0.qubit_terms, start=1):
+        single = np.kron(np.kron(np.eye(2 ** (l - 1), dtype=complex), q), np.eye(2 ** (n - l), dtype=complex))
+        out += kron(np.eye(de, dtype=complex), single)
+    return out
+
+
+def with_zero_couplings(env: EnvironmentModel, zero_at) -> EnvironmentModel:
+    """``env`` with the couplings (qubit, axis) in ``zero_at`` (0-based) replaced by zeros."""
+    zero = np.zeros((env.dim, env.dim), dtype=complex)
+    couplings = tuple(
+        tuple(zero if (l, mu) in zero_at else h for mu, h in enumerate(triple))
+        for l, triple in enumerate(env.couplings)
+    )
+    return EnvironmentModel(env.dim, env.rho0, env.h_env, couplings)
+
+
 class TestInteractions:
+    @pytest.mark.parametrize("de", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_noncontact_bit_identical_to_kron(self, de, n):
+        for seed in (1, 2, 3):
+            env = random_environment(n, de, seed=seed)
+            assert build_noncontact(env).tobytes() == kron_noncontact(env).tobytes(), seed
+        partly = with_zero_couplings(env, {(0, 1), (n - 1, 0), (n - 1, 2)})
+        assert build_noncontact(partly).tobytes() == kron_noncontact(partly).tobytes()
+        none = random_environment(n, de, coupling_bound=0.0, seed=4)
+        assert build_noncontact(none).tobytes() == np.zeros((de * 2 ** n,) * 2, dtype=complex).tobytes()
+
     def test_noncontact_is_hermitian_sum(self):
         env = random_environment(2, 2, seed=9)
         v = build_noncontact(env)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import decoq.metrics
 from decoq.errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
 from decoq.tensor import DensityMatrix, operator_norm
 from decoq.dynamics import (
@@ -27,6 +28,10 @@ from decoq.metrics import (
     _pauli_covariance,
     _sphere_argmax,
     _sphere_error,
+    _sphere_supremum,
+    _state_error,
+    _taylor_sum,
+    _taylor_terms,
     _twist,
     bound_report,
     code_error,
@@ -214,6 +219,105 @@ class TestCodeError:
         env = trivial_environment(3)
         sup = _CorrectionPipeline(code, env, None, np.zeros((8, 8))).supremum(0.7)
         assert (sup.value, sup.theta, sup.phi) == (0.0, 0.0, 0.0)
+
+
+WIDE_GRID = tuple(float(t) for t in np.geomspace(2e-3, 1.6e-2, 3))
+
+
+def wide_model(seed):
+    """five_qubit at d_e = 8: the joint dimension is 256, where short grids use the Taylor basis."""
+    code = build_code("five_qubit")
+    env = random_environment(code.n, 8, seed=seed)
+    return code, env, free_hamiltonian(env), build_noncontact(env)
+
+
+def taylor_radius(pipeline):
+    """(mu, ||H - mu||_1, the largest t with t ||H - mu||_1 <= 1 in floating point)."""
+    d = len(pipeline.h)
+    mu = float(np.trace(pipeline.h).real) / d
+    norm = float(np.abs(pipeline.h - mu * np.eye(d)).sum(axis=0).max())
+    t = 1.0 / norm
+    while t * norm > 1.0:
+        t = float(np.nextafter(t, 0.0))
+    return mu, norm, t
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Dimension of every eigh call from here on; the joint one is 64 or 256 below."""
+    sizes = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+class TestTaylorPropagation:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_eigendecomposition(self, seed, eigh_sizes):
+        pipeline = _CorrectionPipeline(*wide_model(seed))
+        mu, _, t_edge = taylor_radius(pipeline)
+        shifted = pipeline.h - mu * np.eye(len(pipeline.h))
+        for grid in (WIDE_GRID, WIDE_GRID + (t_edge,)):
+            eigh_sizes.clear()
+            taylor = pipeline.covariances(grid)
+            assert 256 not in eigh_sizes
+            tau = max(grid)
+            terms = _taylor_terms(shifted, pipeline.start, tau)
+            assert len(terms) <= 22
+            start = pipeline.eigenbasis()[2]
+            for t, c_taylor in zip(grid, taylor):
+                moved = pipeline.propagate(t, start)
+                assert np.max(np.abs(_taylor_sum(terms, t, tau, mu) - moved)) <= 1e-13, (seed, t)
+                c_dense = _pauli_covariance(pipeline.readout, moved, pipeline.env_dim)
+                got, want = _sphere_supremum(c_taylor), _sphere_supremum(c_dense)
+                assert got.value == pytest.approx(want.value, rel=1e-9), (seed, t)
+                assert abs(got.theta - want.theta) <= 1e-7
+                assert abs(math.remainder(got.phi - want.phi, 2.0 * math.pi)) <= 1e-7
+                assert _state_error(c_taylor, PSI) == pytest.approx(_state_error(c_dense, PSI), rel=1e-9)
+
+    def test_dense_below_taylor_dimension(self, eigh_sizes):
+        pipeline = _CorrectionPipeline(*shipped_model("five_qubit", 1))
+        pipeline.covariances(WIDE_GRID)
+        pipeline.covariances(WIDE_GRID)
+        assert eigh_sizes.count(64) == 1
+
+    def test_short_grid_at_256_skips_eigh(self, eigh_sizes):
+        pipeline = _CorrectionPipeline(*wide_model(1))
+        pipeline.covariances(WIDE_GRID)
+        pipeline.supremum(WIDE_GRID[-1])
+        assert eigh_sizes.count(256) == 0
+
+    def test_long_grid_and_decay_at_256_use_one_eigh(self, eigh_sizes):
+        pipeline = _CorrectionPipeline(*wide_model(1))
+        _, _, t_edge = taylor_radius(pipeline)
+        long_grid = (1e-3, 2.0 * t_edge)
+        pipeline.covariances(long_grid)
+        assert eigh_sizes.count(256) == 1
+        pipeline.decay(0.12, 10, PSI)
+        pipeline.covariances(long_grid)
+        assert eigh_sizes.count(256) == 1
+        fresh = _CorrectionPipeline(*wide_model(1))
+        fresh.decay(0.12, 10, PSI, apply_correction=False)
+        fresh.decay(0.06, 10, PSI)
+        assert eigh_sizes.count(256) == 2
+
+    def test_series_cap_raises(self):
+        pipeline = _CorrectionPipeline(*wide_model(1))
+        _, norm, _ = taylor_radius(pipeline)
+        with pytest.raises(ValidationError, match="did not converge"):
+            _taylor_terms(pipeline.h, pipeline.start, 50.0 / norm)
+
+    @pytest.mark.parametrize("grid", [(math.nan,), (1e-3, math.nan), (math.inf, 1e-3), (-math.inf,)])
+    def test_non_finite_times_rejected(self, grid, monkeypatch):
+        monkeypatch.setattr(decoq.metrics, "_taylor_terms", None)  # reaching the series would be a TypeError
+        for model in (wide_model(1), shipped_model("identity", 1)):
+            with pytest.raises(ShapeError, match="finite"):
+                _CorrectionPipeline(*model).covariances(grid)
 
 
 def _sphere_points(rng, count):

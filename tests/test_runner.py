@@ -142,6 +142,22 @@ class TestPeriodicKind:
         assert len(builds) == 1
 
 
+class TestIntroKind:
+    def test_one_readout_per_scenario(self, tmp_path, monkeypatch):
+        calls = []
+        original = decoq.metrics.recovery_channel
+
+        def counted(code):
+            calls.append(code.name)
+            return original(code)
+
+        monkeypatch.setattr(decoq.metrics, "recovery_channel", counted)
+        s = Scenario(kind="intro_example", code="repetition-5", time_grid=TimeGrid(0.02, 0.2, 14), plots=False)
+        manifest = run(s, out_dir=str(tmp_path))
+        assert set(manifest.files) == {"single_flip.csv", "pair_flip.csv", "fit_summary.csv"}
+        assert calls == ["repetition-5"]
+
+
 class TestSvg:
     def test_single_series_single_polyline(self, tmp_path):
         path = tmp_path / "one.svg"

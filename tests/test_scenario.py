@@ -1,10 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from decoq.errors import ConfigError
 from decoq.scenario import (
+    CODES,
+    KINDS,
     Scenario,
     TimeGrid,
     load_scenario,
@@ -137,6 +141,34 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             Scenario(kind="bounds_table", **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coupling_bound", math.nan),
+            ("coupling_bound", math.inf),
+            ("beta", -math.inf),
+            ("state_theta", math.nan),
+            ("state_phi", math.inf),
+            ("dt", math.nan),
+            ("dt", math.inf),
+            ("single_flip_omegas", (0.9, math.nan)),
+            ("pair_flip", ((1, 2, math.inf),)),
+            ("contact_terms", ((math.nan, ((1, 1),)),)),
+        ],
+    )
+    def test_non_finite_values(self, field, value):
+        for kind in ("periodic_correction", "intro_example", "scaling_sweep"):
+            with pytest.raises(ConfigError, match="finite"):
+                Scenario(kind=kind, code="repetition-3", **{field: value})
+
+    @pytest.mark.parametrize(
+        "start, end, spacing",
+        [(1e-3, math.inf, "log"), (math.nan, 1.0, "linear"), (-math.inf, 1.0, "linear"), (0.1, math.nan, "log")],
+    )
+    def test_non_finite_grid_ends(self, start, end, spacing):
+        with pytest.raises(ConfigError, match="finite"):
+            TimeGrid(start, end, 10, spacing)
+
 
 class TestRoundTrip:
     def test_default_scenario(self):
@@ -181,6 +213,71 @@ class TestRoundTrip:
         reparsed = parse_scenario(text)
         for f in dataclasses.fields(Scenario):
             assert getattr(reparsed, f.name) == getattr(s, f.name)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _time_grids(draw):
+    spacing = draw(st.sampled_from(("linear", "log")))
+    low = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) if spacing == "log" else _finite
+    start, end = draw(low), draw(low)
+    assume(start != end)
+    return TimeGrid(min(start, end), max(start, end), draw(st.integers(8, 10 ** 6)), spacing)
+
+
+@st.composite
+def _pair_flips(draw):
+    pairs = draw(st.sets(st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda p: p[0] < p[1]), max_size=6))
+    items = [(l, k) if draw(st.booleans()) else (k, l) for k, l in pairs]
+    return tuple(sorted((k, l, draw(_finite)) for k, l in items))
+
+
+@st.composite
+def _ordered(draw, low):
+    a, b = draw(st.integers(low, 10 ** 6)), draw(st.integers(low, 10 ** 6))
+    return min(a, b), max(a, b)
+
+
+@st.composite
+def _scenarios(draw):
+    n_min, n_max = draw(_ordered(1))
+    k_min, k_max = draw(_ordered(0))
+    factors = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), min_size=1, max_size=4).map(tuple)
+    return Scenario(
+        kind=draw(st.sampled_from(KINDS)),
+        code=draw(st.sampled_from(CODES)),
+        seed=draw(st.integers(-(2 ** 70), 2 ** 70)),
+        out=draw(st.text(alphabet="abcXYZ019/._-", max_size=12)),
+        plots=draw(st.booleans()),
+        max_dim=draw(st.integers(2, 10 ** 9)),
+        env_dim=draw(st.integers(1, 10 ** 3)),
+        coupling_bound=draw(_finite),
+        beta=draw(_finite),
+        interaction_kind=draw(st.sampled_from(("non_contact", "contact"))),
+        contact_terms=tuple(draw(st.lists(st.tuples(_finite, factors), max_size=4))),
+        time_grid=draw(_time_grids()),
+        state_theta=draw(_finite),
+        state_phi=draw(_finite),
+        single_flip_omegas=tuple(draw(st.lists(_finite, max_size=6))),
+        pair_flip=draw(_pair_flips()),
+        dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        cycles=draw(st.integers(10, 10 ** 6)),
+        halvings=draw(st.integers(0, 60)),
+        n_min=n_min,
+        n_max=n_max,
+        k_min=k_min,
+        k_max=k_max,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scenarios())
+def test_round_trip_property(scenario):
+    text = serialize_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert serialize_scenario(parse_scenario(text)) == text
 
 
 def test_load_scenario_missing_file(tmp_path):
