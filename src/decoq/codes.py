@@ -1,17 +1,20 @@
-"""Error-correcting codes: encoders, syndrome structure, recovery, and bounds.
+"""Error-correcting codes: stabilizer generators, decoder tables, recovery, and bounds.
 
-A code is stored concretely: an isometric encoder for one logical qubit, a
-complete family of orthogonal syndrome projectors on the register, and the
-Pauli correction applied for each syndrome.  Recovery is available both as a
-Kraus channel on the register and as a unitary on register (x) ancilla that
-writes the syndrome into a fresh ancilla before correcting.
+A code is stored as its stabilizer generators, an isometric encoder for one
+logical qubit and a decoder table holding the Pauli correction C_s, a
+minimum-weight coset leader, for each syndrome s.  Recovery follows from the
+syndrome-basis unitary W, whose columns C_s |j_L> are built by Pauli index
+arithmetic: the projector onto syndrome space s is W_s W_s^dag, and the Kraus
+operator of the recovery is C_s W_s W_s^dag = encoder W_s^dag.  The dense
+projectors, the Kraus channel and the unitary on register (x) ancilla that
+writes the syndrome into a fresh ancilla are derived on demand, for checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -19,36 +22,53 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import StateVector, _as_complex, kron
-from .pauli import PauliIndexVector, error_rank, pauli_string, strings_commute
+from .pauli import PauliIndexVector, _check_indices, anticommutation, pauli_action, pauli_string
 
 AMPLITUDE_ONLY = "amplitude_only"
 FULL_PAULI = "full_pauli"
 
 
+def _apply(strings, x: np.ndarray) -> np.ndarray:
+    """``pauli_string(v) @ x`` for each v of ``strings`` and a (2^n, m) array ``x``, stacked as (len(strings), 2^n, m)."""
+    cols, phase = pauli_action(strings)
+    return phase[:, :, None] * x[cols]
+
+
+def _syndromes(errors, generators, n: int) -> np.ndarray:
+    """(error, generator) array of syndrome bits: 1 where the error anticommutes with the generator."""
+    return anticommutation(errors, np.array(generators, dtype=np.int64).reshape(len(generators), n))
+
+
 @dataclass(frozen=True)
 class CodeSpec:
-    """One logical qubit protected on ``n`` register qubits.
+    """One logical qubit protected on ``n`` register qubits by n - 1 stabilizer generators.
 
-    ``syndrome_table`` maps syndrome bit tuples to the Pauli index vector of
-    the correction; ``syndrome_projectors`` holds the matching orthogonal
-    projectors, which must resolve the identity.  ``k_corr`` is the number of
-    simultaneous single-qubit errors of the covered class that the code
-    corrects.
+    ``generators`` are commuting Pauli index vectors that fix both encoder
+    columns.  ``syndrome_table`` maps each syndrome (bit i is 1 where the
+    error anticommutes with generator i) to the Pauli index vector of its
+    correction.  ``k_corr`` is the number of simultaneous single-qubit errors
+    of the covered class that the code corrects.  Validation builds
+    ``syndrome_basis``, the unitary W with columns C_s |j_L> over the sorted
+    syndromes s and j = 0, 1, and checks W^dag W = 1.
     """
 
     name: str
     n: int
     k_corr: int
     error_class: str
+    generators: tuple[PauliIndexVector, ...]
     encoder: np.ndarray
     syndrome_table: dict[tuple[int, ...], PauliIndexVector]
-    syndrome_projectors: dict[tuple[int, ...], np.ndarray]
-    ancilla_count: int
+    syndrome_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.error_class not in (AMPLITUDE_ONLY, FULL_PAULI):
             raise ShapeError(f"unknown error class {self.error_class!r}")
         dc = 2 ** self.n
+        gens = tuple(_check_indices(g) for g in self.generators)
+        if any(len(g) != self.n for g in gens):
+            raise ShapeError(f"every generator must address {self.n} qubits")
+        object.__setattr__(self, "generators", gens)
         enc = _as_complex(self.encoder)
         if enc.shape != (dc, 2):
             raise ShapeError(f"encoder must be {dc} x 2, got {enc.shape}")
@@ -56,23 +76,51 @@ class CodeSpec:
         if np.max(np.abs(gram - np.eye(2))) > tol.HERMITIAN_TOL:
             raise ValidationError("encoder columns are not orthonormal")
         object.__setattr__(self, "encoder", enc)
-        if set(self.syndrome_table) != set(self.syndrome_projectors):
-            raise ShapeError("syndrome table and projector family disagree on syndromes")
-        total = np.zeros((dc, dc), dtype=complex)
-        for bits, proj in self.syndrome_projectors.items():
-            if len(bits) != self.ancilla_count:
-                raise ShapeError(f"syndrome {bits} does not have {self.ancilla_count} bits")
-            total += _as_complex(proj)
-        if np.max(np.abs(total - np.eye(dc))) > tol.CHANNEL_TOL:
-            raise ValidationError("syndrome projectors do not resolve the identity")
+        if gens:
+            defects = np.max(np.abs(_apply(gens, enc) - enc), axis=(1, 2))
+            worst = int(np.argmax(defects))
+            if defects[worst] > tol.CHANNEL_TOL:
+                raise ValidationError(f"generator {gens[worst]} does not fix the encoder, defect {defects[worst]:.3e}")
+        if 2 * len(self.syndrome_table) != dc:
+            raise ShapeError(f"{len(self.syndrome_table)} syndromes do not fill a {dc}-dimensional register")
+        if any(len(bits) != len(gens) for bits in self.syndrome_table):
+            raise ShapeError(f"every syndrome must have {len(gens)} bits")
+        corrections = [self.syndrome_table[bits] for bits in self.syndromes]
+        for bits, corr, found in zip(self.syndromes, corrections, _syndromes(corrections, gens, self.n).tolist()):
+            if tuple(found) != bits:
+                raise ValidationError(f"correction {corr} has syndrome {tuple(found)}, not {bits}")
+        w = _apply(corrections, enc).transpose(1, 0, 2).reshape(dc, dc)
+        defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dc))))
+        if defect > tol.CHANNEL_TOL:
+            raise ValidationError(f"syndrome spaces are not orthonormal, ||W^dag W - 1||_max = {defect:.3e}")
+        object.__setattr__(self, "syndrome_basis", w)
 
     @property
     def register_dim(self) -> int:
         return 2 ** self.n
 
     @property
+    def ancilla_count(self) -> int:
+        return len(self.generators)
+
+    @property
     def ancilla_dim(self) -> int:
         return 2 ** self.ancilla_count
+
+    @property
+    def syndromes(self) -> tuple[tuple[int, ...], ...]:
+        """Syndromes in the column order of ``syndrome_basis``."""
+        return tuple(sorted(self.syndrome_table))
+
+    @property
+    def syndrome_blocks(self) -> np.ndarray:
+        """W_s = C_s encoder per syndrome, stacked as (syndrome, 2^n, 2); a view of ``syndrome_basis``."""
+        return self.syndrome_basis.reshape(self.register_dim, -1, 2).transpose(1, 0, 2)
+
+    @property
+    def syndrome_projectors(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Dense projector W_s W_s^dag onto each syndrome space, built on every access."""
+        return {bits: b @ b.conj().T for bits, b in zip(self.syndromes, self.syndrome_blocks)}
 
     def logical_zero(self) -> np.ndarray:
         return self.encoder[:, 0].copy()
@@ -92,73 +140,100 @@ def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> StateVector
     return StateVector(amps, (2,) * code.n)
 
 
+def _errors_of_rank(n: int, rank: int, error_class: str) -> Iterator[PauliIndexVector]:
+    """Pauli index vectors of the error class with exactly ``rank`` non-identity letters."""
+    letters = (1,) if error_class == AMPLITUDE_ONLY else (1, 2, 3)
+    for positions in itertools.combinations(range(n), rank):
+        for word in itertools.product(letters, repeat=rank):
+            v = [0] * n
+            for pos, mu in zip(positions, word):
+                v[pos] = mu
+            yield tuple(v)
+
+
 def covered_errors(code: CodeSpec) -> Iterator[PauliIndexVector]:
-    """All Pauli index vectors of the covered class with rank <= k_corr, identity included."""
-    letters = (0, 1) if code.error_class == AMPLITUDE_ONLY else (0, 1, 2, 3)
-    for v in itertools.product(letters, repeat=code.n):
-        if error_rank(v) <= code.k_corr:
-            yield v
+    """All Pauli index vectors of the covered class with rank <= k_corr, identity included, in lexicographic order."""
+    return iter(sorted(v for r in range(code.k_corr + 1) for v in _errors_of_rank(code.n, r, code.error_class)))
 
 
-def build_identity_code() -> CodeSpec:
-    """Trivial single-qubit code: identity encoder, one empty syndrome, no correction."""
-    eye = np.eye(2, dtype=complex)
+def _code_space_basis(generators, n: int) -> np.ndarray:
+    """Pi |0...0> and Pi |1...1>, normalized, with Pi = prod_g (1 + g) / 2 the code-space projector."""
+    dc = 2 ** n
+    basis = np.zeros((dc, 2), dtype=complex)
+    basis[0, 0] = basis[dc - 1, 1] = 1.0
+    if generators:
+        cols, phase = pauli_action(generators)
+        for c, p in zip(cols[::-1], phase[::-1]):
+            basis = (basis + p[:, None] * basis[c]) / 2.0
+    norms = np.linalg.norm(basis, axis=0)
+    if not np.all(norms > 0.0):
+        raise ValidationError("the generators annihilate |0...0> or |1...1>; no encoder from them")
+    return basis / norms
+
+
+def _decoder_table(generators, n: int, k_corr: int, error_class: str, encoder: np.ndarray) -> dict:
+    """A minimum-weight coset leader per syndrome.
+
+    Errors of the class are enumerated by increasing rank and the first one
+    met on a syndrome becomes its leader.  Every error of rank <= k_corr must
+    act on the code space as its syndrome's leader does, up to a phase (as in
+    a degenerate code), or the code cannot correct it: ``ValidationError``.
+    Past rank k_corr the enumeration stops once every syndrome has a leader.
+    """
+    table: dict[tuple[int, ...], PauliIndexVector] = {}
+    full = 2 ** len(generators)
+    for rank in range(n + 1):
+        if rank > k_corr and len(table) == full:
+            break
+        errors = list(_errors_of_rank(n, rank, error_class))
+        for err, bits in zip(errors, map(tuple, _syndromes(errors, generators, n).tolist())):
+            leader = table.setdefault(bits, err)
+            if leader != err and rank <= k_corr:
+                moved, led = _apply([err, leader], encoder)
+                phase = np.vdot(led[:, 0], moved[:, 0])
+                if np.max(np.abs(moved - phase * led)) > tol.CHANNEL_TOL:
+                    raise ValidationError(f"syndrome collision between {leader} and {err}")
+    if len(table) < full:
+        raise ValidationError(f"errors of class {error_class} reach only {len(table)} of {full} syndromes")
+    return table
+
+
+def build_stabilizer_code(name: str, n: int, generators, k_corr: int, error_class: str) -> CodeSpec:
+    """One logical qubit on ``n`` qubits from its n - 1 commuting stabilizer generators.
+
+    The encoder columns are Pi |0...0> and Pi |1...1>, normalized, with Pi the
+    code-space projector; the decoder table holds a minimum-weight coset
+    leader per syndrome, checked to correct every error of rank <= k_corr.
+    """
+    gens = tuple(_check_indices(g) for g in generators)
+    encoder = _code_space_basis(gens, n)
     return CodeSpec(
-        name="identity",
-        n=1,
-        k_corr=0,
-        error_class=FULL_PAULI,
-        encoder=eye,
-        syndrome_table={(): (0,)},
-        syndrome_projectors={(): eye},
-        ancilla_count=0,
+        name=name,
+        n=n,
+        k_corr=k_corr,
+        error_class=error_class,
+        generators=gens,
+        encoder=encoder,
+        syndrome_table=_decoder_table(gens, n, k_corr, error_class, encoder),
     )
 
 
-def _parity_bits(basis_index: int, n: int) -> tuple[int, ...]:
-    bits = [(basis_index >> (n - 1 - i)) & 1 for i in range(n)]
-    return tuple(bits[i] ^ bits[i + 1] for i in range(n - 1))
+def build_identity_code() -> CodeSpec:
+    """Trivial single-qubit code: no generators, one empty syndrome, no correction."""
+    return build_stabilizer_code("identity", 1, (), 0, FULL_PAULI)
 
 
 def build_repetition_code(n: int) -> CodeSpec:
     """Majority-vote bit-flip code on ``n`` qubits (``n`` odd, >= 3).
 
-    Corrects up to (n-1)/2 amplitude errors; phase errors pass through.
-    Syndromes are the n-1 neighbor parities of the computational basis.
+    The generators are the n-1 neighbour parities Z_i Z_(i+1).  Corrects up
+    to (n-1)/2 amplitude errors; phase errors pass through.
     """
     n = int(n)
     if n < 3 or n % 2 == 0:
         raise ShapeError(f"repetition code needs odd n >= 3, got {n}")
-    dc = 2 ** n
-    encoder = np.zeros((dc, 2), dtype=complex)
-    encoder[0, 0] = 1.0
-    encoder[dc - 1, 1] = 1.0
-
-    projectors: dict[tuple[int, ...], np.ndarray] = {}
-    table: dict[tuple[int, ...], PauliIndexVector] = {}
-    for b in range(dc):
-        bits = _parity_bits(b, n)
-        proj = projectors.setdefault(bits, np.zeros((dc, dc), dtype=complex))
-        proj[b, b] = 1.0
-    for bits in projectors:
-        # reconstruct the flip pattern with this parity signature, then take
-        # the representative of weight <= (n-1)/2
-        pattern = [0] * n
-        for i, bit in enumerate(bits):
-            pattern[i + 1] = pattern[i] ^ bit
-        if sum(pattern) > (n - 1) // 2:
-            pattern = [1 - p for p in pattern]
-        table[bits] = tuple(1 if p else 0 for p in pattern)
-    return CodeSpec(
-        name=f"repetition-{n}",
-        n=n,
-        k_corr=(n - 1) // 2,
-        error_class=AMPLITUDE_ONLY,
-        encoder=encoder,
-        syndrome_table=table,
-        syndrome_projectors=projectors,
-        ancilla_count=n - 1,
-    )
+    gens = [tuple(3 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)]
+    return build_stabilizer_code(f"repetition-{n}", n, gens, (n - 1) // 2, AMPLITUDE_ONLY)
 
 
 # Stabilizer generators of the five-qubit code, as Pauli index vectors
@@ -177,57 +252,18 @@ def build_five_qubit_code() -> CodeSpec:
     The sixteen syndrome subspaces (code space plus one per single-qubit
     Pauli) are mutually orthogonal and fill the register exactly.
     """
-    n = 5
-    dc = 2 ** n
-    gens = [pauli_string(g) for g in _FIVE_QUBIT_GENERATORS]
-
-    group_proj = np.eye(dc, dtype=complex)
-    for g in gens:
-        group_proj = group_proj @ (np.eye(dc) + g) / 2.0
-
-    zero = group_proj[:, 0]
-    zero = zero / np.linalg.norm(zero)
-    one = group_proj[:, dc - 1]
-    one = one / np.linalg.norm(one)
-    encoder = np.stack([zero, one], axis=1)
-
-    errors: list[PauliIndexVector] = [(0,) * n]
-    for pos in range(n):
-        for mu in (1, 2, 3):
-            v = [0] * n
-            v[pos] = mu
-            errors.append(tuple(v))
-
-    projectors: dict[tuple[int, ...], np.ndarray] = {}
-    table: dict[tuple[int, ...], PauliIndexVector] = {}
-    for err in errors:
-        bits = tuple(0 if strings_commute(gen, err) else 1 for gen in _FIVE_QUBIT_GENERATORS)
-        if bits in table:
-            raise ValidationError(f"syndrome collision between {table[bits]} and {err}")
-        proj = np.eye(dc, dtype=complex)
-        for bit, g in zip(bits, gens):
-            sign = -1.0 if bit else 1.0
-            proj = proj @ (np.eye(dc) + sign * g) / 2.0
-        projectors[bits] = proj
-        table[bits] = err
-    return CodeSpec(
-        name="five_qubit",
-        n=n,
-        k_corr=1,
-        error_class=FULL_PAULI,
-        encoder=encoder,
-        syndrome_table=table,
-        syndrome_projectors=projectors,
-        ancilla_count=4,
-    )
+    return build_stabilizer_code("five_qubit", 5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI)
 
 
 _BUILDERS = {
     "identity": build_identity_code,
     "repetition-3": lambda: build_repetition_code(3),
     "repetition-5": lambda: build_repetition_code(5),
+    "repetition-7": lambda: build_repetition_code(7),
     "five_qubit": build_five_qubit_code,
 }
+
+CODES = tuple(_BUILDERS)  # the scenario identifiers ``build_code`` accepts
 
 
 def build_code(name: str) -> CodeSpec:
@@ -271,12 +307,11 @@ class KrausChannel:
 
 
 def recovery_channel(code: CodeSpec) -> KrausChannel:
-    """Projective syndrome measurement followed by the tabulated correction."""
-    ops = []
-    for bits in sorted(code.syndrome_table):
-        corr = pauli_string(code.syndrome_table[bits])
-        ops.append(corr @ code.syndrome_projectors[bits])
-    return KrausChannel(tuple(ops))
+    """Projective syndrome measurement followed by the tabulated correction.
+
+    K_s = C_s W_s W_s^dag = encoder W_s^dag, because C_s W_s = C_s^2 encoder = encoder.
+    """
+    return KrausChannel(tuple(code.encoder @ b.conj().T for b in code.syndrome_blocks))
 
 
 def _ancilla_flip(bits: tuple[int, ...]) -> np.ndarray:
@@ -301,8 +336,7 @@ def recovery_unitary(code: CodeSpec) -> np.ndarray:
     dc, da = code.register_dim, code.ancilla_dim
     write = np.zeros((dc * da, dc * da), dtype=complex)
     correct = np.zeros((dc * da, dc * da), dtype=complex)
-    for bits in sorted(code.syndrome_table):
-        proj = code.syndrome_projectors[bits]
+    for bits, proj in code.syndrome_projectors.items():
         write += kron(proj, _ancilla_flip(bits))
         idx = int("".join(str(b) for b in bits), 2) if bits else 0
         marker = np.zeros((da, da), dtype=complex)

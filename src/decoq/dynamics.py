@@ -29,7 +29,7 @@ from .tensor import (
     partial_trace,
     require_hermitian,
 )
-from .pauli import PAULIS, embed, pauli_string
+from .pauli import embed, pauli_action, pauli_string
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,9 @@ class InteractionSpec:
 def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.ndarray:
     """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register.
 
-    sigma^l_mu sends register index i to i with bit l flipped (x, y) or kept
-    (z), times the phase sigma_mu[b, b'] of that bit, so each h^l_mu is added
-    straight into the (d_e, 2^n, d_e, 2^n) view at those index pairs.
+    sigma^l_mu has one entry per row, at the column and phase that
+    ``pauli_action`` gives, so each h^l_mu is added straight into the
+    (d_e, 2^n, d_e, 2^n) view at those index pairs.
     """
     n = env.n_qubits if n_qubits is None else int(n_qubits)
     if n != env.n_qubits:
@@ -224,14 +224,11 @@ def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.n
     v = np.zeros((de * dc, de * dc), dtype=complex)
     blocks = v.reshape(de, dc, de, dc)
     rows = np.arange(dc)
-    for l, triple in enumerate(env.couplings, start=1):
-        shift = n - l  # qubit 1 is the most significant bit
-        bits = (rows >> shift) & 1
-        for mu, h in enumerate(triple, start=1):
+    for l, triple in enumerate(env.couplings):
+        cols, phase = pauli_action([(0,) * l + (mu,) + (0,) * (n - 1 - l) for mu in (1, 2, 3)])
+        for k, h in enumerate(triple):
             if np.any(h):
-                flip = 0 if mu == 3 else 1
-                phase = PAULIS[mu][bits, bits ^ flip]
-                blocks[:, rows, :, rows ^ (flip << shift)] += phase[:, None, None] * h
+                blocks[:, rows, :, cols[k]] += phase[k, :, None, None] * h
     require_hermitian(v, tol.HERMITIAN_TOL, "non-contact interaction")
     return v
 

@@ -31,7 +31,7 @@ from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
 from .pauli import embed
 from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec
-from .codes import CodeSpec, asymptotic_x0, encode_logical, recovery_channel
+from .codes import CodeSpec, asymptotic_x0, encode_logical
 
 
 @dataclass(frozen=True)
@@ -140,18 +140,12 @@ def _start_vectors(code: CodeSpec, env: EnvironmentModel) -> np.ndarray:
 
 
 def _logical_readout(code: CodeSpec) -> np.ndarray:
-    """encoder^dag K_s per recovery Kraus operator, stacked as (syndrome, 2, 2^n).
+    """encoder^dag K_s = W_s^dag per syndrome s, stacked as (syndrome, 2, 2^n): W^dag reshaped.
 
-    Exact only because every K_s maps into the code space, which is checked here."""
-    enc = code.encoder
-    outside = np.eye(code.register_dim) - enc @ enc.conj().T
-    readout = []
-    for k in recovery_channel(code).operators:
-        defect = float(np.max(np.abs(outside @ k)))
-        if defect > tol.CHANNEL_TOL:
-            raise ValidationError(f"recovery operator leaves the code space, defect {defect:.3e}")
-        readout.append(enc.conj().T @ k)
-    return np.stack(readout)
+    K_s = encoder W_s^dag lands in the span of the encoder, which every
+    generator fixes (``CodeSpec`` checks it), so these blocks are the whole readout."""
+    w = code.syndrome_basis
+    return np.ascontiguousarray(w.conj().T).reshape(-1, 2, code.register_dim)
 
 
 def _pauli_covariance(readout: np.ndarray, vecs: np.ndarray, env_dim: int) -> np.ndarray:

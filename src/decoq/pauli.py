@@ -28,6 +28,8 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_mu[b, b'] at index 2 mu + b: the one nonzero entry of row b, in column b' = b flipped for x and y
+_ROW_PHASE = np.array([PAULIS[mu][b, b ^ (mu in (1, 2))] for mu in range(4) for b in (0, 1)])
 
 PauliIndexVector = tuple[int, ...]
 
@@ -61,9 +63,57 @@ def pauli_string(indices) -> np.ndarray:
     return out
 
 
+def _index_stack(strings) -> np.ndarray:
+    """Index vectors of one length as a 2-D integer array, letters checked to lie in 0..3."""
+    try:
+        v = np.array(strings, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise ShapeError("need a stack of equal-length Pauli index vectors") from None
+    if v.ndim != 2:
+        raise ShapeError(f"need a stack of equal-length Pauli index vectors, got shape {v.shape}")
+    if np.any((v < 0) | (v > 3)):
+        raise ShapeError("Pauli indices must lie in 0..3")
+    return v
+
+
+def pauli_action(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase of the one nonzero entry in each row of ``pauli_string(v)``, per v of a stack.
+
+    For m index vectors v_k of one length n, returns two (m, 2^n) arrays with
+    sigma_{v_k}[i, cols[k, i]] = phase[k, i], so (sigma_{v_k} x)[i] =
+    phase[k, i] x[cols[k, i]]: one gather and one product instead of a
+    2^n x 2^n matrix.  sigma_v flips the bits of its x and y letters (qubit 1
+    is the most significant bit) and multiplies by sigma_mu[b, b'] per letter.
+    """
+    v = _index_stack(strings)
+    n = v.shape[1]
+    if not n:
+        raise ShapeError("pauli_action needs at least one index per string")
+    rows = np.arange(2 ** n)
+    shifts = np.arange(n - 1, -1, -1)
+    phase = _ROW_PHASE[2 * v[:, :, None] + ((rows >> shifts[:, None]) & 1)].prod(axis=1)
+    flips = (((v == 1) | (v == 2)) << shifts).sum(axis=1)
+    return rows ^ flips[:, None], phase
+
+
 def error_rank(indices) -> int:
     """Number of non-identity letters in the index vector."""
     return sum(1 for i in _check_indices(indices) if i != 0)
+
+
+def anticommutation(strings, others) -> np.ndarray:
+    """Symplectic criterion for every pair of rows: entry (i, j) is 1 where
+    ``strings[i]`` anticommutes with ``others[j]`` and 0 where they commute.
+
+    Both arguments are stacks of index vectors of one length; two strings
+    anticommute when an odd number of positions hold two different
+    non-identity letters.
+    """
+    a, b = _index_stack(strings), _index_stack(others)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"index vectors of lengths {a.shape[1]} and {b.shape[1]} do not compare")
+    x, y = a[:, None, :], b[None, :, :]
+    return ((x != 0) & (y != 0) & (x != y)).sum(axis=2) % 2
 
 
 def strings_commute(v, w) -> bool:
@@ -71,8 +121,7 @@ def strings_commute(v, w) -> bool:
     v, w = _check_indices(v), _check_indices(w)
     if len(v) != len(w):
         raise ShapeError("index vectors must have equal length")
-    anticommuting = sum(1 for a, b in zip(v, w) if a != 0 and b != 0 and a != b)
-    return anticommuting % 2 == 0
+    return not anticommutation([v], [w])[0, 0]
 
 
 def decompose(u: np.ndarray, env_dim: int, n_qubits: int) -> dict[PauliIndexVector, np.ndarray]:

@@ -45,7 +45,6 @@ from .metrics import (
     stabilization_bound,
     threshold_time,
 )
-from .tensor import operator_norm
 from .svg import AxesSpec, emit_svg
 
 BOUND_SLACK = 1e-12
@@ -157,7 +156,7 @@ def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: boo
     ts = [float(t) for t in scenario.time_grid.times()]
     sups = [_sphere_supremum(c) for c in pipeline.covariances(ts)]
     points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
-    v_norm = operator_norm(v)
+    v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
     k = code.k_corr
 
     if check_bounds:

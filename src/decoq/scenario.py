@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
+from .codes import CODES
 from .errors import ConfigError
 
 KINDS = ("scaling_sweep", "intro_example", "bounds_table", "periodic_correction", "bound_check")
-CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
 _AXIS_LETTERS = {"x": 1, "y": 2, "z": 3}
 _AXIS_NAMES = {1: "x", 2: "y", 3: "z"}
 

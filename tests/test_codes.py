@@ -7,10 +7,13 @@ import scipy.optimize
 
 from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import partial_trace_array, trace_distance
-from decoq.pauli import pauli_string
+from decoq.pauli import pauli_string, strings_commute
+from decoq.metrics import _logical_readout
 from decoq.codes import (
     AMPLITUDE_ONLY,
+    CODES,
     FULL_PAULI,
+    CodeSpec,
     KrausChannel,
     _sphere_sum,
     asymptotic_bound_gap,
@@ -19,6 +22,7 @@ from decoq.codes import (
     build_five_qubit_code,
     build_identity_code,
     build_repetition_code,
+    build_stabilizer_code,
     covered_errors,
     encode_logical,
     hamming_gv_check,
@@ -145,6 +149,158 @@ def test_repetition_rejects_even_or_tiny():
         build_repetition_code(4)
     with pytest.raises(ShapeError):
         build_repetition_code(1)
+
+
+def _parity_bits(basis_index: int, n: int) -> tuple[int, ...]:
+    bits = [(basis_index >> (n - 1 - i)) & 1 for i in range(n)]
+    return tuple(bits[i] ^ bits[i + 1] for i in range(n - 1))
+
+
+def dense_repetition_reference(n: int):
+    """The hand-built repetition code: basis-state encoder, parity-bit projectors, majority table."""
+    dc = 2 ** n
+    encoder = np.zeros((dc, 2), dtype=complex)
+    encoder[0, 0] = 1.0
+    encoder[dc - 1, 1] = 1.0
+    projectors, table = {}, {}
+    for b in range(dc):
+        bits = _parity_bits(b, n)
+        proj = projectors.setdefault(bits, np.zeros((dc, dc), dtype=complex))
+        proj[b, b] = 1.0
+    for bits in projectors:
+        pattern = [0] * n
+        for i, bit in enumerate(bits):
+            pattern[i + 1] = pattern[i] ^ bit
+        if sum(pattern) > (n - 1) // 2:
+            pattern = [1 - p for p in pattern]
+        table[bits] = tuple(1 if p else 0 for p in pattern)
+    return encoder, table, projectors
+
+
+FIVE_QUBIT_GENERATORS = ((1, 3, 3, 1, 0), (0, 1, 3, 3, 1), (1, 0, 1, 3, 3), (3, 1, 0, 1, 3))
+
+
+def dense_five_qubit_reference():
+    """The five-qubit code from dense stabilizer products: encoder columns of prod (1 + g)/2,
+    one projector prod (1 +- g)/2 per single-qubit error's syndrome."""
+    n, dc = 5, 32
+    gens = [pauli_string(g) for g in FIVE_QUBIT_GENERATORS]
+    group_proj = np.eye(dc, dtype=complex)
+    for g in gens:
+        group_proj = group_proj @ (np.eye(dc) + g) / 2.0
+    zero = group_proj[:, 0] / np.linalg.norm(group_proj[:, 0])
+    one = group_proj[:, dc - 1] / np.linalg.norm(group_proj[:, dc - 1])
+    errors = [(0,) * n] + [tuple(mu if i == pos else 0 for i in range(n)) for pos in range(n) for mu in (1, 2, 3)]
+    projectors, table = {}, {}
+    for err in errors:
+        bits = tuple(0 if strings_commute(gen, err) else 1 for gen in FIVE_QUBIT_GENERATORS)
+        proj = np.eye(dc, dtype=complex)
+        for bit, g in zip(bits, gens):
+            proj = proj @ (np.eye(dc) + (-1.0 if bit else 1.0) * g) / 2.0
+        projectors[bits] = proj
+        table[bits] = err
+    return np.stack([zero, one], axis=1), table, projectors
+
+
+def dense_reference(name: str):
+    """(encoder, syndrome table, dense projectors) of a registered code, built the pre-stabilizer way."""
+    if name == "identity":
+        return np.eye(2, dtype=complex), {(): (0,)}, {(): np.eye(2, dtype=complex)}
+    if name == "five_qubit":
+        return dense_five_qubit_reference()
+    return dense_repetition_reference(int(name.split("-")[1]))
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_stabilizer_core_matches_dense_reference(name):
+    code = build_code(name)
+    encoder, table, projectors = dense_reference(name)
+    assert np.array_equal(code.encoder, encoder)
+    assert code.syndrome_table == table
+    derived = code.syndrome_projectors
+    assert list(derived) == sorted(projectors)
+    assert all(np.array_equal(derived[bits], projectors[bits]) for bits in projectors)
+    kraus = [pauli_string(table[bits]) @ projectors[bits] for bits in sorted(table)]
+    assert np.array_equal(_logical_readout(code), np.stack([encoder.conj().T @ k for k in kraus]))
+    assert all(np.array_equal(a, b) for a, b in zip(recovery_channel(code).operators, kraus))
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_syndrome_basis_is_unitary_and_generators_fix_code_space(name):
+    code = build_code(name)
+    w = code.syndrome_basis
+    assert w.shape == (code.register_dim, code.register_dim)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(code.register_dim))) < 1e-12
+    for g in code.generators:
+        assert np.max(np.abs(pauli_string(g) @ code.encoder - code.encoder)) < 1e-12
+    for bits, block in zip(code.syndromes, code.syndrome_blocks):
+        assert np.array_equal(block, pauli_string(code.syndrome_table[bits]) @ code.encoder)
+
+
+def test_repetition_seven_registered():
+    code = build_code("repetition-7")
+    assert (code.n, code.k_corr, code.ancilla_count) == (7, 3, 6)
+    assert all(sum(corr) <= 3 for corr in code.syndrome_table.values())
+
+
+def _fields(code):
+    return dict(
+        name=code.name,
+        n=code.n,
+        k_corr=code.k_corr,
+        error_class=code.error_class,
+        generators=code.generators,
+        encoder=code.encoder,
+        syndrome_table=dict(code.syndrome_table),
+    )
+
+
+def test_rejects_correction_with_wrong_syndrome():
+    fields = _fields(build_repetition_code(3))
+    table = fields["syndrome_table"]
+    table[(1, 0)], table[(0, 1)] = table[(0, 1)], table[(1, 0)]
+    with pytest.raises(ValidationError, match="has syndrome"):
+        CodeSpec(**fields)
+
+
+def test_rejects_two_leaders_on_one_syndrome():
+    # under full Pauli noise the bit-flip checks cannot tell z1 from no error
+    with pytest.raises(ValidationError, match="syndrome collision"):
+        build_stabilizer_code("bad", 3, [(3, 3, 0), (0, 3, 3)], 1, FULL_PAULI)
+
+
+def test_rejects_encoder_a_generator_does_not_fix():
+    fields = _fields(build_repetition_code(3))
+    encoder = np.zeros((8, 2), dtype=complex)
+    encoder[0, 0] = encoder[1, 1] = 1.0  # |000>, |001>: z2 z3 flips the sign of the second
+    with pytest.raises(ValidationError, match="does not fix the encoder"):
+        CodeSpec(**dict(fields, encoder=encoder))
+
+
+def test_rejects_incomplete_syndrome_table():
+    fields = _fields(build_repetition_code(3))
+    del fields["syndrome_table"][(1, 1)]
+    with pytest.raises(ShapeError):
+        CodeSpec(**fields)
+
+
+def test_degenerate_leaders_accepted():
+    # Shor's nine-qubit code: z1, z2, z3 share a syndrome and act alike on the code space
+    gens = [
+        (3, 3, 0, 0, 0, 0, 0, 0, 0), (0, 3, 3, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 3, 3, 0, 0, 0, 0), (0, 0, 0, 0, 3, 3, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 3, 3, 0), (0, 0, 0, 0, 0, 0, 0, 3, 3),
+        (1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 1, 1),
+    ]
+    code = build_stabilizer_code("shor", 9, gens, 1, FULL_PAULI)
+    z1, z2 = (3,) + (0,) * 8, (0, 3) + (0,) * 7
+    assert code.syndrome_table[tuple(0 if strings_commute(g, z2) else 1 for g in gens)] == z1
+    for err in covered_errors(code):  # the leader undoes every covered error up to a phase
+        bits = tuple(0 if strings_commute(g, err) else 1 for g in gens)
+        undone = pauli_string(code.syndrome_table[bits]) @ pauli_string(err) @ code.encoder
+        phase = np.vdot(code.encoder[:, 0], undone[:, 0])
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.max(np.abs(undone - phase * code.encoder)) < 1e-12
 
 
 def test_build_code_unknown():

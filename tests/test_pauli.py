@@ -13,6 +13,7 @@ from decoq.pauli import (
     decompose,
     embed,
     error_rank,
+    pauli_action,
     pauli_string,
     rank_spectrum,
     reconstruct,
@@ -21,6 +22,26 @@ from decoq.pauli import (
 from decoq.dynamics import pair_flip_evolution, single_flip_evolution
 
 from conftest import random_unitary
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pauli_action_matches_dense_string(n, rng):
+    strings = [tuple(int(i) for i in rng.integers(0, 4, size=n)) for _ in range(6)] + [(0,) * n]
+    cols, phase = pauli_action(strings)
+    assert cols.shape == phase.shape == (len(strings), 2 ** n)
+    rows = np.arange(2 ** n)
+    x = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+    for k, v in enumerate(strings):
+        dense = pauli_string(v)
+        assert np.array_equal(dense[rows, cols[k]], phase[k]), v
+        assert np.count_nonzero(dense) == 2 ** n
+        assert np.array_equal(phase[k][:, None] * x[cols[k]], dense @ x), v
+
+
+def test_pauli_action_rejects_bad_stacks():
+    for bad in ([()], [(0, 4)], [(1, 2), (3,)], (1, 2)):
+        with pytest.raises(ShapeError):
+            pauli_action(bad)
 
 
 def test_pauli_orthogonality():

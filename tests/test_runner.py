@@ -145,17 +145,35 @@ class TestPeriodicKind:
 class TestIntroKind:
     def test_one_readout_per_scenario(self, tmp_path, monkeypatch):
         calls = []
-        original = decoq.metrics.recovery_channel
+        original = decoq.metrics._logical_readout
 
         def counted(code):
             calls.append(code.name)
             return original(code)
 
-        monkeypatch.setattr(decoq.metrics, "recovery_channel", counted)
+        for module in (decoq.metrics, decoq.runner):  # the pipeline's default and the runner's shared call
+            monkeypatch.setattr(module, "_logical_readout", counted)
         s = Scenario(kind="intro_example", code="repetition-5", time_grid=TimeGrid(0.02, 0.2, 14), plots=False)
         manifest = run(s, out_dir=str(tmp_path))
         assert set(manifest.files) == {"single_flip.csv", "pair_flip.csv", "fit_summary.csv"}
         assert calls == ["repetition-5"]
+
+
+    def test_repetition_seven_single_flip_exponent(self, tmp_path):
+        # k = 3: the single-flip error starts at t^8; the grid keeps E above FIT_FLOOR
+        s = Scenario(
+            kind="intro_example",
+            code="repetition-7",
+            time_grid=TimeGrid(0.05, 0.3, 14),
+            single_flip_omegas=(0.9, 1.1, 0.75, 1.3, 0.85, 1.0, 0.95),
+            plots=False,
+        )
+        run(s, out_dir=str(tmp_path))
+        rows = (tmp_path / "fit_summary.csv").read_text().splitlines()
+        single = next(r.split(",") for r in rows if r.startswith("single_flip,"))
+        assert float(single[1]) == pytest.approx(8.0, abs=0.1)
+        e_min = min(float(r.split(",")[1]) for r in (tmp_path / "single_flip.csv").read_text().splitlines()[1:])
+        assert e_min > 1e-13
 
 
 class TestSvg:
