@@ -3,22 +3,17 @@
 from .tensor import (
     DensityMatrix,
     StateVector,
-    expm_hermitian,
     kron,
     operator_norm,
-    partial_trace,
     partial_trace_array,
     trace_distance,
 )
 from .pauli import (
-    ErrorRankSpectrum,
     PAULIS,
     decompose,
     embed,
-    error_rank,
     pauli_action,
     pauli_string,
-    rank_spectrum,
     reconstruct,
 )
 from .dynamics import (
@@ -27,17 +22,11 @@ from .dynamics import (
     FreeHamiltonian,
     InteractionSpec,
     build_noncontact,
-    decoherence_chain,
-    dyson_truncated,
-    evolve,
     free_hamiltonian,
     gibbs_weights,
     interaction_matrix,
-    interaction_picture_v,
-    pair_flip_evolution,
     pair_flip_hamiltonian,
     random_environment,
-    single_flip_evolution,
     single_flip_hamiltonian,
     trivial_environment,
 )
@@ -60,16 +49,12 @@ from .codes import (
     recovery_unitary,
 )
 from .metrics import (
-    BoundReport,
     CodeErrorResult,
     DecayResult,
     FidelityCurve,
     PowerLawFit,
-    bound_report,
     code_error,
     error_bound,
-    error_functional,
-    fidelity,
     fit_power_law,
     leading_coefficient,
     periodic_correction_decay,

@@ -122,12 +122,6 @@ class CodeSpec:
         """Dense projector W_s W_s^dag onto each syndrome space, built on every access."""
         return {bits: b @ b.conj().T for bits, b in zip(self.syndromes, self.syndrome_blocks)}
 
-    def logical_zero(self) -> np.ndarray:
-        return self.encoder[:, 0].copy()
-
-    def logical_one(self) -> np.ndarray:
-        return self.encoder[:, 1].copy()
-
 
 def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> StateVector:
     """Encoded register state alpha |0_L> + beta |1_L>."""
@@ -255,23 +249,23 @@ def build_five_qubit_code() -> CodeSpec:
     return build_stabilizer_code("five_qubit", 5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI)
 
 
-_BUILDERS = {
-    "identity": build_identity_code,
-    "repetition-3": lambda: build_repetition_code(3),
-    "repetition-5": lambda: build_repetition_code(5),
-    "repetition-7": lambda: build_repetition_code(7),
-    "five_qubit": build_five_qubit_code,
+# Scenario identifier -> (register length n, builder).  The length lets a
+# scenario be checked and sized without building its code.
+CODES = {
+    "identity": (1, build_identity_code),
+    "repetition-3": (3, lambda: build_repetition_code(3)),
+    "repetition-5": (5, lambda: build_repetition_code(5)),
+    "repetition-7": (7, lambda: build_repetition_code(7)),
+    "five_qubit": (5, build_five_qubit_code),
 }
-
-CODES = tuple(_BUILDERS)  # the scenario identifiers ``build_code`` accepts
 
 
 def build_code(name: str) -> CodeSpec:
     """Look up a code by its scenario identifier."""
     try:
-        return _BUILDERS[name]()
+        return CODES[name][1]()
     except KeyError:
-        raise ShapeError(f"unknown code {name!r}; known: {sorted(_BUILDERS)}") from None
+        raise ShapeError(f"unknown code {name!r}; known: {sorted(CODES)}") from None
 
 
 @dataclass(frozen=True)

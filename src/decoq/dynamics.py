@@ -1,4 +1,4 @@
-"""Joint environment + register Hamiltonians and their evolutions.
+"""Joint environment + register Hamiltonians.
 
 The central object is a non-contact interaction
 
@@ -14,21 +14,13 @@ through the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
-from .tensor import (
-    DensityMatrix,
-    _as_complex,
-    expm_hermitian,
-    kron,
-    operator_norm,
-    partial_trace,
-    require_hermitian,
-)
+from .tensor import DensityMatrix, kron, operator_norm, require_hermitian
 from .pauli import embed, pauli_action, pauli_string
 
 
@@ -180,11 +172,10 @@ def free_hamiltonian(env: EnvironmentModel, qubit_terms: Sequence[np.ndarray] | 
 
 @dataclass(frozen=True)
 class ContactTerm:
-    """One product term: coefficient, Pauli letters per qubit, optional environment factor."""
+    """One product term on the register alone: coefficient and Pauli letters per qubit."""
 
     omega: float
     string: tuple[int, ...]
-    env_factor: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -233,23 +224,19 @@ def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.n
     return v
 
 
-def interaction_matrix(spec: InteractionSpec, env_dim: int | None = None) -> np.ndarray:
-    """Materialize an interaction declaration as a Hermitian matrix."""
+def interaction_matrix(spec: InteractionSpec) -> np.ndarray:
+    """Materialize an interaction declaration as a Hermitian matrix.
+
+    A contact interaction acts on the register alone, so its matrix is 2^n x 2^n.
+    """
     if spec.kind == "non_contact":
         return build_noncontact(spec.env)
     n = spec.n_qubits
-    de = env_dim or 1
+    if any(len(term.string) != n for term in spec.terms):
+        raise ShapeError("all contact terms must address the same number of qubits")
+    v = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for term in spec.terms:
-        if len(term.string) != n:
-            raise ShapeError("all contact terms must address the same number of qubits")
-        if term.env_factor is not None:
-            de = term.env_factor.shape[0]
-    d = de * 2 ** n
-    v = np.zeros((d, d), dtype=complex)
-    eye_e = np.eye(de, dtype=complex)
-    for term in spec.terms:
-        env_part = eye_e if term.env_factor is None else _as_complex(term.env_factor)
-        v += float(term.omega) * kron(env_part, pauli_string(term.string))
+        v += float(term.omega) * pauli_string(term.string)
     return require_hermitian(v, tol.HERMITIAN_TOL, "contact interaction")
 
 
@@ -276,103 +263,3 @@ def pair_flip_hamiltonian(pair_omegas: Mapping[tuple[int, int], float], n_qubits
             raise ShapeError(f"pair ({k},{l}) outside 1..{n}")
         h += float(w) * (embed(1, k, n) @ embed(1, l, n))
     return h
-
-
-def single_flip_evolution(omegas: Sequence[float], t: float) -> np.ndarray:
-    """Closed form prod_l [cos(w_l t) + i sin(w_l t) sigma_x^l].
-
-    All terms commute, so this equals exp(+i H t) for the single-flip drive;
-    the sign convention follows the product form.
-    """
-    omegas = [float(w) for w in omegas]
-    n = len(omegas)
-    u = np.eye(2 ** n, dtype=complex)
-    for l, w in enumerate(omegas, start=1):
-        u = u @ (np.cos(w * t) * np.eye(2 ** n) + 1j * np.sin(w * t) * embed(1, l, n))
-    return u
-
-
-def pair_flip_evolution(pair_omegas: Mapping[tuple[int, int], float], n_qubits: int, t: float) -> np.ndarray:
-    """Closed form prod over pairs [cos(w_kl t) + i sin(w_kl t) sigma_x^k sigma_x^l]."""
-    n = int(n_qubits)
-    u = np.eye(2 ** n, dtype=complex)
-    for (k, l), w in pair_omegas.items():
-        gen = embed(1, k, n) @ embed(1, l, n)
-        u = u @ (np.cos(float(w) * t) * np.eye(2 ** n) + 1j * np.sin(float(w) * t) * gen)
-    return u
-
-
-def evolve(h0: FreeHamiltonian | None, v: np.ndarray, t: float) -> np.ndarray:
-    """Joint unitary exp(-i (H0 + V) t)."""
-    v = _as_complex(v)
-    h = v if h0 is None else h0.matrix() + v
-    return expm_hermitian(h, t)
-
-
-def interaction_picture_v(h0: FreeHamiltonian, v: np.ndarray, t: float) -> np.ndarray:
-    """Rotated interaction exp(+i H0 t) V exp(-i H0 t)."""
-    u_plus = expm_hermitian(h0.matrix(), -t)  # exp(+i H0 t)
-    return u_plus @ _as_complex(v) @ u_plus.conj().T
-
-
-def dyson_truncated(
-    v_of_t: Callable[[float], np.ndarray],
-    t: float,
-    order: int,
-    steps: int = 256,
-) -> np.ndarray:
-    """Time-ordered series for the interaction-picture evolution, truncated.
-
-    Returns sum_{l=0}^{order} of the iterated integrals
-
-        (-i)^l  int_0^t ds_1 int_0^{s_1} ds_2 ... V(s_1) V(s_2) ... V(s_l),
-
-    evaluated with a cumulative composite midpoint rule on a fixed grid, so
-    the result is deterministic for fixed ``steps``.  The quadrature error is
-    O((t/steps)^2); convergence can be checked by doubling ``steps``.
-    """
-    if order < 0:
-        raise ShapeError("order must be non-negative")
-    if steps < 16:
-        raise ShapeError("need at least 16 quadrature steps")
-    t = float(t)
-    h = t / steps
-    mids = (np.arange(steps) + 0.5) * h
-    samples = [_as_complex(v_of_t(float(s))) for s in mids]
-    d = samples[0].shape[0]
-    eye = np.eye(d, dtype=complex)
-
-    total = eye.copy()
-    # prev[j] approximates the order-(l-1) iterated integral at the midpoint mids[j]
-    prev = [eye] * steps
-    for _ in range(order):
-        prods = [samples[j] @ prev[j] for j in range(steps)]
-        running = np.zeros((d, d), dtype=complex)
-        cur = []
-        for j in range(steps):
-            cur.append(-1j * (h * running + 0.5 * h * prods[j]))
-            running = running + prods[j]
-        total = total + (-1j) * h * running
-        prev = cur
-    return total
-
-
-def decoherence_chain(
-    rho0: DensityMatrix,
-    env: EnvironmentModel,
-    h0: FreeHamiltonian | None,
-    v: np.ndarray,
-    t: float,
-) -> DensityMatrix:
-    """Reduced register state after joint evolution from a product start.
-
-    rho(t) = tr_env[ U(t) (rho_env (x) rho0) U(t)^dag ] with U = exp(-i(H0+V)t).
-    """
-    joint0 = kron(env.rho0.array, rho0.array)
-    u = evolve(h0, v, t)
-    if u.shape != joint0.shape:
-        raise ShapeError(f"interaction shape {u.shape} does not match env x register {joint0.shape}")
-    joint_t = u @ joint0 @ u.conj().T
-    dims = (env.dim,) + rho0.dims
-    full = DensityMatrix(joint_t, dims)
-    return partial_trace(full, range(1, len(dims)))

@@ -36,12 +36,9 @@ from .codes import CodeSpec, asymptotic_x0, encode_logical
 
 @dataclass(frozen=True)
 class FidelityCurve:
-    """Time-ordered (t, value) samples with light provenance metadata."""
+    """Time-ordered (t, value) samples with values in [0, 1]."""
 
     samples: tuple[tuple[float, float], ...]
-    code: str = ""
-    interaction: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         pairs = tuple((float(t), float(v)) for t, v in self.samples)
@@ -86,23 +83,6 @@ class DecayResult:
 
     rate: float
     samples: tuple[tuple[int, float, float], ...]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured error next to its rigorous and asymptotic envelopes."""
-
-    rows: tuple[tuple[float, float, float, float], ...]  # (t, measured, bound, stabilization)
-    threshold: float
-
-    def __post_init__(self):
-        rows = tuple((float(a), float(b), float(c), float(d)) for a, b, c, d in self.rows)
-        object.__setattr__(self, "rows", rows)
-        times = [r[0] for r in rows]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValidationError("bound report times must increase strictly")
-        if any(r[2] < 0 or r[3] < 0 for r in rows):
-            raise ValidationError("bounds cannot be negative")
 
 
 def _logical_amplitudes(psi_logical) -> tuple[complex, complex]:
@@ -386,16 +366,6 @@ class _CorrectionPipeline:
         return DecayResult(rate=-float(slope), samples=tuple(samples))
 
 
-def fidelity(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, psi_logical, t: float) -> float:
-    """Survival probability 1 - E of the encoded state after evolution and recovery."""
-    return 1.0 - error_functional(code, env, h0, v, psi_logical, t)
-
-
-def error_functional(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, psi_logical, t: float) -> float:
-    """Weight of the encoded state lost after evolution and recovery."""
-    return _CorrectionPipeline(code, env, h0, v).error_direct(psi_logical, t)
-
-
 def code_error(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, t: float) -> CodeErrorResult:
     """Supremum of the error over the encoded logical sphere, exact up to rounding."""
     return _CorrectionPipeline(code, env, h0, v).supremum(t)
@@ -510,28 +480,6 @@ def threshold_time(coupling_bound: float, x0: float | None = None) -> float:
         raise ShapeError("coupling bound must be positive")
     x0 = asymptotic_x0() if x0 is None else float(x0)
     return x0 / (c * math.e)
-
-
-def bound_report(
-    times,
-    measured,
-    k: int,
-    v_norm: float,
-    coupling_bound: float,
-    n: int,
-    x0: float | None = None,
-) -> BoundReport:
-    """Tabulate measured errors against both envelopes."""
-    times = [float(t) for t in times]
-    measured = [float(e) for e in measured]
-    if len(times) != len(measured):
-        raise ShapeError("times and measurements must align")
-    x0 = asymptotic_x0() if x0 is None else float(x0)
-    rows = tuple(
-        (t, e, error_bound(t, k, v_norm), stabilization_bound(t, coupling_bound, n, x0))
-        for t, e in zip(times, measured)
-    )
-    return BoundReport(rows=rows, threshold=threshold_time(coupling_bound, x0))
 
 
 def periodic_correction_decay(

@@ -15,11 +15,10 @@ d_e, form a probability distribution over ranks whenever U is unitary.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError
 from . import tolerances as tol
 from .tensor import _as_complex
 
@@ -96,11 +95,6 @@ def pauli_action(strings) -> tuple[np.ndarray, np.ndarray]:
     return rows ^ flips[:, None], phase
 
 
-def error_rank(indices) -> int:
-    """Number of non-identity letters in the index vector."""
-    return sum(1 for i in _check_indices(indices) if i != 0)
-
-
 def anticommutation(strings, others) -> np.ndarray:
     """Symplectic criterion for every pair of rows: entry (i, j) is 1 where
     ``strings[i]`` anticommutes with ``others[j]`` and 0 where they commute.
@@ -114,14 +108,6 @@ def anticommutation(strings, others) -> np.ndarray:
         raise ShapeError(f"index vectors of lengths {a.shape[1]} and {b.shape[1]} do not compare")
     x, y = a[:, None, :], b[None, :, :]
     return ((x != 0) & (y != 0) & (x != y)).sum(axis=2) % 2
-
-
-def strings_commute(v, w) -> bool:
-    """Whether two Pauli strings commute (symplectic criterion)."""
-    v, w = _check_indices(v), _check_indices(w)
-    if len(v) != len(w):
-        raise ShapeError("index vectors must have equal length")
-    return not anticommutation([v], [w])[0, 0]
 
 
 def decompose(u: np.ndarray, env_dim: int, n_qubits: int) -> dict[PauliIndexVector, np.ndarray]:
@@ -173,52 +159,3 @@ def reconstruct(components: dict[PauliIndexVector, np.ndarray], env_dim: int, n_
     for v, comp in components.items():
         out += np.kron(_as_complex(comp), pauli_string(v))
     return out
-
-
-@dataclass(frozen=True)
-class ErrorRankSpectrum:
-    """Distribution of Frobenius weight over error ranks 0..n."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
-        if any(x < -1e-12 for x in w):
-            raise ValidationError(f"negative rank weight in {w}")
-        total = sum(w)
-        if abs(total - 1.0) > tol.WEIGHT_SUM_TOL:
-            raise ValidationError(f"rank weights sum to {total!r}, expected 1")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.weights) - 1
-
-    def to_csv(self) -> str:
-        lines = ["rank,weight"]
-        for r, w in enumerate(self.weights):
-            lines.append(f"{r},{w:.16e}")
-        return "\n".join(lines) + "\n"
-
-
-def rank_spectrum(u: np.ndarray, env_dim: int, n_qubits: int) -> ErrorRankSpectrum:
-    """Rank-resolved weight distribution of a joint unitary.
-
-    The input must be unitary; the weights ||A_v||_F^2 / d_e then sum to one
-    and the sum is revalidated after aggregation.
-    """
-    u = _as_complex(u)
-    d = env_dim * 2 ** n_qubits
-    if u.shape != (d, d):
-        raise ShapeError(f"operator shape {u.shape} does not match env {env_dim} x register {2 ** n_qubits}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if defect > tol.UNITARY_INPUT_TOL:
-        raise ValidationError(f"rank spectrum needs a unitary input, ||U^dag U - 1||_max = {defect:.3e}")
-
-    weights = [0.0] * (n_qubits + 1)
-    for v, comp in decompose(u, env_dim, n_qubits).items():
-        weights[error_rank(v)] += float(np.linalg.norm(comp) ** 2) / env_dim
-    total = sum(weights)
-    if abs(total - 1.0) > tol.WEIGHT_SUM_TOL:
-        raise ValidationError(f"weight normalization failed: sum = {total!r}")
-    return ErrorRankSpectrum(tuple(weights))

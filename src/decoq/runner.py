@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SizingError, ValidationError
+from .errors import ValidationError
 from .scenario import Scenario, serialize_scenario
-from .codes import CodeSpec, asymptotic_x0, build_code, hamming_gv_check
+from .codes import asymptotic_x0, build_code, hamming_gv_check
 from .dynamics import (
     ContactTerm,
-    EnvironmentModel,
-    FreeHamiltonian,
     InteractionSpec,
     build_noncontact,
     free_hamiltonian,
@@ -93,30 +91,13 @@ def _materialize(scenario: Scenario, seed: int):
         for omega, factors in scenario.contact_terms:
             string = [0] * code.n
             for axis, pos in factors:
-                if not 1 <= pos <= code.n:
-                    raise ConfigError(f"contact term addresses qubit {pos}, code has {code.n}")
-                if string[pos - 1] != 0:
-                    raise ConfigError(f"contact term repeats qubit {pos}")
                 string[pos - 1] = axis
             terms.append(ContactTerm(float(omega), tuple(string)))
-        if not terms:
-            raise ConfigError("contact interaction declared without terms")
-        spec = InteractionSpec("contact", terms=tuple(terms))
-        v = interaction_matrix(spec, env_dim=1)
+        v = interaction_matrix(InteractionSpec("contact", terms=tuple(terms)))
     else:
         env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, seed)
-        spec = InteractionSpec("non_contact", env=env)
         v = build_noncontact(env)
-    return code, env, spec, v, free_hamiltonian(env)
-
-
-def _guard(scenario: Scenario, code: CodeSpec, env_dim: int) -> None:
-    joint = env_dim * code.register_dim
-    if joint > scenario.max_dim:
-        raise SizingError(
-            f"joint dimension {env_dim} x {code.register_dim} (environment x register) = {joint} "
-            f"exceeds the cap {scenario.max_dim}"
-        )
+    return code, env, v, free_hamiltonian(env)
 
 
 class _Outputs:
@@ -150,8 +131,7 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 
 
 def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: bool) -> None:
-    code, env, spec, v, h0 = _materialize(scenario, seed)
-    _guard(scenario, code, env.dim)
+    code, env, v, h0 = _materialize(scenario, seed)
     pipeline = _CorrectionPipeline(code, env, h0, v)
     ts = [float(t) for t in scenario.time_grid.times()]
     sups = [_sphere_supremum(c) for c in pipeline.covariances(ts)]
@@ -161,8 +141,6 @@ def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: boo
 
     if check_bounds:
         coupling = env.coupling_bound
-        if coupling <= 0:
-            raise ConfigError("bound_check needs a positive coupling bound")
         x0 = asymptotic_x0()
         rows = []
         violations = 0
@@ -210,17 +188,7 @@ def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: boo
 
 
 def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
-    if not scenario.code.startswith("repetition"):
-        raise ConfigError("the flip-drive benchmark runs on a repetition code")
     code = build_code(scenario.code)
-    _guard(scenario, code, 1)
-    if len(scenario.single_flip_omegas) != code.n:
-        raise ConfigError(
-            f"single-flip drive needs {code.n} frequencies, got {len(scenario.single_flip_omegas)}"
-        )
-    for k_pos, l_pos, _ in scenario.pair_flip:
-        if not (1 <= k_pos <= code.n and 1 <= l_pos <= code.n):
-            raise ConfigError(f"pair ({k_pos},{l_pos}) outside 1..{code.n}")
     env = trivial_environment(code.n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     ts = [float(t) for t in scenario.time_grid.times()]
@@ -264,8 +232,7 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
 
 
 def _run_periodic(scenario: Scenario, seed: int, out: _Outputs) -> None:
-    code, env, spec, v, h0 = _materialize(scenario, seed)
-    _guard(scenario, code, env.dim)
+    code, env, v, h0 = _materialize(scenario, seed)
     pipeline = _CorrectionPipeline(code, env, h0, v)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     rate_rows = []
@@ -323,10 +290,8 @@ def run(
         _run_intro(scenario, effective_seed, out)
     elif scenario.kind == "bounds_table":
         _run_bounds(scenario, out)
-    elif scenario.kind == "periodic_correction":
+    else:  # periodic_correction, the last of the kinds Scenario accepts
         _run_periodic(scenario, effective_seed, out)
-    else:  # unreachable: Scenario validates kind
-        raise ConfigError(f"unknown kind {scenario.kind!r}")
 
     files = {name: _sha256(os.path.join(effective_out, name)) for name in sorted(out.names)}
     manifest = RunManifest(

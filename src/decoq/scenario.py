@@ -15,9 +15,10 @@ import numpy as np
 
 from . import tolerances as tol
 from .codes import CODES
-from .errors import ConfigError
+from .errors import ConfigError, SizingError
 
 KINDS = ("scaling_sweep", "intro_example", "bounds_table", "periodic_correction", "bound_check")
+CONTACT_KINDS = ("scaling_sweep", "bound_check", "periodic_correction")  # the kinds that build the declared interaction
 _AXIS_LETTERS = {"x": 1, "y": 2, "z": 3}
 _AXIS_NAMES = {1: "x", 2: "y", 3: "z"}
 
@@ -85,9 +86,11 @@ class Scenario:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; known: {KINDS}")
         if self.code not in CODES:
-            raise ConfigError(f"unknown code {self.code!r}; known: {CODES}")
+            raise ConfigError(f"unknown code {self.code!r}; known: {tuple(CODES)}")
         if self.interaction_kind not in ("non_contact", "contact"):
             raise ConfigError(f"interaction kind must be non_contact or contact, got {self.interaction_kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.env_dim < 1:
             raise ConfigError("environment dimension must be at least 1")
         if self.max_dim < 2:
@@ -105,6 +108,8 @@ class Scenario:
         for name, values in numbers.items():
             if not all(math.isfinite(x) for x in values):
                 raise ConfigError(f"{name} must be finite, got {values}")
+        if self.coupling_bound < 0:
+            raise ConfigError(f"coupling bound must be non-negative, got {self.coupling_bound!r}")
         if not self.dt > 0:
             raise ConfigError("correction interval dt must be positive")
         if self.cycles < 10:
@@ -121,6 +126,36 @@ class Scenario:
         for pair in unordered:
             if pair[0] == pair[1] or unordered.count(pair) > 1:
                 raise ConfigError(f"pair flip {pair[0]}-{pair[1]} must join two distinct qubits and appear once")
+        n = CODES[self.code][0]  # the register length, read without building the code
+        contact = self.kind in CONTACT_KINDS and self.interaction_kind == "contact"
+        if contact:
+            if not self.contact_terms:
+                raise ConfigError("contact interaction declared without terms")
+            for _, factors in self.contact_terms:
+                positions = [pos for _, pos in factors]
+                for pos in positions:
+                    if not 1 <= pos <= n:
+                        raise ConfigError(f"contact term addresses qubit {pos}, code has {n}")
+                    if positions.count(pos) > 1:
+                        raise ConfigError(f"contact term repeats qubit {pos}")
+        if self.kind == "intro_example":
+            if not self.code.startswith("repetition"):
+                raise ConfigError("the flip-drive benchmark runs on a repetition code")
+            if len(self.single_flip_omegas) != n:
+                raise ConfigError(f"single-flip drive needs {n} frequencies, got {len(self.single_flip_omegas)}")
+            for k_pos, l_pos, _ in self.pair_flip:
+                if not (1 <= k_pos <= n and 1 <= l_pos <= n):
+                    raise ConfigError(f"pair ({k_pos},{l_pos}) outside 1..{n}")
+        if self.kind == "bound_check" and (self.interaction_kind != "non_contact" or self.coupling_bound <= 0):
+            raise ConfigError("bound_check needs a non_contact interaction with a positive coupling bound")
+        if self.kind != "bounds_table":
+            env_dim = 1 if self.kind == "intro_example" or contact else self.env_dim
+            joint = env_dim * 2 ** n
+            if joint > self.max_dim:
+                raise SizingError(
+                    f"joint dimension {env_dim} x {2 ** n} (environment x register) = {joint} "
+                    f"exceeds the cap {self.max_dim}"
+                )
 
 
 def _parse_bool(raw: str, where: str) -> bool:

@@ -143,21 +143,6 @@ def partial_trace_array(a: np.ndarray, dims: Sequence[int], keep: Iterable[int])
     return out.reshape(d_keep, d_keep)
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace a density matrix down to the factors in ``keep``."""
-    keep = sorted(set(int(i) for i in keep))
-    reduced = partial_trace_array(rho.array, rho.dims, keep)
-    return DensityMatrix(reduced, tuple(rho.dims[i] for i in keep))
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i h t)`` for Hermitian ``h`` via eigendecomposition."""
-    h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "exponential input")
-    evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * float(t))
-    return (evecs * phases) @ evecs.conj().T
-
-
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     a = _as_complex(a)

@@ -8,12 +8,9 @@ EIGENVALUE_FLOOR = -1e-10   # smallest eigenvalue a density matrix may show
 
 # Gates on inputs to the heavier routines.
 HERMITIAN_INPUT_TOL = 1e-10   # matrices fed to the exponential
-UNITARY_INPUT_TOL = 1e-8      # matrices fed to the rank spectrum
 
 # Produced quantities.
 UNITARY_TOL = 1e-10         # ||U^dag U - 1||_max for built evolutions
-RECONSTRUCTION_TOL = 1e-10  # error-operator sum versus the original unitary
-WEIGHT_SUM_TOL = 1e-10      # rank-spectrum weights must sum to one this well
 COMPONENT_ZERO_TOL = 1e-14  # Frobenius norm below which a component is stored as zero
 LOGICAL_NORM_TOL = 1e-10    # |alpha|^2 + |beta|^2 for logical amplitudes
 CHANNEL_TOL = 1e-12         # Kraus completeness, projector completeness
@@ -26,4 +23,3 @@ FIT_MIN_SAMPLES = 8
 
 # Structural caps.
 MAX_DECOMPOSE_QUBITS = 7
-MAX_JOINT_DIM = 4096

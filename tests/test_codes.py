@@ -7,7 +7,7 @@ import scipy.optimize
 
 from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import partial_trace_array, trace_distance
-from decoq.pauli import pauli_string, strings_commute
+from decoq.pauli import pauli_string
 from decoq.metrics import _logical_readout
 from decoq.codes import (
     AMPLITUDE_ONLY,
@@ -34,6 +34,11 @@ from decoq.codes import (
 from conftest import random_density
 
 ALL_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
+
+
+def strings_commute(v, w) -> bool:
+    """Whether two Pauli strings commute: an even number of positions hold two different non-identity letters."""
+    return sum(1 for a, b in zip(v, w) if a and b and a != b) % 2 == 0
 
 
 @pytest.mark.parametrize("name", ALL_CODES)
@@ -66,8 +71,8 @@ def test_five_qubit_cosets_span_register():
     columns = []
     for err in covered_errors(code):
         e = pauli_string(err)
-        columns.append(e @ code.logical_zero())
-        columns.append(e @ code.logical_one())
+        columns.append(e @ code.encoder[:, 0])
+        columns.append(e @ code.encoder[:, 1])
     basis = np.stack(columns, axis=1)
     gram = basis.conj().T @ basis
     assert np.max(np.abs(gram - np.eye(32))) < 1e-10
@@ -223,6 +228,11 @@ def test_stabilizer_core_matches_dense_reference(name):
     kraus = [pauli_string(table[bits]) @ projectors[bits] for bits in sorted(table)]
     assert np.array_equal(_logical_readout(code), np.stack([encoder.conj().T @ k for k in kraus]))
     assert all(np.array_equal(a, b) for a, b in zip(recovery_channel(code).operators, kraus))
+
+
+def test_registry_lengths_match_built_codes():
+    # Scenario sizes a run from the registered length without building the code
+    assert {name: build_code(name).n for name in CODES} == {name: n for name, (n, _) in CODES.items()}
 
 
 @pytest.mark.parametrize("name", CODES)

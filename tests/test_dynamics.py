@@ -1,32 +1,32 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from decoq.errors import ShapeError, ValidationError
-from decoq.tensor import DensityMatrix, expm_hermitian, kron, operator_norm
-from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed, error_rank
+from decoq.tensor import DensityMatrix, kron, operator_norm
+from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed
 from decoq.dynamics import (
     ContactTerm,
     EnvironmentModel,
     FreeHamiltonian,
     InteractionSpec,
     build_noncontact,
-    decoherence_chain,
-    dyson_truncated,
-    evolve,
     free_hamiltonian,
     gibbs_weights,
     interaction_matrix,
-    interaction_picture_v,
-    pair_flip_evolution,
     pair_flip_hamiltonian,
     random_environment,
-    single_flip_evolution,
     single_flip_hamiltonian,
     trivial_environment,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import (
+    evolve,
+    expm_hermitian,
+    pair_flip_product,
+    random_density,
+    random_hermitian,
+    single_flip_product,
+)
 
 
 def dephasing_environment(rng, de: int) -> tuple[EnvironmentModel, np.ndarray]:
@@ -122,10 +122,10 @@ class TestFlipDrives:
         omegas = (0.9, 1.1, 0.75)
         t = 0.37
         h = single_flip_hamiltonian(omegas)
-        assert np.max(np.abs(single_flip_evolution(omegas, t) - expm_hermitian(h, -t))) < 1e-12
+        assert np.max(np.abs(single_flip_product(omegas, t) - expm_hermitian(h, -t))) < 1e-12
 
     def test_single_flip_quarter_period(self):
-        u = single_flip_evolution((1.0,), np.pi / 2)
+        u = expm_hermitian(single_flip_hamiltonian((1.0,)), -np.pi / 2)
         assert np.allclose(u, 1j * SIGMA_X, atol=1e-12)
 
     def test_single_flip_spectrum(self):
@@ -137,7 +137,7 @@ class TestFlipDrives:
         pairs = {(1, 2): 0.8, (2, 3): 0.65, (1, 3): 0.7}
         t = 0.52
         h = pair_flip_hamiltonian(pairs, 3)
-        assert np.max(np.abs(pair_flip_evolution(pairs, 3, t) - expm_hermitian(h, -t))) < 1e-12
+        assert np.max(np.abs(pair_flip_product(pairs, 3, t) - expm_hermitian(h, -t))) < 1e-12
 
     def test_pair_flip_rejects_degenerate(self):
         with pytest.raises(ShapeError):
@@ -203,19 +203,18 @@ class TestInteractions:
         # conjugation by the free evolution acts on the environment side only
         env = random_environment(2, 3, seed=13)
         v = build_noncontact(env)
-        h0 = free_hamiltonian(env)
-        v_t = interaction_picture_v(h0, v, 0.83)
+        u_plus = expm_hermitian(free_hamiltonian(env).matrix(), -0.83)  # exp(+i H0 t)
+        v_t = u_plus @ v @ u_plus.conj().T
         for idx, comp in decompose(v_t, 3, 2).items():
             if np.any(comp):
-                assert error_rank(idx) <= 1
+                assert np.count_nonzero(idx) <= 1
 
     def test_contact_term_matrix(self):
-        f = np.diag([1.0, -1.0]).astype(complex)
         spec = InteractionSpec(
-            "contact", terms=(ContactTerm(0.9, (1, 1), env_factor=f),)
+            "contact", terms=(ContactTerm(0.9, (1, 1)), ContactTerm(-0.4, (3, 0)))
         )
         v = interaction_matrix(spec)
-        assert np.allclose(v, 0.9 * kron(f, kron(SIGMA_X, SIGMA_X)))
+        assert np.allclose(v, 0.9 * kron(SIGMA_X, SIGMA_X) - 0.4 * kron(SIGMA_Z, np.eye(2)))
 
     def test_contact_defaults_to_unit_environment(self):
         spec = InteractionSpec("contact", terms=(ContactTerm(1.0, (1, 3)),))
@@ -237,103 +236,7 @@ class TestInteractions:
             interaction_matrix(spec)
 
 
-class TestDyson:
-    def test_constant_integrand_matches_taylor(self, rng):
-        v = random_hermitian(rng, 4)
-        t, order = 0.4, 4
-        approx = dyson_truncated(lambda s: v, t, order, steps=512)
-        expected = np.zeros((4, 4), dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for l in range(order + 1):
-            expected += term
-            term = term @ (-1j * v * t) / (l + 1)
-        assert np.max(np.abs(approx - expected)) < 2e-6
-
-    def test_truncation_order_scaling(self, rng):
-        # remainder after order k scales like t^(k+1): halving t shrinks it 2^(k+1)
-        env = random_environment(1, 4, seed=21)
-        v = build_noncontact(env)
-        h0 = free_hamiltonian(env)
-        h0m = h0.matrix()
-        h_full = h0m + v
-
-        def remainder(k, t):
-            exact = expm_hermitian(h0m, -t) @ expm_hermitian(h_full, t)
-            approx = dyson_truncated(lambda s: interaction_picture_v(h0, v, s), t, k, steps=512)
-            return float(np.max(np.abs(approx - exact)))
-
-        for k in (1, 2):
-            ratio = remainder(k, 0.2) / remainder(k, 0.1)
-            assert 2 ** (k + 1) * 0.85 < ratio < 2 ** (k + 1) * 1.15
-
-    def test_quadrature_refines_quadratically(self, rng):
-        # composite midpoint: doubling the grid cuts the quadrature error ~4x
-        v = random_hermitian(rng, 4)
-        w = random_hermitian(rng, 4)
-
-        def v_of_t(s):
-            return v + np.sin(2.0 * s) * w
-
-        t, order = 0.8, 3
-        d32 = dyson_truncated(v_of_t, t, order, steps=32)
-        d64 = dyson_truncated(v_of_t, t, order, steps=64)
-        d128 = dyson_truncated(v_of_t, t, order, steps=128)
-        ratio = np.max(np.abs(d32 - d64)) / np.max(np.abs(d64 - d128))
-        assert 3.0 < ratio < 5.2
-
-    def test_order_zero_is_identity(self, rng):
-        v = random_hermitian(rng, 3)
-        assert np.array_equal(dyson_truncated(lambda s: v, 1.0, 0), np.eye(3))
-
-    def test_validation(self, rng):
-        v = random_hermitian(rng, 2)
-        with pytest.raises(ShapeError):
-            dyson_truncated(lambda s: v, 1.0, -1)
-        with pytest.raises(ShapeError):
-            dyson_truncated(lambda s: v, 1.0, 2, steps=8)
-
-
-class TestDecoherenceChain:
-    def test_pure_dephasing_off_diagonal(self, rng):
-        # exact law: rho_01(t) = tr[rho_e exp(-2 i h t)] / 2 for a |+> start
-        env, h = dephasing_environment(rng, 3)
-        v = build_noncontact(env)
-        plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))
-        t = 0.9
-        reduced = decoherence_chain(plus, env, None, v, t)
-        expected01 = np.trace(env.rho0.array @ scipy.linalg.expm(-2j * h * t)) / 2.0
-        assert abs(reduced.array[0, 1] - expected01) < 1e-12
-
-    def test_matches_brute_force(self, rng):
-        # oracle: build the joint density matrix and trace with scipy only
-        env = random_environment(2, 3, seed=17)
-        v = build_noncontact(env)
-        h0 = free_hamiltonian(env)
-        rho_reg = DensityMatrix(random_density(rng, 4), (2, 2))
-        t = 0.6
-        reduced = decoherence_chain(rho_reg, env, h0, v, t)
-
-        u = scipy.linalg.expm(-1j * (h0.matrix() + v) * t)
-        joint = u @ np.kron(env.rho0.array, rho_reg.array) @ u.conj().T
-        resh = joint.reshape(3, 4, 3, 4)
-        expected = np.einsum("aiaj->ij", resh)
-        assert np.max(np.abs(reduced.array - expected)) < 1e-12
-
-    def test_output_is_valid_density(self, rng):
-        env = random_environment(1, 2, seed=19)
-        v = build_noncontact(env)
-        rho_reg = DensityMatrix(random_density(rng, 2), (2,))
-        out = decoherence_chain(rho_reg, env, None, v, 1.3)
-        assert out.dims == (2,)
-        assert abs(np.trace(out.array) - 1.0) < 1e-12
-
-    def test_shape_mismatch_rejected(self, rng):
-        env = random_environment(1, 2, seed=19)
-        rho_reg = DensityMatrix(random_density(rng, 2), (2,))
-        with pytest.raises(ShapeError):
-            decoherence_chain(rho_reg, env, None, np.zeros((8, 8)), 1.0)
-
-
 def test_evolve_without_free_part(rng):
+    # the conftest reference: with no free Hamiltonian the joint unitary is exp(-i V t)
     v = random_hermitian(rng, 4)
     assert np.allclose(evolve(None, v, 0.7), expm_hermitian(v, 0.7))

@@ -13,7 +13,6 @@ from decoq.dynamics import (
     EnvironmentModel,
     InteractionSpec,
     build_noncontact,
-    evolve,
     free_hamiltonian,
     interaction_matrix,
     random_environment,
@@ -21,7 +20,6 @@ from decoq.dynamics import (
 )
 from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
 from decoq.metrics import (
-    BoundReport,
     FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
@@ -33,11 +31,8 @@ from decoq.metrics import (
     _taylor_sum,
     _taylor_terms,
     _twist,
-    bound_report,
     code_error,
     error_bound,
-    error_functional,
-    fidelity,
     fit_power_law,
     leading_coefficient,
     periodic_correction_decay,
@@ -45,7 +40,7 @@ from decoq.metrics import (
     threshold_time,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import evolve, random_density, random_hermitian
 
 PSI = (0.6, 0.8j)
 SHIPPED_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
@@ -119,18 +114,15 @@ class TestCurveTypes:
         with pytest.raises(ValidationError):
             FidelityCurve(((0.1, 1.5),))
 
-    def test_bound_report_validation(self):
-        with pytest.raises(ValidationError):
-            BoundReport(rows=((0.1, 0.0, -1.0, 0.0),), threshold=1.0)
-
 
 class TestFidelity:
     def test_zero_coupling_is_lossless(self):
         env = random_environment(5, 2, coupling_bound=0.0, seed=4)
         code = build_code("five_qubit")
         v = build_noncontact(env)
-        assert fidelity(code, env, free_hamiltonian(env), v, PSI, 2.0) == pytest.approx(1.0, abs=1e-12)
-        e = error_functional(code, env, None, v, PSI, 2.0)
+        e = _CorrectionPipeline(code, env, free_hamiltonian(env), v).error_direct(PSI, 2.0)
+        assert 1.0 - e == pytest.approx(1.0, abs=1e-12)
+        e = _CorrectionPipeline(code, env, None, v).error_direct(PSI, 2.0)
         assert e == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_dephasing_analytic(self, rng):
@@ -142,7 +134,8 @@ class TestFidelity:
         t = 0.7
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         expected = 0.5 + np.trace(env.rho0.array @ scipy.linalg.expm(-2j * h * t)).real / 2.0
-        assert fidelity(code, env, None, v, psi_plus, t) == pytest.approx(expected, abs=1e-12)
+        e = _CorrectionPipeline(code, env, None, v).error_direct(psi_plus, t)
+        assert 1.0 - e == pytest.approx(expected, abs=1e-12)
 
     def test_matches_dilation_reference(self, rng):
         for name in SHIPPED_CODES:
@@ -156,26 +149,21 @@ class TestFidelity:
                     want = reference(psi)
                     assert pipeline.error_direct(psi, t) == pytest.approx(want, rel=1e-9), (name, t)
 
-    def test_fidelity_is_one_minus_error(self):
-        code, env, h0, v = shipped_model("repetition-3", 29)
-        f = fidelity(code, env, h0, v, PSI, 0.3)
-        assert f == 1.0 - error_functional(code, env, h0, v, PSI, 0.3)
-
     def test_energy_scale_equivariance(self):
         # exp(-i (sV) (t/s)) = exp(-i V t): rescaling energy and time cancels
         env = random_environment(3, 2, seed=29)
         code = build_code("repetition-3")
         v = build_noncontact(env)
         s = 3.7
-        f1 = fidelity(code, env, None, v, PSI, 0.8)
-        f2 = fidelity(code, env, None, s * v, PSI, 0.8 / s)
-        assert f1 == pytest.approx(f2, abs=1e-12)
+        e1 = _CorrectionPipeline(code, env, None, v).error_direct(PSI, 0.8)
+        e2 = _CorrectionPipeline(code, env, None, s * v).error_direct(PSI, 0.8 / s)
+        assert e1 == pytest.approx(e2, abs=1e-12)
 
     def test_logical_pair_required(self):
         env = trivial_environment(1)
         code = build_code("identity")
         with pytest.raises(ShapeError):
-            fidelity(code, env, None, np.zeros((2, 2)), (1.0, 0.0, 0.0), 0.1)
+            _CorrectionPipeline(code, env, None, np.zeros((2, 2))).error_direct((1.0, 0.0, 0.0), 0.1)
 
 
 class TestCodeError:
@@ -184,8 +172,9 @@ class TestCodeError:
         code = build_code("identity")
         v = build_noncontact(env)
         sup = code_error(code, env, None, v, 0.4)
-        pole = error_functional(code, env, None, v, (1.0, 0.0), 0.4)
-        generic = error_functional(code, env, None, v, PSI, 0.4)
+        pipeline = _CorrectionPipeline(code, env, None, v)
+        pole = pipeline.error_direct((1.0, 0.0), 0.4)
+        generic = pipeline.error_direct(PSI, 0.4)
         assert sup.value + 1e-14 >= pole
         assert sup.value + 1e-14 >= generic
         assert float(sup) == sup.value
@@ -441,7 +430,7 @@ class TestLeadingCoefficient:
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         c = leading_coefficient(code, env, spec, psi_plus, 0)
         t = 1e-4
-        e = error_functional(code, env, None, v, psi_plus, t)
+        e = _CorrectionPipeline(code, env, None, v).error_direct(psi_plus, t)
         assert e / t ** 2 == pytest.approx(c, rel=1e-6)
 
     def test_zero_coupling_gives_zero(self):
@@ -483,17 +472,6 @@ class TestBounds:
         above = 2.0 * t_star
         assert stabilization_bound(below, c, 10, x0) < stabilization_bound(below, c, 5, x0)
         assert stabilization_bound(above, c, 10, x0) > stabilization_bound(above, c, 5, x0)
-
-    def test_report_alignment(self):
-        with pytest.raises(ShapeError):
-            bound_report((0.1, 0.2), (1e-4,), 1, 1.0, 1.0, 5)
-
-    def test_report_rows(self):
-        report = bound_report((0.1, 0.2), (1e-8, 1e-6), 1, 2.0, 1.0, 5)
-        assert report.threshold == pytest.approx(threshold_time(1.0))
-        t, e, rig, stab = report.rows[0]
-        assert rig == pytest.approx(error_bound(0.1, 1, 2.0))
-        assert stab == pytest.approx(stabilization_bound(0.1, 1.0, 5))
 
 
 class TestPeriodicCorrection:
@@ -550,7 +528,7 @@ class TestPeriodicCorrection:
         code = build_code("five_qubit")
         env = trivial_environment(code.n)
         terms = (ContactTerm(0.9, (1, 1, 0, 0, 0)), ContactTerm(-0.4, (0, 0, 3, 0, 2)), ContactTerm(0.3, (0, 0, 0, 2, 0)))
-        v = interaction_matrix(InteractionSpec("contact", terms=terms), env_dim=1)
+        v = interaction_matrix(InteractionSpec("contact", terms=terms))
         for corrected in (True, False):
             decay = periodic_correction_decay(code, env, None, v, 0.2, 40, PSI, apply_correction=corrected)
             want = dense_periodic_reference(code, env, None, v, 0.2, 40, PSI, corrected)

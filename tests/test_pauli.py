@@ -3,25 +3,34 @@ import itertools
 import numpy as np
 import pytest
 
-from decoq.errors import ShapeError, ValidationError
+from decoq.errors import ShapeError
 from decoq.pauli import (
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    ErrorRankSpectrum,
+    anticommutation,
     decompose,
     embed,
-    error_rank,
     pauli_action,
     pauli_string,
-    rank_spectrum,
     reconstruct,
-    strings_commute,
 )
-from decoq.dynamics import pair_flip_evolution, single_flip_evolution
 
-from conftest import random_unitary
+from conftest import pair_flip_product, random_unitary, single_flip_product
+
+
+def error_rank(v) -> int:
+    """Number of non-identity letters in the index vector ``v``."""
+    return sum(1 for i in v if i != 0)
+
+
+def rank_weights(u: np.ndarray, env_dim: int, n_qubits: int) -> list[float]:
+    """||A_v||_F^2 / d_e over the components A_v of ``decompose``, summed per error rank."""
+    weights = [0.0] * (n_qubits + 1)
+    for v, comp in decompose(u, env_dim, n_qubits).items():
+        weights[error_rank(v)] += float(np.linalg.norm(comp) ** 2) / env_dim
+    return weights
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -68,12 +77,6 @@ def test_pauli_string_matches_kron():
         pauli_string((4,))
 
 
-def test_error_rank_counts_nonidentity():
-    assert error_rank((0, 0, 0)) == 0
-    assert error_rank((1, 0, 3)) == 2
-    assert error_rank((2,) * 5) == 5
-
-
 def test_strings_commute_against_matrices(rng):
     # oracle: explicit commutator of the dense matrices
     for _ in range(30):
@@ -81,7 +84,7 @@ def test_strings_commute_against_matrices(rng):
         w = tuple(rng.integers(0, 4, size=3))
         a, b = pauli_string(v), pauli_string(w)
         commutes = np.allclose(a @ b, b @ a)
-        assert strings_commute(v, w) == commutes
+        assert anticommutation([v], [w])[0, 0] == (0 if commutes else 1)
 
 
 class TestDecompose:
@@ -143,58 +146,40 @@ class TestDecompose:
 
 
 class TestRankSpectrum:
+    """Rank-resolved weights of ``decompose`` for unitaries whose spectrum is known in closed form."""
+
     def test_identity_is_rank_zero(self):
-        spec = rank_spectrum(np.eye(4), 1, 2)
-        assert spec.weights[0] == pytest.approx(1.0, abs=1e-12)
-        assert all(w == pytest.approx(0.0, abs=1e-12) for w in spec.weights[1:])
+        weights = rank_weights(np.eye(4), 1, 2)
+        assert weights[0] == pytest.approx(1.0, abs=1e-12)
+        assert all(w == pytest.approx(0.0, abs=1e-12) for w in weights[1:])
 
     def test_pair_flip_analytic_spectrum(self):
         # cos(wt) 1 + i sin(wt) XX has weight cos^2 at rank 0, sin^2 at rank 2
         w, t = 0.7, 0.9
-        u = pair_flip_evolution({(1, 2): w}, 2, t)
-        spec = rank_spectrum(u, 1, 2)
-        assert spec.weights[0] == pytest.approx(np.cos(w * t) ** 2, abs=1e-12)
-        assert spec.weights[1] == pytest.approx(0.0, abs=1e-12)
-        assert spec.weights[2] == pytest.approx(np.sin(w * t) ** 2, abs=1e-12)
+        weights = rank_weights(pair_flip_product({(1, 2): w}, 2, t), 1, 2)
+        assert weights[0] == pytest.approx(np.cos(w * t) ** 2, abs=1e-12)
+        assert weights[1] == pytest.approx(0.0, abs=1e-12)
+        assert weights[2] == pytest.approx(np.sin(w * t) ** 2, abs=1e-12)
 
     def test_pair_drive_has_no_odd_ranks(self):
         # products of two-qubit flips only reach even-rank strings
         pairs = {(1, 2): 0.8, (3, 4): 1.05, (2, 3): 0.65, (4, 5): 0.95, (1, 3): 0.7}
-        u = pair_flip_evolution(pairs, 5, 0.31)
-        spec = rank_spectrum(u, 1, 5)
-        assert spec.weights[1] == pytest.approx(0.0, abs=1e-12)
-        assert spec.weights[3] == pytest.approx(0.0, abs=1e-12)
-        assert spec.weights[5] == pytest.approx(0.0, abs=1e-12)
+        weights = rank_weights(pair_flip_product(pairs, 5, 0.31), 1, 5)
+        assert weights[1] == pytest.approx(0.0, abs=1e-12)
+        assert weights[3] == pytest.approx(0.0, abs=1e-12)
+        assert weights[5] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_flip_factorizes(self):
         # independent flips: weight at rank r is the elementary symmetric sum
         omegas = (0.9, 1.1)
         t = 0.4
-        u = single_flip_evolution(omegas, t)
-        spec = rank_spectrum(u, 1, 2)
+        weights = rank_weights(single_flip_product(omegas, t), 1, 2)
         c = [np.cos(w * t) ** 2 for w in omegas]
         s = [np.sin(w * t) ** 2 for w in omegas]
-        assert spec.weights[0] == pytest.approx(c[0] * c[1], abs=1e-12)
-        assert spec.weights[1] == pytest.approx(c[0] * s[1] + s[0] * c[1], abs=1e-12)
-        assert spec.weights[2] == pytest.approx(s[0] * s[1], abs=1e-12)
+        assert weights[0] == pytest.approx(c[0] * c[1], abs=1e-12)
+        assert weights[1] == pytest.approx(c[0] * s[1] + s[0] * c[1], abs=1e-12)
+        assert weights[2] == pytest.approx(s[0] * s[1], abs=1e-12)
 
     def test_weights_sum_to_one_with_environment(self, rng):
-        spec = rank_spectrum(random_unitary(rng, 3 * 4), 3, 2)
-        assert sum(spec.weights) == pytest.approx(1.0, abs=1e-10)
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(ValidationError):
-            rank_spectrum(np.eye(4) * 2.0, 1, 2)
-
-    def test_csv_shape(self):
-        text = ErrorRankSpectrum((0.25, 0.5, 0.25)).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "rank,weight"
-        assert len(lines) == 4
-        assert lines[1].startswith("0,")
-
-    def test_spectrum_validation(self):
-        with pytest.raises(ValidationError):
-            ErrorRankSpectrum((0.5, 0.2))
-        with pytest.raises(ValidationError):
-            ErrorRankSpectrum((1.5, -0.5))
+        weights = rank_weights(random_unitary(rng, 3 * 4), 3, 2)
+        assert sum(weights) == pytest.approx(1.0, abs=1e-10)

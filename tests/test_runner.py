@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 import decoq.cli
 import decoq.metrics
+import decoq.runner
 from decoq.codes import asymptotic_bound_gap
 
 from decoq.cli import main
@@ -96,15 +97,38 @@ class TestScalingSweep:
 
 class TestSizingGuard:
     def test_rejects_oversized_joint_space(self, tmp_path):
-        big = Scenario(kind="scaling_sweep", code="five_qubit", env_dim=2, max_dim=32)
         with pytest.raises(SizingError, match="exceeds the cap"):
+            big = Scenario(kind="scaling_sweep", code="five_qubit", env_dim=2, max_dim=32)
             run(big, out_dir=str(tmp_path))
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_intro_guard(self, tmp_path):
-        s = Scenario(kind="intro_example", code="repetition-5", max_dim=16)
         with pytest.raises(SizingError):
+            s = Scenario(kind="intro_example", code="repetition-5", max_dim=16)
             run(s, out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "scaling_sweep"},
+            {"kind": "bound_check"},
+            {"kind": "periodic_correction"},
+            {"kind": "scaling_sweep", "interaction_kind": "contact", "contact_terms": ((0.9, ((1, 1), (1, 2))),),
+             "max_dim": 16},
+        ],
+        ids=["scaling_sweep", "bound_check", "periodic_correction", "contact"],
+    )
+    def test_refused_before_anything_is_built(self, tmp_path, monkeypatch, fields):
+        # five_qubit at d_e = 8 asks for 8 x 32 = 256 > 64: the refusal must precede every build
+        def built(*args, **kwargs):
+            raise AssertionError("built before the sizing guard")
+
+        for name in ("build_code", "random_environment", "build_noncontact", "interaction_matrix"):
+            monkeypatch.setattr(decoq.runner, name, built)
+        with pytest.raises(SizingError, match="exceeds the cap"):
+            s = Scenario(**{"code": "five_qubit", "env_dim": 8, "max_dim": 64, **fields})
+            run(s, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestPeriodicKind:
@@ -249,6 +273,7 @@ class TestCli:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "sizing error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_fit_failure_exit_4(self, tmp_path, capsys):
         # enough points, but every error sits below the fit floor
@@ -304,17 +329,38 @@ class TestCli:
             "[scenario]\nkind = scaling_sweep\ncode = identity\n[time_grid]\npoints = 5\n",
             "[scenario]\nkind = intro_example\ncode = repetition-3\n[time_grid]\npoints = 7\n",
             "[scenario]\nkind = scaling_sweep\ncode = five_qubit\n[interaction]\nkind = contact\nterms = -inf:x1 x2\n",
+            "[scenario]\nkind = scaling_sweep\ncode = five_qubit\n[interaction]\nkind = contact\nterms = 0.9:x1 x9\n",
+            "[scenario]\nkind = periodic_correction\ncode = five_qubit\n[interaction]\nkind = contact\nterms = 0.9:x1 x1\n",
+            "[scenario]\nkind = scaling_sweep\ncode = five_qubit\n[interaction]\nkind = contact\nterms =\n",
+            "[scenario]\nkind = intro_example\ncode = five_qubit\n",
+            "[scenario]\nkind = intro_example\ncode = repetition-5\n[single_flip]\nomegas = 0.9, 1.1, 0.75\n",
+            "[scenario]\nkind = intro_example\ncode = repetition-5\n[pair_flip]\npairs = 1-6:0.8\n",
+            "[scenario]\nkind = bound_check\ncode = five_qubit\n[interaction]\nkind = contact\nterms = 0.9:x1 x2\n",
+            "[scenario]\nkind = bound_check\ncode = five_qubit\n[environment]\ncoupling_bound = 0.0\n",
+            "[scenario]\nkind = scaling_sweep\ncode = identity\nseed = -1\n",
+            "[scenario]\nkind = scaling_sweep\ncode = identity\n[environment]\ncoupling_bound = -1\n",
         ],
         ids=[
             "repeated_key", "repeated_pair", "reversed_pair", "self_pair", "sweep_points_5", "intro_points_7",
-            "contact_weight_inf",
+            "contact_weight_inf", "contact_qubit_9", "contact_repeated_qubit", "contact_no_terms",
+            "intro_five_qubit", "intro_three_omegas", "intro_pair_1_6", "bound_check_contact",
+            "bound_check_zero_coupling", "negative_seed", "negative_coupling",
         ],
     )
     def test_rejected_config_exit_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nkind = scaling_sweep\ncode = identity\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--seed", "-5", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be non-negative") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

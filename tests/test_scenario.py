@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from decoq.errors import ConfigError
 from decoq.scenario import (
     CODES,
+    CONTACT_KINDS,
     KINDS,
     Scenario,
     TimeGrid,
@@ -228,8 +229,8 @@ def _time_grids(draw):
 
 
 @st.composite
-def _pair_flips(draw):
-    pairs = draw(st.sets(st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda p: p[0] < p[1]), max_size=6))
+def _pair_flips(draw, n):
+    pairs = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]), max_size=6))
     items = [(l, k) if draw(st.booleans()) else (k, l) for k, l in pairs]
     return tuple(sorted((k, l, draw(_finite)) for k, l in items))
 
@@ -242,26 +243,39 @@ def _ordered(draw, low):
 
 @st.composite
 def _scenarios(draw):
+    """Scenarios that ``Scenario`` accepts.  Where a kind checks a value against the code's
+    length n (contact positions, flip drives, the sizing cap), only valid values are drawn."""
     n_min, n_max = draw(_ordered(1))
     k_min, k_max = draw(_ordered(0))
-    factors = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), min_size=1, max_size=4).map(tuple)
+    kind = draw(st.sampled_from(KINDS))
+    intro = kind == "intro_example"
+    code = draw(st.sampled_from([c for c in CODES if c.startswith("repetition") or not intro]))
+    n = CODES[code][0]
+    interaction_kind = "non_contact" if kind == "bound_check" else draw(st.sampled_from(("non_contact", "contact")))
+    contact = kind in CONTACT_KINDS and interaction_kind == "contact"
+    if contact:  # distinct positions in 1..n, at least one term
+        factors = st.lists(st.tuples(st.integers(1, 3), st.integers(1, n)), min_size=1, max_size=4, unique_by=lambda f: f[1])
+    else:
+        factors = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), min_size=1, max_size=4)
+    env_dim = draw(st.integers(1, 10 ** 3))
+    joint = 2 if kind == "bounds_table" else max(2, (1 if intro or contact else env_dim) * 2 ** n)
     return Scenario(
-        kind=draw(st.sampled_from(KINDS)),
-        code=draw(st.sampled_from(CODES)),
-        seed=draw(st.integers(-(2 ** 70), 2 ** 70)),
+        kind=kind,
+        code=code,
+        seed=draw(st.integers(0, 2 ** 70)),
         out=draw(st.text(alphabet="abcXYZ019/._-", max_size=12)),
         plots=draw(st.booleans()),
-        max_dim=draw(st.integers(2, 10 ** 9)),
-        env_dim=draw(st.integers(1, 10 ** 3)),
-        coupling_bound=draw(_finite),
+        max_dim=draw(st.integers(joint, 10 ** 9)),
+        env_dim=env_dim,
+        coupling_bound=draw(st.floats(min_value=0.0, exclude_min=kind == "bound_check", allow_infinity=False)),
         beta=draw(_finite),
-        interaction_kind=draw(st.sampled_from(("non_contact", "contact"))),
-        contact_terms=tuple(draw(st.lists(st.tuples(_finite, factors), max_size=4))),
+        interaction_kind=interaction_kind,
+        contact_terms=tuple(draw(st.lists(st.tuples(_finite, factors.map(tuple)), min_size=int(contact), max_size=4))),
         time_grid=draw(_time_grids()),
         state_theta=draw(_finite),
         state_phi=draw(_finite),
-        single_flip_omegas=tuple(draw(st.lists(_finite, max_size=6))),
-        pair_flip=draw(_pair_flips()),
+        single_flip_omegas=tuple(draw(st.lists(_finite, min_size=n if intro else 0, max_size=n if intro else 6))),
+        pair_flip=draw(_pair_flips(n if intro else 9)),
         dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         cycles=draw(st.integers(10, 10 ** 6)),
         halvings=draw(st.integers(0, 60)),

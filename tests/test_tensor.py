@@ -6,17 +6,15 @@ from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import (
     DensityMatrix,
     StateVector,
-    expm_hermitian,
     hermiticity_defect,
     kron,
     operator_norm,
-    partial_trace,
     partial_trace_array,
     require_hermitian,
     trace_distance,
 )
 
-from conftest import random_density, random_hermitian, random_state, random_unitary
+from conftest import expm_hermitian, random_density, random_hermitian, random_state, random_unitary
 
 
 class TestStateVector:
@@ -112,17 +110,14 @@ class TestPartialTrace:
         reduced = partial_trace_array(rho, (2, 2, 2), (2,))
         assert abs(np.trace(reduced) - 1.0) < 1e-12
 
-    def test_wrapper_keeps_dims(self, rng):
-        rho = DensityMatrix(random_density(rng, 6), (2, 3))
-        reduced = partial_trace(rho, (1,))
-        assert reduced.dims == (3,)
-
     def test_empty_keep_rejected(self, rng):
         with pytest.raises(ShapeError):
             partial_trace_array(random_density(rng, 4), (2, 2), ())
 
 
 class TestExpmHermitian:
+    """The eigendecomposition reference in conftest, which other tests propagate with."""
+
     def test_matches_scipy_scaling_squaring(self, rng):
         # independent oracle: Pade scaling-and-squaring of the full matrix
         h = random_hermitian(rng, 8)
