@@ -19,7 +19,6 @@ keep their digits, and the supremum over |r| = 1 is found exactly.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,89 +128,98 @@ def _logical_readout(code: CodeSpec) -> np.ndarray:
 
 
 def _pauli_covariance(readout: np.ndarray, vecs: np.ndarray, env_dim: int) -> np.ndarray:
-    """C = sum a a^dag over the traceless Pauli parts a of the logical blocks of ``vecs``."""
-    sheets = vecs.reshape(env_dim, readout.shape[2], -1, 2)
-    blocks = np.einsum("sac,ecij->seiaj", readout, sheets).reshape(-1, 2, 2)
-    a00, a01, a10, a11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    a = np.stack([(a01 + a10) / 2.0, 1j * (a01 - a10) / 2.0, (a00 - a11) / 2.0])
-    return a @ a.conj().T
+    """C = sum a a^dag over the traceless Pauli parts a of the logical blocks, per time.
 
-
-def _twist(c: np.ndarray) -> np.ndarray:
-    """Linear coefficient w of the sphere quadratic, from the antisymmetric part of C."""
-    return 2.0 * np.array([c[1, 2].imag, c[2, 0].imag, c[0, 1].imag])
-
-
-def _sphere_error(c: np.ndarray, r: np.ndarray) -> float:
-    """E(r) = tr C - r^T (Re C) r + w.r."""
-    m = c.real
-    return float(np.trace(m) - r @ m @ r + _twist(c) @ r)
-
-
-def _checked_error(e: float) -> float:
-    if e < -tol.FIDELITY_RANGE_TOL or e > 1.0 + tol.FIDELITY_RANGE_TOL:
-        raise ValidationError(f"error value {e!r} outside [0, 1]")
-    return min(max(e, 0.0), 1.0)
-
-
-def _sphere_argmax(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit vector r maximising w.r - r^T m r for a real symmetric 3 x 3 ``m``.
-
-    The maximiser solves (m + lam) r = w / 2 with m + lam >= 0.  In the
-    eigenbasis of m, with gaps d_i = m_i - m_0 and s = lam + m_0, |r| = 1 is
-    a secular equation falling in s, bisected to float resolution between
-    max(|g_i| - d_i) and |g|.  The hard case s = 0 completes the unit norm
-    along the bottom eigenvector; the better of the two candidates is returned.
+    ``vecs`` is (d, T, 2 m): the 2 m propagated start vectors at each of T times.
+    All T readouts go through one ``einsum``; the result is the (T, 3, 3) stack of C.
     """
-    evals, evecs = np.linalg.eigh(m)
-    g = [float(x) for x in evecs.T @ w / 2.0]
-    gaps = [float(x - evals[0]) for x in evals]
+    _, n_t, cols = vecs.shape
+    sheets = vecs.reshape(env_dim, readout.shape[2], n_t, cols // 2, 2)
+    blocks = np.einsum("sac,ectij->tseiaj", readout, sheets).reshape(n_t, len(readout) * env_dim * cols // 2, 2, 2)
+    a00, a01, a10, a11 = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
+    a = np.stack([(a01 + a10) / 2.0, 1j * (a01 - a10) / 2.0, (a00 - a11) / 2.0], axis=1)
+    return a @ a.conj().transpose(0, 2, 1)
 
-    def norm_sq(s: float) -> float:
-        return sum((gi / (d + s)) ** 2 for gi, d in zip(g, gaps))  # each term <= 1 for s >= lo
 
-    candidates = []
-    hi = math.sqrt(sum(gi * gi for gi in g))
-    if hi > 0.0:
-        lo = max(0.0, max(abs(gi) - d for gi, d in zip(g, gaps)))
-        while True:
+def _twist(cs: np.ndarray) -> np.ndarray:
+    """Linear coefficient w of the sphere quadratic, from the antisymmetric part of each C."""
+    return 2.0 * np.stack([cs[..., 1, 2].imag, cs[..., 2, 0].imag, cs[..., 0, 1].imag], axis=-1)
+
+
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis of length 3, summed left to right so that every row rounds alike."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _sphere_error(cs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """E(r) = tr C - r^T (Re C) r + w.r for a stack of C (..., 3, 3) and Bloch vectors r (..., 3)."""
+    m = cs.real
+    trace = m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]
+    return trace - _dot3(r, _dot3(m, r[..., None, :])) + _dot3(_twist(cs), r)
+
+
+def _checked_errors(e: np.ndarray) -> np.ndarray:
+    bad = (e < -tol.FIDELITY_RANGE_TOL) | (e > 1.0 + tol.FIDELITY_RANGE_TOL)
+    if bad.any():
+        raise ValidationError(f"error value {float(e[bad][0])!r} outside [0, 1]")
+    return np.clip(e, 0.0, 1.0)
+
+
+def _state_error(cs: np.ndarray, psi_logical) -> np.ndarray:
+    """Error of one encoded state at every C of a (T, 3, 3) stack: the sphere quadratic at its Bloch vector."""
+    return _checked_errors(_sphere_error(cs, _bloch_vector(psi_logical)))
+
+
+def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
+    """Exact maximum over the logical Bloch sphere of the error for each C of a (T, 3, 3) stack, with its angles.
+
+    Per row, with m = Re C / tr C and w the twist / tr C, the maximiser r of
+    w.r - r^T m r solves (m + lam) r = w / 2 with m + lam >= 0.  In the
+    eigenbasis of m, with g = evecs^T w / 2, gaps d_i = m_i - m_0 and
+    s = lam + m_0, |r| = 1 is a secular equation falling in s, bisected on
+    plain floats to float resolution between max(|g_i| - d_i) and |g|.  The
+    hard case s = 0 completes the unit norm along the bottom eigenvector; of
+    the two candidates the one with the larger E is kept.  Everything but the
+    bisection runs once for the whole stack.  A zero C has no error anywhere
+    and is reported at the pole.
+    """
+    trace = cs[:, 0, 0].real + cs[:, 1, 1].real + cs[:, 2, 2].real
+    zero = trace == 0.0
+    scale = np.where(zero, 1.0, trace)[:, None]
+    evals, evecs = np.linalg.eigh(cs.real / scale[..., None])
+    g = _dot3(evecs.transpose(0, 2, 1), (_twist(cs) / scale)[:, None, :]) / 2.0
+    gaps = evals - evals[:, :1]
+    los, his = np.maximum(0.0, (np.abs(g) - gaps).max(axis=1)), np.sqrt(_dot3(g, g))
+    roots = []
+    for (g0, g1, g2), (d0, d1, d2), lo, hi in zip(g.tolist(), gaps.tolist(), los.tolist(), his.tolist()):
+        while True:  # hi = 0 (g = 0) stops at once and leaves only the hard case
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if norm_sq(mid) > 1.0:
+            q0, q1, q2 = g0 / (d0 + mid), g1 / (d1 + mid), g2 / (d2 + mid)  # each |q_i| <= 1 for mid >= lo
+            if q0 * q0 + q1 * q1 + q2 * q2 > 1.0:
                 lo = mid
             else:
                 hi = mid
-        candidates.append(np.array([gi / (d + hi) for gi, d in zip(g, gaps)]))
-    hard = np.array([gi / d if d > 0.0 else 0.0 for gi, d in zip(g, gaps)])
-    spare = 1.0 - float(hard @ hard)
-    if spare >= 0.0:
-        hard[0] = math.copysign(math.sqrt(spare), g[0])
-        candidates.append(hard)
+        roots.append(hi)
+    s = np.array(roots)[:, None]
 
-    def score(coords: np.ndarray) -> float:
-        r = evecs @ coords / np.linalg.norm(coords)
-        return float(w @ r - r @ m @ r)
+    hard = np.divide(g, gaps, out=np.zeros_like(g), where=gaps > 0.0)
+    spare = 1.0 - _dot3(hard, hard)
+    hard[:, 0] = np.copysign(np.sqrt(np.maximum(spare, 0.0)), g[:, 0])
+    inner = np.divide(g, gaps + s, out=hard.copy(), where=s > 0.0)
 
-    best = max(candidates, key=score)
-    r = evecs @ best
-    return r / np.linalg.norm(r)
-
-
-def _state_error(c: np.ndarray, psi_logical) -> float:
-    """Error of one encoded state: the sphere quadratic of C at its Bloch vector."""
-    return _checked_error(_sphere_error(c, _bloch_vector(psi_logical)))
-
-
-def _sphere_supremum(c: np.ndarray) -> CodeErrorResult:
-    """Exact maximum over the logical Bloch sphere of the error with covariance C, with its angles."""
-    scale = float(np.trace(c).real)
-    if scale == 0.0:  # C = 0: no error anywhere, reported at the pole
-        return CodeErrorResult(value=0.0, theta=0.0, phi=0.0)
-    r = _sphere_argmax(c.real / scale, _twist(c) / scale)
-    theta = math.acos(min(max(float(r[2]), -1.0), 1.0))
-    phi = math.atan2(float(r[1]), float(r[0])) % (2.0 * math.pi)
-    return CodeErrorResult(value=_checked_error(_sphere_error(c, r)), theta=theta, phi=phi)
+    r = _dot3(evecs[:, None], np.stack([inner, hard], axis=1)[:, :, None, :])  # evecs @ each candidate
+    r /= np.sqrt(_dot3(r, r))[..., None]
+    e = _sphere_error(cs[:, None], r)
+    use_hard = (spare >= 0.0) & (e[:, 1] > e[:, 0])
+    r = np.where(use_hard[:, None], r[:, 1], r[:, 0])
+    r[zero] = (0.0, 0.0, 1.0)  # the pole: theta = phi = 0
+    values = _checked_errors(np.where(use_hard, e[:, 1], e[:, 0]))
+    return [
+        CodeErrorResult(value=v, theta=math.acos(min(max(z, -1.0), 1.0)), phi=math.atan2(y, x) % (2.0 * math.pi))
+        for v, (x, y, z) in zip(values.tolist(), r.tolist())
+    ]
 
 
 TAYLOR_MIN_DIM = 256  # joint dimension from which a short time grid skips the eigendecomposition
@@ -235,13 +243,15 @@ def _taylor_terms(shifted: np.ndarray, x: np.ndarray, tau: float) -> list[np.nda
     return terms
 
 
-def _taylor_sum(terms: list[np.ndarray], t: float, tau: float, mu: float) -> np.ndarray:
-    """exp(-i mu t) sum_j (-i t / tau)^j P_j, by Horner's rule: exp(-iHt) x for H = A + mu."""
-    step = -1j * t / tau if tau > 0.0 else 0.0
-    acc = terms[-1]
+def _taylor_sums(terms: list[np.ndarray], times: np.ndarray, tau: float, mu: float) -> np.ndarray:
+    """exp(-i mu t) sum_j (-i t / tau)^j P_j at every t of ``times`` by one stacked Horner's rule, as (d, T, cols).
+
+    This is exp(-iHt) x for H = A + mu."""
+    steps = -1j * (times / tau) if tau > 0.0 else np.zeros(len(times), dtype=complex)
+    acc = terms[-1][:, None, :]
     for p in reversed(terms[:-1]):
-        acc = p + step * acc
-    return cmath.exp(-1j * mu * t) * acc
+        acc = p[:, None, :] + steps[:, None] * acc
+    return np.exp(-1j * mu * times)[:, None] * acc
 
 
 class _CorrectionPipeline:
@@ -249,10 +259,11 @@ class _CorrectionPipeline:
 
     Holds the joint Hamiltonian H, the start vectors |e_i> (x) |j_L> (weighted
     by the environment eigenvalues) and the logical readout of the recovery
-    channel.  ``covariances`` propagates only those 2 m vectors to each t and
-    reduces them to the 3 x 3 Pauli covariance C of the module docstring,
-    from which ``_sphere_supremum`` and ``_state_error`` read E; ``supremum``
-    and ``error_direct`` do both for a single t.  ``decay`` runs periodic
+    channel.  ``covariances`` propagates only those 2 m vectors to every t of
+    a grid and reduces them to the (T, 3, 3) stack of the Pauli covariance C
+    of the module docstring, from which ``_sphere_suprema`` and
+    ``_state_error`` read E; ``supremum`` and ``error_direct`` are their
+    one-row views.  ``decay`` runs periodic
     recovery on the eigendecomposition of H, which is computed on first use
     and at most once.  ``readout`` may be passed in to share it between
     pipelines on the same code.
@@ -293,36 +304,39 @@ class _CorrectionPipeline:
         phases = np.exp(-1j * evals * float(t))
         return evecs @ (phases[:, None] * coeffs)
 
-    def covariances(self, times) -> list[np.ndarray]:
-        """C at each t of ``times``; the one place that chooses how exp(-iHt) is applied.
+    def covariances(self, times) -> np.ndarray:
+        """C at every t of ``times`` as one (T, 3, 3) stack; the one place that chooses how exp(-iHt) is applied.
 
         From d = TAYLOR_MIN_DIM on, and when tau ||H - mu||_1 <= 1 for tau = max |t|
         and mu = tr H / d, the start vectors are propagated by one Taylor power
         basis shared by every t (about a dozen products with H); otherwise by
-        the eigendecomposition.
+        the eigendecomposition, with t folded into the columns: the phased
+        coefficients of all T times form one (d, T 2m) block and take one
+        product with the eigenvectors.
         """
-        times = [float(t) for t in times]
-        if not all(math.isfinite(t) for t in times):
-            raise ShapeError(f"propagation times must be finite, got {times}")
+        times = np.asarray(times, dtype=float)
+        if not np.isfinite(times).all():
+            raise ShapeError(f"propagation times must be finite, got {times.tolist()}")
         d = len(self.h)
-        tau = max((abs(t) for t in times), default=0.0)
+        tau = float(np.abs(times).max(initial=0.0))
         if d >= TAYLOR_MIN_DIM:
             mu = float(np.trace(self.h).real) / d
             shifted = self.h - mu * np.eye(d)
             if tau * float(np.abs(shifted).sum(axis=0).max()) <= 1.0:
                 terms = _taylor_terms(shifted, self.start, tau)
-                vecs = [_taylor_sum(terms, t, tau, mu) for t in times]
-                return [_pauli_covariance(self.readout, x, self.env_dim) for x in vecs]
-        start = self.eigenbasis()[2]
-        return [_pauli_covariance(self.readout, self.propagate(t, start), self.env_dim) for t in times]
+                return _pauli_covariance(self.readout, _taylor_sums(terms, times, tau, mu), self.env_dim)
+        evals, evecs, start = self.eigenbasis()
+        coeffs = np.exp(np.multiply.outer(-1j * evals, times))[:, :, None] * start[:, None, :]
+        vecs = (evecs @ coeffs.reshape(d, -1)).reshape(coeffs.shape)
+        return _pauli_covariance(self.readout, vecs, self.env_dim)
 
     def error_direct(self, psi_logical, t: float) -> float:
-        """Error of one encoded state at time t."""
-        return _state_error(self.covariances([t])[0], psi_logical)
+        """Error of one encoded state at time t: one row of the grid."""
+        return float(_state_error(self.covariances([t]), psi_logical)[0])
 
     def supremum(self, t: float) -> CodeErrorResult:
-        """Exact maximum of the error over the logical Bloch sphere at time t, with its angles."""
-        return _sphere_supremum(self.covariances([t])[0])
+        """Exact maximum of the error over the logical Bloch sphere at time t, with its angles: one row of the grid."""
+        return _sphere_suprema(self.covariances([t]))[0]
 
     def decay(self, dt: float, cycles: int, psi_logical, apply_correction: bool = True) -> DecayResult:
         """Fidelity under stroboscopic recovery every ``dt``; the rate is minus the slope of log F in t.
@@ -451,8 +465,8 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
             prod = prod @ per_qubit[idx]
         w_total += prod
 
-    c = _pauli_covariance(_logical_readout(code), w_total @ _start_vectors(code, env), de)
-    return _sphere_error(c, _bloch_vector(psi_logical)) / math.factorial(k + 1) ** 2
+    c = _pauli_covariance(_logical_readout(code), (w_total @ _start_vectors(code, env))[:, None, :], de)
+    return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
 
 
 def error_bound(t: float, k: int, v_norm: float) -> float:

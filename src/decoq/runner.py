@@ -36,7 +36,7 @@ from .metrics import (
     _bloch_pair,
     _CorrectionPipeline,
     _logical_readout,
-    _sphere_supremum,
+    _sphere_suprema,
     _state_error,
     error_bound,
     fit_power_law,
@@ -133,8 +133,8 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: bool) -> None:
     code, env, v, h0 = _materialize(scenario, seed)
     pipeline = _CorrectionPipeline(code, env, h0, v)
-    ts = [float(t) for t in scenario.time_grid.times()]
-    sups = [_sphere_supremum(c) for c in pipeline.covariances(ts)]
+    ts = scenario.time_grid.times().tolist()
+    sups = _sphere_suprema(pipeline.covariances(ts))
     points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
     v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
     k = code.k_corr
@@ -191,7 +191,7 @@ def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
     code = build_code(scenario.code)
     env = trivial_environment(code.n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
-    ts = [float(t) for t in scenario.time_grid.times()]
+    ts = scenario.time_grid.times().tolist()
     pairs = {(k_pos, l_pos): w for k_pos, l_pos, w in scenario.pair_flip}
     readout = _logical_readout(code)  # one recovery readout serves both drives
 
@@ -201,7 +201,7 @@ def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
         ("pair_flip", pair_flip_hamiltonian(pairs, code.n)),
     ):
         pipeline = _CorrectionPipeline(code, env, None, h, readout)
-        curves[label] = [(t, _state_error(c, psi)) for t, c in zip(ts, pipeline.covariances(ts))]
+        curves[label] = list(zip(ts, _state_error(pipeline.covariances(ts), psi).tolist()))
         out.csv(f"{label}.csv", ["t", "E"], curves[label])
     fit_rows = _fit_rows("single_flip", curves["single_flip"]) + _fit_rows("pair_flip", curves["pair_flip"])
     out.csv("fit_summary.csv", _FIT_HEADER, fit_rows)

@@ -20,17 +20,16 @@ from decoq.dynamics import (
 )
 from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
 from decoq.metrics import (
+    CodeErrorResult,
     FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
     _pauli_covariance,
-    _sphere_argmax,
     _sphere_error,
-    _sphere_supremum,
+    _sphere_suprema,
     _state_error,
-    _taylor_sum,
+    _taylor_sums,
     _taylor_terms,
-    _twist,
     code_error,
     error_bound,
     fit_power_law,
@@ -210,6 +209,29 @@ class TestCodeError:
         assert (sup.value, sup.theta, sup.phi) == (0.0, 0.0, 0.0)
 
 
+class TestGridShape:
+    def test_empty_grid(self):
+        for model in (shipped_model("five_qubit", 3), wide_model(3)):
+            assert _CorrectionPipeline(*model).covariances([]).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("name", ["identity", "five_qubit"])
+    def test_one_row_views_equal_grid_rows(self, name):
+        # below TAYLOR_MIN_DIM every grid takes the eigendecomposition, so a
+        # single t, the same t inside a grid and a per-t propagation round identically
+        pipeline = _CorrectionPipeline(*shipped_model(name, 19))
+        ts = np.geomspace(5e-4, 0.3, 9).tolist()
+        cs = pipeline.covariances(ts)
+        sups = _sphere_suprema(cs)
+        errors = _state_error(cs, PSI)
+        start = pipeline.eigenbasis()[2]
+        for t, c, sup, e in zip(ts, cs, sups, errors):
+            moved = pipeline.propagate(t, start)[:, None, :]
+            assert np.array_equal(_pauli_covariance(pipeline.readout, moved, pipeline.env_dim)[0], c)
+            assert np.array_equal(pipeline.covariances([t])[0], c)
+            assert pipeline.supremum(t) == sup
+            assert pipeline.error_direct(PSI, t) == e
+
+
 WIDE_GRID = tuple(float(t) for t in np.geomspace(2e-3, 1.6e-2, 3))
 
 
@@ -259,15 +281,14 @@ class TestTaylorPropagation:
             terms = _taylor_terms(shifted, pipeline.start, tau)
             assert len(terms) <= 22
             start = pipeline.eigenbasis()[2]
-            for t, c_taylor in zip(grid, taylor):
-                moved = pipeline.propagate(t, start)
-                assert np.max(np.abs(_taylor_sum(terms, t, tau, mu) - moved)) <= 1e-13, (seed, t)
-                c_dense = _pauli_covariance(pipeline.readout, moved, pipeline.env_dim)
-                got, want = _sphere_supremum(c_taylor), _sphere_supremum(c_dense)
+            moved = np.stack([pipeline.propagate(t, start) for t in grid], axis=1)
+            assert np.max(np.abs(_taylor_sums(terms, np.array(grid), tau, mu) - moved)) <= 1e-13, seed
+            dense = _pauli_covariance(pipeline.readout, moved, pipeline.env_dim)
+            for t, got, want in zip(grid, _sphere_suprema(taylor), _sphere_suprema(dense)):
                 assert got.value == pytest.approx(want.value, rel=1e-9), (seed, t)
                 assert abs(got.theta - want.theta) <= 1e-7
                 assert abs(math.remainder(got.phi - want.phi, 2.0 * math.pi)) <= 1e-7
-                assert _state_error(c_taylor, PSI) == pytest.approx(_state_error(c_dense, PSI), rel=1e-9)
+            np.testing.assert_allclose(_state_error(taylor, PSI), _state_error(dense, PSI), rtol=1e-9)
 
     def test_dense_below_taylor_dimension(self, eigh_sizes):
         pipeline = _CorrectionPipeline(*shipped_model("five_qubit", 1))
@@ -319,6 +340,30 @@ _entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
+def _covariance(m, w):
+    """The Hermitian C with Re C = m and twist w."""
+    a = np.zeros((3, 3))
+    a[1, 2], a[2, 0], a[0, 1] = w / 2.0
+    return m + 1j * (a - a.T)
+
+
+def _bloch(sup):
+    return np.array([
+        math.sin(sup.theta) * math.cos(sup.phi),
+        math.sin(sup.theta) * math.sin(sup.phi),
+        math.cos(sup.theta),
+    ])
+
+
+def _physical_covariance(entries):
+    """C of three logical Kraus blocks of a random channel, stacked as a 6 x 2 isometry; None if near-singular."""
+    g = np.array(entries[:12]).reshape(6, 2) + 1j * np.array(entries[12:]).reshape(6, 2)
+    if np.linalg.svd(g, compute_uv=False)[-1] < 1e-6:
+        return None
+    q, _ = np.linalg.qr(g)
+    return _pauli_covariance(np.eye(2, dtype=complex)[None], q[:, None, :], 3)[0]
+
+
 class TestSphereMaximum:
     @_PROPERTY
     @given(st.lists(_entries, min_size=9, max_size=9), st.lists(_entries, min_size=3, max_size=3),
@@ -327,9 +372,14 @@ class TestSphereMaximum:
         b = np.array(b_entries).reshape(3, 3)
         m = b @ b.T
         w = w_scale * np.array(w_entries)
-        r = _sphere_argmax(m, w)
-        assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+        # scaled so that the maximum, which lies in [2/3 tr m, tr m + |w|], is at most 1
+        top = float(np.trace(m) + np.linalg.norm(w))
+        if top == 0.0:
+            return
+        sup = _sphere_suprema(_covariance(m, w)[None] / top)[0]
+        r = _bloch(sup)
         best = float(w @ r - r @ m @ r)
+        assert sup.value == pytest.approx((float(np.trace(m)) + best) / top, abs=1e-12)
         pts = _sphere_points(np.random.default_rng(0), 400)
         sampled = pts @ w - np.einsum("pi,ij,pj->p", pts, m, pts)
         assert best >= float(np.max(sampled)) - 1e-12
@@ -343,29 +393,44 @@ class TestSphereMaximum:
     @_PROPERTY
     @given(st.lists(_entries, min_size=24, max_size=24))
     def test_physical_error_in_unit_interval(self, entries):
-        # three logical Kraus blocks of a random channel, stacked as a 6 x 2 isometry
-        g = np.array(entries[:12]).reshape(6, 2) + 1j * np.array(entries[12:]).reshape(6, 2)
-        if np.linalg.svd(g, compute_uv=False)[-1] < 1e-6:
+        c = _physical_covariance(entries)
+        if c is None:
             return
-        q, _ = np.linalg.qr(g)
-        c = _pauli_covariance(np.eye(2, dtype=complex)[None], q, 3)
-        values = [_sphere_error(c, p) for p in _sphere_points(np.random.default_rng(1), 100)]
-        assert min(values) >= -1e-12 and max(values) <= 1.0 + 1e-12
-        scale = float(np.trace(c).real)
-        if scale > 0.0:
-            r = _sphere_argmax(c.real / scale, _twist(c) / scale)
-            top = _sphere_error(c, r)
-            assert -1e-12 <= top <= 1.0 + 1e-12
-            assert top >= max(values) - 1e-12
+        values = _sphere_error(c, _sphere_points(np.random.default_rng(1), 100))
+        assert values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12
+        top = _sphere_suprema(c[None])[0]
+        assert -1e-12 <= top.value <= 1.0 + 1e-12
+        assert top.value >= values.max() - 1e-12
+        assert float(_sphere_error(c, _bloch(top))) == pytest.approx(top.value, abs=1e-12)
+
+    @_PROPERTY
+    @given(
+        st.lists(st.lists(_entries, min_size=24, max_size=24), min_size=1, max_size=5),
+        st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_rows_independent_of_the_stack(self, entries, zeros, random):
+        # every row of a stack, in any order and next to zero rows, is the result for that C alone
+        rows = [c for c in map(_physical_covariance, entries) if c is not None] + [np.zeros((3, 3), complex)] * zeros
+        random.shuffle(rows)
+        if not rows:
+            return
+        stacked = _sphere_suprema(np.array(rows))
+        assert stacked == [_sphere_suprema(c[None])[0] for c in rows]
+        for c, sup in zip(rows, stacked):
+            if not c.any():
+                assert (sup.value, sup.theta, sup.phi) == (0.0, 0.0, 0.0)
 
     def test_hard_case_zero_w(self):
-        m = np.diag([0.5, 0.2, 0.9])
-        r = _sphere_argmax(m, np.zeros(3))
-        assert abs(r[1]) == pytest.approx(1.0, abs=1e-15)
+        sup = _sphere_suprema(np.diag([0.5, 0.2, 0.9])[None] / 1.6 + 0j)[0]
+        assert abs(_bloch(sup)[1]) == pytest.approx(1.0, abs=1e-15)
+        assert sup.value == pytest.approx(1.4 / 1.6, rel=1e-15)
 
     def test_zero_matrix_and_zero_w(self):
-        r = _sphere_argmax(np.zeros((3, 3)), np.zeros(3))
-        assert np.linalg.norm(r) == pytest.approx(1.0)
+        assert _sphere_suprema(np.zeros((1, 3, 3), complex)) == [CodeErrorResult(0.0, 0.0, 0.0)]
+
+    def test_empty_stack(self):
+        assert _sphere_suprema(np.zeros((0, 3, 3), complex)) == []
 
 
 class TestFitPowerLaw:

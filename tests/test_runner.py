@@ -94,6 +94,22 @@ class TestScalingSweep:
         assert "sweep.svg" not in manifest.files
         assert not (tmp_path / "sweep.svg").exists()
 
+    @pytest.mark.parametrize("kind", ["scaling_sweep", "bound_check"])
+    def test_one_covariance_stack_and_one_search(self, tmp_path, monkeypatch, kind):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        pipeline = decoq.metrics._CorrectionPipeline
+        monkeypatch.setattr(pipeline, "covariances", counted("covariances", pipeline.covariances))
+        monkeypatch.setattr(decoq.runner, "_sphere_suprema", counted("suprema", decoq.runner._sphere_suprema))
+        run(Scenario(kind=kind, code="identity", time_grid=TimeGrid(0.004, 0.12, 10), plots=False), out_dir=str(tmp_path))
+        assert calls == ["covariances", "suprema"]
+
 
 class TestSizingGuard:
     def test_rejects_oversized_joint_space(self, tmp_path):
@@ -167,6 +183,20 @@ class TestPeriodicKind:
 
 
 class TestIntroKind:
+    def test_one_covariance_stack_per_drive(self, tmp_path, monkeypatch):
+        calls = []
+        pipeline = decoq.metrics._CorrectionPipeline
+        original = pipeline.covariances
+
+        def counted(self, times):
+            calls.append(len(times))
+            return original(self, times)
+
+        monkeypatch.setattr(pipeline, "covariances", counted)
+        s = Scenario(kind="intro_example", code="repetition-5", time_grid=TimeGrid(0.02, 0.2, 14), plots=False)
+        run(s, out_dir=str(tmp_path))
+        assert calls == [14, 14]
+
     def test_one_readout_per_scenario(self, tmp_path, monkeypatch):
         calls = []
         original = decoq.metrics._logical_readout
@@ -418,6 +448,18 @@ class TestCli:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--no-svg"]) == 0
         assert not (tmp_path / "out" / "sweep.svg").exists()
+
+    def test_linear_grid_from_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[scenario]\nkind = scaling_sweep\ncode = five_qubit\n"
+            "[time_grid]\nstart = 0\nend = 0.02\npoints = 12\nspacing = linear\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 13 and rows[1].startswith("0.0000000000000000e+00,")
+        assert "dropped" in capsys.readouterr().err
 
 
 def test_seed_override_changes_data(tmp_path):
