@@ -201,25 +201,32 @@ class InteractionSpec:
         return len(self.terms[0].string)
 
 
-def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.ndarray:
-    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register.
+def add_qubit_coupling(v: np.ndarray, env: EnvironmentModel, l: int) -> np.ndarray:
+    """Add V^l = sum_mu h^l_mu (x) sigma^l_mu for qubit ``l`` (0-based) into the joint matrix ``v``; returns ``v``.
 
     sigma^l_mu has one entry per row, at the column and phase that
     ``pauli_action`` gives, so each h^l_mu is added straight into the
-    (d_e, 2^n, d_e, 2^n) view at those index pairs.
+    (d_e, 2^n, d_e, 2^n) view of ``v`` at those index pairs.
     """
+    n, de = env.n_qubits, env.dim
+    dc = 2 ** n
+    blocks = v.reshape(de, dc, de, dc)
+    cols, phase = pauli_action([(0,) * l + (mu,) + (0,) * (n - 1 - l) for mu in (1, 2, 3)])
+    for k, h in enumerate(env.couplings[l]):
+        if np.any(h):
+            blocks[:, np.arange(dc), :, cols[k]] += phase[k, :, None, None] * h
+    return v
+
+
+def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.ndarray:
+    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register, one qubit at a time."""
     n = env.n_qubits if n_qubits is None else int(n_qubits)
     if n != env.n_qubits:
         raise ShapeError(f"environment provides couplings for {env.n_qubits} qubits, asked for {n}")
-    de, dc = env.dim, 2 ** n
-    v = np.zeros((de * dc, de * dc), dtype=complex)
-    blocks = v.reshape(de, dc, de, dc)
-    rows = np.arange(dc)
-    for l, triple in enumerate(env.couplings):
-        cols, phase = pauli_action([(0,) * l + (mu,) + (0,) * (n - 1 - l) for mu in (1, 2, 3)])
-        for k, h in enumerate(triple):
-            if np.any(h):
-                blocks[:, rows, :, cols[k]] += phase[k, :, None, None] * h
+    d = env.dim * 2 ** n
+    v = np.zeros((d, d), dtype=complex)
+    for l in range(n):
+        add_qubit_coupling(v, env, l)
     require_hermitian(v, tol.HERMITIAN_TOL, "non-contact interaction")
     return v
 

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
 from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
-from .pauli import embed
-from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec
+from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec, add_qubit_coupling
 from .codes import CodeSpec, asymptotic_x0, encode_logical
 
 
@@ -263,10 +262,10 @@ class _CorrectionPipeline:
     a grid and reduces them to the (T, 3, 3) stack of the Pauli covariance C
     of the module docstring, from which ``_sphere_suprema`` and
     ``_state_error`` read E; ``supremum`` and ``error_direct`` are their
-    one-row views.  ``decay`` runs periodic
-    recovery on the eigendecomposition of H, which is computed on first use
-    and at most once.  ``readout`` may be passed in to share it between
-    pipelines on the same code.
+    one-row views.  ``decay`` runs periodic recovery for a list of intervals
+    dt in one call, on the eigendecomposition of H, which is computed on
+    first use and at most once.  ``readout`` may be passed in to share it
+    between pipelines on the same code.
     """
 
     def __init__(
@@ -297,12 +296,6 @@ class _CorrectionPipeline:
             evals, evecs = np.linalg.eigh(self.h)
             self._eigen = evals, evecs, evecs.conj().T @ self.start
         return self._eigen
-
-    def propagate(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        """U(t) x for the columns x whose eigenbasis coefficients evecs^dag x are ``coeffs``."""
-        evals, evecs, _ = self.eigenbasis()
-        phases = np.exp(-1j * evals * float(t))
-        return evecs @ (phases[:, None] * coeffs)
 
     def covariances(self, times) -> np.ndarray:
         """C at every t of ``times`` as one (T, 3, 3) stack; the one place that chooses how exp(-iHt) is applied.
@@ -338,46 +331,101 @@ class _CorrectionPipeline:
         """Exact maximum of the error over the logical Bloch sphere at time t, with its angles: one row of the grid."""
         return _sphere_suprema(self.covariances([t]))[0]
 
-    def decay(self, dt: float, cycles: int, psi_logical, apply_correction: bool = True) -> DecayResult:
-        """Fidelity under stroboscopic recovery every ``dt``; the rate is minus the slope of log F in t.
+    def decay(self, dts, cycles: int, psi_logical, apply_correction: bool = True) -> list[DecayResult]:
+        """Fidelity under stroboscopic recovery every dt, one ``DecayResult`` per dt of ``dts``.
 
-        Each recovery consumes a fresh ancilla and ends in the code space, so the
-        corrected state is held exactly on environment (x) logical qubit, where a
-        cycle applies M_s = encoder^dag K_s U(dt) (1 (x) encoder); the environment is
-        kept.  Uncorrected, the encoded start vectors are propagated to each m dt.
+        The rate is minus the least-squares slope of log F against the cycle
+        index, over the cycles with F > 0, divided by dt.  A dt's result does
+        not depend, to the bit, on which other dts share the call.
+
+        Corrected: each recovery consumes a fresh ancilla and ends in the code
+        space, so the state is held exactly as a 2 d_e x 2 d_e matrix rho on
+        environment (x) logical qubit.  A cycle maps rho to sum_s M_s rho M_s^dag
+        with M_s = encoder^dag K_s U(dt) (1 (x) encoder), built once per dt; the
+        environment is kept.  One cycle loop advances every dt: (M_s stacked by
+        rows) rho, then those blocks side by side times (M_s^dag stacked by rows),
+        and F = tr[(1 (x) |psi><psi|) rho] read out per dt.  Memory stays
+        O(syndromes (2 d_e)^2) per dt.
+
+        Uncorrected: G = (1 (x) <psi_bar|) evecs times the eigenbasis coefficients
+        of the r <= d_e weighted start vectors is a d x d_e r matrix, and
+        F(t) = || exp(-i evals t)^T G ||^2, at a cost of d d_e r per time.  The
+        times go through in blocks of at most d per dt, and G in chunks of at
+        most d columns (one chunk unless d_e r > d), so no array needs more
+        memory than the d x d eigenvectors, whatever ``cycles`` and d_e are.
         """
-        if int(cycles) < 10:
+        cycles = int(cycles)
+        if cycles < 10:
             raise ShapeError("need at least 10 cycles for a stable rate")
-        if not 0.0 < float(dt) < math.inf:
+        dts = [float(dt) for dt in dts]
+        if not all(0.0 < dt < math.inf for dt in dts):
             raise ShapeError("cycle time must be positive and finite")
         psi_bar = encode_logical(self.code, *_logical_amplitudes(psi_logical)).amplitudes
         psi_l = self.code.encoder.conj().T @ psi_bar
-        de, dc = self.env_dim, self.code.register_dim
-        evals, evecs, start = self.eigenbasis()
-
+        if not dts:
+            return []
         if apply_correction:
-            lifted = evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
-            moved = self.propagate(float(dt), lifted).reshape(de, dc, 2 * de)
-            kraus = np.einsum("sac,ecx->seax", self.readout, moved).reshape(-1, 2 * de, 2 * de)
-            rho = np.kron(self.rho0, np.outer(psi_l, psi_l.conj()))
+            fs = self._corrected_trace(dts, cycles, psi_l)
         else:
-            start = start.reshape(len(evals), -1, 2) @ psi_l
+            fs = self._free_trace(dts, cycles, psi_bar, psi_l)
+        rates = -_log_slopes(fs) / np.array(dts)
+        return [
+            DecayResult(rate=rate, samples=tuple((m, m * dt, f) for m, f in enumerate(row)))
+            for dt, rate, row in zip(dts, rates.tolist(), fs.tolist())
+        ]
 
-        samples = [(0, 0.0, 1.0)]
-        for m in range(1, int(cycles) + 1):
-            if apply_correction:
-                rho = (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
-                f = np.einsum("eiej,i,j->", rho.reshape(de, 2, de, 2), psi_l.conj(), psi_l).real
-            else:
-                kept = psi_bar.conj() @ self.propagate(m * float(dt), start).reshape(de, dc, -1)
-                f = np.vdot(kept, kept).real
-            samples.append((m, m * float(dt), float(f)))
+    def _corrected_trace(self, dts: list[float], cycles: int, psi_l: np.ndarray) -> np.ndarray:
+        """F after each recovery, as (len(dts), cycles + 1) with F = 1 at cycle 0."""
+        evals, evecs, _ = self.eigenbasis()
+        de, dc = self.env_dim, self.code.register_dim
+        side, n_s = 2 * de, len(self.readout)
+        lifted = evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
+        kraus = np.empty((len(dts), n_s * side, side), dtype=complex)  # M_s stacked by rows, per dt
+        for out, dt in zip(kraus, dts):
+            moved = evecs @ (np.exp(-1j * evals * dt)[:, None] * lifted)
+            out[:] = np.einsum("sac,ecx->seax", self.readout, moved.reshape(de, dc, side)).reshape(-1, side)
+        kraus_h = kraus.reshape(-1, n_s, side, side).conj().transpose(0, 1, 3, 2).reshape(kraus.shape)
+        weight = np.kron(np.eye(de), np.outer(psi_l.conj(), psi_l)).reshape(-1, 1)
+        rhos = np.repeat(np.kron(self.rho0, np.outer(psi_l, psi_l.conj()))[None], len(dts), axis=0)
+        fs = np.ones((len(dts), cycles + 1))
+        for m in range(1, cycles + 1):
+            left = (kraus @ rhos).reshape(-1, n_s, side, side).transpose(0, 2, 1, 3).reshape(-1, side, n_s * side)
+            rhos = left @ kraus_h
+            fs[:, m] = (rhos.reshape(-1, 1, side * side) @ weight)[:, 0, 0].real  # one dot per dt
+        return fs
 
-        ts, fs = zip(*((t, f) for _, t, f in samples if f > 0.0))  # never empty: F = 1 at t = 0
-        if len(ts) < 2:
-            raise FitError("fidelity collapsed to zero; shorten dt or the cycle count")
-        slope, _ = np.polyfit(ts, np.log(fs), 1)
-        return DecayResult(rate=-float(slope), samples=tuple(samples))
+    def _free_trace(self, dts: list[float], cycles: int, psi_bar: np.ndarray, psi_l: np.ndarray) -> np.ndarray:
+        """F of the freely evolved encoded state at each m dt, as (len(dts), cycles + 1) with F = 1 at m = 0."""
+        evals, evecs, start = self.eigenbasis()
+        d, de = len(evals), self.env_dim
+        bra = psi_bar.conj() @ evecs.reshape(de, -1, d)  # (d_e, d): (1 (x) <psi_bar|) evecs
+        coeffs = start.reshape(d, -1, 2) @ psi_l  # (d, r): evecs^dag sqrt(w_i) |e_i> (x) |psi_bar>
+        per_chunk = max(1, d // coeffs.shape[1])  # environment rows of G per chunk, so at most d columns
+        steps = np.arange(1, cycles + 1)
+        fs = np.zeros((len(dts), cycles + 1))
+        fs[:, 0] = 1.0
+        for e0 in range(0, de, per_chunk):
+            g = (bra[e0:e0 + per_chunk].T[:, :, None] * coeffs[:, None, :]).reshape(d, -1)
+            for row, dt in zip(fs, dts):
+                for lo in range(0, cycles, d):
+                    amps = np.exp(np.multiply.outer(steps[lo:lo + d] * dt, -1j * evals)) @ g
+                    row[1 + lo:1 + lo + d] += (amps.real * amps.real + amps.imag * amps.imag).sum(axis=1)
+        return fs
+
+
+def _log_slopes(fs: np.ndarray) -> np.ndarray:
+    """Least-squares slope of log F against the column index, per row of ``fs``, over the entries with F > 0.
+
+    The closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2, for every row at once."""
+    keep = fs > 0.0
+    count = keep.sum(axis=1)
+    if (count < 2).any():
+        raise FitError("fidelity collapsed to zero; shorten dt or the cycle count")
+    x = np.where(keep, np.arange(fs.shape[1], dtype=float), 0.0)
+    y = np.log(fs, out=np.zeros_like(fs), where=keep)
+    dx = np.where(keep, x - (x.sum(axis=1) / count)[:, None], 0.0)
+    dy = y - (y.sum(axis=1) / count)[:, None]
+    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
 
 
 def code_error(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, t: float) -> CodeErrorResult:
@@ -447,25 +495,17 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
 
-    de, dc = env.dim, code.register_dim
-    n = code.n
-    per_qubit = []
-    for l in range(1, n + 1):
-        v_l = np.zeros((de * dc, de * dc), dtype=complex)
-        for mu in (1, 2, 3):
-            h = env.couplings[l - 1][mu - 1]
-            if np.any(h):
-                v_l += np.kron(h, embed(mu, l, n))
-        per_qubit.append(v_l)
+    d = env.dim * code.register_dim
+    per_qubit = [add_qubit_coupling(np.zeros((d, d), dtype=complex), env, l) for l in range(code.n)]
 
-    w_total = np.zeros((de * dc, de * dc), dtype=complex)
-    for tup in itertools.permutations(range(n), k + 1):
+    w_total = np.zeros((d, d), dtype=complex)
+    for tup in itertools.permutations(range(code.n), k + 1):
         prod = per_qubit[tup[0]]
         for idx in tup[1:]:
             prod = prod @ per_qubit[idx]
         w_total += prod
 
-    c = _pauli_covariance(_logical_readout(code), (w_total @ _start_vectors(code, env))[:, None, :], de)
+    c = _pauli_covariance(_logical_readout(code), (w_total @ _start_vectors(code, env))[:, None, :], env.dim)
     return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
 
 
@@ -507,4 +547,4 @@ def periodic_correction_decay(
     apply_correction: bool = True,
 ) -> DecayResult:
     """Fidelity trace and decay rate under recovery every ``dt``; see ``_CorrectionPipeline.decay``."""
-    return _CorrectionPipeline(code, env, h0, v).decay(dt, cycles, psi_logical, apply_correction)
+    return _CorrectionPipeline(code, env, h0, v).decay([dt], cycles, psi_logical, apply_correction)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -235,12 +236,12 @@ def _run_periodic(scenario: Scenario, seed: int, out: _Outputs) -> None:
     code, env, v, h0 = _materialize(scenario, seed)
     pipeline = _CorrectionPipeline(code, env, h0, v)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
+    dts = [math.ldexp(scenario.dt, -i) for i in range(scenario.halvings + 1)]
+    on, off = (pipeline.decay(dts, scenario.cycles, psi, apply_correction=corrected) for corrected in (True, False))
     rate_rows = []
     plot_series = []
-    for i in range(scenario.halvings + 1):
-        dt = scenario.dt / 2 ** i
-        for corrected in (True, False):
-            decay = pipeline.decay(dt, scenario.cycles, psi, apply_correction=corrected)
+    for i, dt in enumerate(dts):
+        for corrected, decay in ((True, on[i]), (False, off[i])):
             tag = "on" if corrected else "off"
             out.csv(f"periodic_{i}_{tag}.csv", ["cycle", "total_t", "fidelity"], decay.samples)
             rate_rows.append((dt, corrected, decay.rate))

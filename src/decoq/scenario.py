@@ -9,6 +9,7 @@ typos cannot silently fall back to defaults.  ``parse_scenario`` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,6 +117,11 @@ class Scenario:
             raise ConfigError(f"need at least 10 correction cycles for a stable rate, got {self.cycles}")
         if self.halvings < 0:
             raise ConfigError("halvings must be non-negative")
+        if math.ldexp(self.dt, -self.halvings) < sys.float_info.min:
+            raise ConfigError(
+                f"dt = {self.dt!r} halved {self.halvings} times falls below the smallest normal float "
+                f"{sys.float_info.min!r}; use fewer halvings"
+            )
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError("bounds table needs 1 <= n_min <= n_max")
         if not 0 <= self.k_min <= self.k_max:

@@ -9,6 +9,7 @@ from decoq.dynamics import (
     EnvironmentModel,
     FreeHamiltonian,
     InteractionSpec,
+    add_qubit_coupling,
     build_noncontact,
     free_hamiltonian,
     gibbs_weights,
@@ -146,15 +147,16 @@ class TestFlipDrives:
             pair_flip_hamiltonian({(1, 4): 1.0}, 3)
 
 
-def kron_noncontact(env: EnvironmentModel) -> np.ndarray:
-    """Reference V: one dense kron(h, sigma^l_mu) per nonzero coupling, added in (l, mu) order."""
+def kron_noncontact(env: EnvironmentModel, qubits=None) -> np.ndarray:
+    """Reference V, or V^l summed over the 0-based ``qubits`` only: one dense kron(h, sigma^l_mu)
+    per nonzero coupling, added in (l, mu) order."""
     n = env.n_qubits
     d = env.dim * 2 ** n
     v = np.zeros((d, d), dtype=complex)
-    for l, triple in enumerate(env.couplings, start=1):
-        for mu, h in enumerate(triple, start=1):
+    for l in range(n) if qubits is None else qubits:
+        for mu, h in enumerate(env.couplings[l], start=1):
             if np.any(h):
-                v += kron(h, embed(mu, l, n))
+                v += kron(h, embed(mu, l + 1, n))
     return v
 
 
@@ -189,6 +191,16 @@ class TestInteractions:
         assert build_noncontact(partly).tobytes() == kron_noncontact(partly).tobytes()
         none = random_environment(n, de, coupling_bound=0.0, seed=4)
         assert build_noncontact(none).tobytes() == np.zeros((de * 2 ** n,) * 2, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("de", [1, 3])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_qubit_coupling_bit_identical_to_kron(self, de, n):
+        env = random_environment(n, de, seed=5)
+        partly = with_zero_couplings(env, {(0, 1), (n - 1, 0), (n - 1, 2)})
+        for model in (env, partly):
+            for l in range(n):
+                v_l = add_qubit_coupling(np.zeros((de * 2 ** n,) * 2, dtype=complex), model, l)
+                assert v_l.tobytes() == kron_noncontact(model, [l]).tobytes(), l
 
     def test_noncontact_is_hermitian_sum(self):
         env = random_environment(2, 2, seed=9)

@@ -24,6 +24,7 @@ from decoq.metrics import (
     FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
+    _log_slopes,
     _pauli_covariance,
     _sphere_error,
     _sphere_suprema,
@@ -89,6 +90,12 @@ def dense_periodic_reference(code, env, h0, v, dt, cycles, psi_logical, correcte
             rho = sum(k @ rho @ k.conj().T for k in kraus)
         fidelities.append(float(np.einsum("ij,ji->", rho, p_full).real))
     return fidelities
+
+
+def propagated(pipeline, t):
+    """U(t) applied to the start vectors from the pipeline's eigendecomposition: the per-t reference."""
+    evals, evecs, start = pipeline.eigenbasis()
+    return evecs @ (np.exp(-1j * evals * float(t))[:, None] * start)
 
 
 def shipped_model(name, seed):
@@ -223,9 +230,8 @@ class TestGridShape:
         cs = pipeline.covariances(ts)
         sups = _sphere_suprema(cs)
         errors = _state_error(cs, PSI)
-        start = pipeline.eigenbasis()[2]
         for t, c, sup, e in zip(ts, cs, sups, errors):
-            moved = pipeline.propagate(t, start)[:, None, :]
+            moved = propagated(pipeline, t)[:, None, :]
             assert np.array_equal(_pauli_covariance(pipeline.readout, moved, pipeline.env_dim)[0], c)
             assert np.array_equal(pipeline.covariances([t])[0], c)
             assert pipeline.supremum(t) == sup
@@ -280,8 +286,7 @@ class TestTaylorPropagation:
             tau = max(grid)
             terms = _taylor_terms(shifted, pipeline.start, tau)
             assert len(terms) <= 22
-            start = pipeline.eigenbasis()[2]
-            moved = np.stack([pipeline.propagate(t, start) for t in grid], axis=1)
+            moved = np.stack([propagated(pipeline, t) for t in grid], axis=1)
             assert np.max(np.abs(_taylor_sums(terms, np.array(grid), tau, mu) - moved)) <= 1e-13, seed
             dense = _pauli_covariance(pipeline.readout, moved, pipeline.env_dim)
             for t, got, want in zip(grid, _sphere_suprema(taylor), _sphere_suprema(dense)):
@@ -308,12 +313,12 @@ class TestTaylorPropagation:
         long_grid = (1e-3, 2.0 * t_edge)
         pipeline.covariances(long_grid)
         assert eigh_sizes.count(256) == 1
-        pipeline.decay(0.12, 10, PSI)
+        pipeline.decay([0.12], 10, PSI)
         pipeline.covariances(long_grid)
         assert eigh_sizes.count(256) == 1
         fresh = _CorrectionPipeline(*wide_model(1))
-        fresh.decay(0.12, 10, PSI, apply_correction=False)
-        fresh.decay(0.06, 10, PSI)
+        fresh.decay([0.12], 10, PSI, apply_correction=False)
+        fresh.decay([0.06], 10, PSI)
         assert eigh_sizes.count(256) == 2
 
     def test_series_cap_raises(self):
@@ -580,6 +585,51 @@ class TestPeriodicCorrection:
                 got = [f for _, _, f in decay.samples]
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (dt, corrected)
 
+    @pytest.mark.parametrize("name", SHIPPED_CODES)
+    def test_rows_equal_single_interval_calls(self, name):
+        dts = (0.12, 0.06, 0.03, 0.2)
+        for seed in (61, 67):
+            pipeline = _CorrectionPipeline(*shipped_model(name, seed))
+            for corrected in (True, False):
+                together = pipeline.decay(dts, 40, PSI, apply_correction=corrected)
+                backwards = pipeline.decay(dts[::-1], 40, PSI, apply_correction=corrected)[::-1]
+                alone = [pipeline.decay([dt], 40, PSI, apply_correction=corrected)[0] for dt in dts]
+                assert together == alone == backwards, (seed, corrected)
+
+    def test_no_intervals(self):
+        pipeline = _CorrectionPipeline(*shipped_model("repetition-3", 61))
+        for corrected in (True, False):
+            assert pipeline.decay([], 40, PSI, apply_correction=corrected) == []
+
+    @pytest.mark.parametrize("de, cycles", [(2, 40), (2, 41), (8, 41)])
+    def test_trace_across_eigenvector_blocks(self, de, cycles):
+        # identity has d = 2 d_e, so the uncorrected times go through in blocks of 2 d_e;
+        # at d_e = 8, G has d_e^2 = 64 columns and goes through in four chunks of d = 16
+        code = build_code("identity")
+        env = random_environment(1, de, seed=61)
+        h0, v = free_hamiltonian(env), build_noncontact(env)
+        assert len(_CorrectionPipeline(code, env, h0, v).h) == 2 * de
+        for corrected in (True, False):
+            decay = periodic_correction_decay(code, env, h0, v, 0.12, cycles, PSI, apply_correction=corrected)
+            want = dense_periodic_reference(code, env, h0, v, 0.12, cycles, PSI, corrected)
+            assert np.max(np.abs(np.subtract([f for _, _, f in decay.samples], want))) <= 1e-12, corrected
+
+    @pytest.mark.parametrize("name", SHIPPED_CODES)
+    def test_rate_matches_polyfit(self, name):
+        # the closed-form slope against the cycle index, over dt, is the straight line through (t, log F)
+        pipeline = _CorrectionPipeline(*shipped_model(name, 61))
+        for corrected in (True, False):
+            for decay in pipeline.decay((0.12, 0.03), 40, PSI, apply_correction=corrected):
+                ts, fs = zip(*((t, f) for _, t, f in decay.samples if f > 0.0))
+                assert decay.rate == pytest.approx(-np.polyfit(ts, np.log(fs), 1)[0], rel=1e-12), corrected
+
+    def test_log_slopes_skip_non_positive_fidelities(self):
+        e = math.exp
+        fs = np.array([[1.0, 0.0, e(-2.0), -1e-300, e(-4.0)], [1.0, e(-0.5), e(-1.0), e(-1.5), e(-2.0)]])
+        np.testing.assert_allclose(_log_slopes(fs), [-1.0, -0.5], rtol=1e-14)
+        with pytest.raises(FitError, match="collapsed"):
+            _log_slopes(np.array([[1.0, 0.5, 0.25], [1.0, 0.0, 0.0]]))
+
     def test_reused_pipeline_matches_fresh_builds(self):
         code, env, h0, v = shipped_model("five_qubit", 73)
         pipeline = _CorrectionPipeline(code, env, h0, v)
@@ -587,7 +637,7 @@ class TestPeriodicCorrection:
             dt = 0.12 / 2 ** i
             for corrected in (True, False):
                 fresh = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
-                assert pipeline.decay(dt, 40, PSI, apply_correction=corrected) == fresh, (dt, corrected)
+                assert pipeline.decay([dt], 40, PSI, apply_correction=corrected) == [fresh], (dt, corrected)
 
     def test_contact_matches_dense_reference(self):
         code = build_code("five_qubit")

@@ -181,6 +181,31 @@ class TestPeriodicKind:
         assert len(manifest.files) == 7
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("halvings", [0, 2])
+    def test_two_decay_calls_per_scenario(self, tmp_path, monkeypatch, halvings):
+        calls = []
+        pipeline = decoq.metrics._CorrectionPipeline
+        original = pipeline.decay
+
+        def counted(self, dts, *args, **kwargs):
+            calls.append(list(dts))
+            return original(self, dts, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "decay", counted)
+        s = Scenario(kind="periodic_correction", code="repetition-3", cycles=10, halvings=halvings, plots=False)
+        run(s, out_dir=str(tmp_path))
+        dts = [0.12 / 2 ** i for i in range(halvings + 1)]
+        assert calls == [dts, dts]
+
+    def test_more_halvings_keep_the_leading_files(self, tmp_path):
+        for halvings in (1, 2):
+            s = Scenario(kind="periodic_correction", code="five_qubit", cycles=20, halvings=halvings, plots=False)
+            run(s, out_dir=str(tmp_path / str(halvings)))
+        for name in ("periodic_0_on.csv", "periodic_0_off.csv", "periodic_1_on.csv", "periodic_1_off.csv"):
+            assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name), name
+        rates = [(tmp_path / h / "rates.csv").read_text().split("\n") for h in ("1", "2")]
+        assert rates[1][:5] == rates[0][:5]  # the header and the on/off rows of both shared intervals
+
 
 class TestIntroKind:
     def test_one_covariance_stack_per_drive(self, tmp_path, monkeypatch):
@@ -369,12 +394,13 @@ class TestCli:
             "[scenario]\nkind = bound_check\ncode = five_qubit\n[environment]\ncoupling_bound = 0.0\n",
             "[scenario]\nkind = scaling_sweep\ncode = identity\nseed = -1\n",
             "[scenario]\nkind = scaling_sweep\ncode = identity\n[environment]\ncoupling_bound = -1\n",
+            "[scenario]\nkind = periodic_correction\ncode = identity\n[environment]\nd_e = 1\n[correction]\nhalvings = 1100\n",
         ],
         ids=[
             "repeated_key", "repeated_pair", "reversed_pair", "self_pair", "sweep_points_5", "intro_points_7",
             "contact_weight_inf", "contact_qubit_9", "contact_repeated_qubit", "contact_no_terms",
             "intro_five_qubit", "intro_three_omegas", "intro_pair_1_6", "bound_check_contact",
-            "bound_check_zero_coupling", "negative_seed", "negative_coupling",
+            "bound_check_zero_coupling", "negative_seed", "negative_coupling", "halvings_underflow",
         ],
     )
     def test_rejected_config_exit_2(self, tmp_path, capsys, text):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             Scenario(kind="bounds_table", **{field: value})
 
+    def test_halvings_keep_dt_normal(self):
+        # dt 2^-halvings must stay a normal float; 2^-1022 is the smallest one
+        assert Scenario(kind="periodic_correction", dt=1.0, halvings=1022).halvings == 1022
+        for dt, halvings in ((1.0, 1023), (0.12, 1100), (0.12, 10 ** 30), (5e-324, 0)):
+            with pytest.raises(ConfigError, match="smallest normal float"):
+                Scenario(kind="periodic_correction", dt=dt, halvings=halvings)
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -244,7 +252,8 @@ def _ordered(draw, low):
 @st.composite
 def _scenarios(draw):
     """Scenarios that ``Scenario`` accepts.  Where a kind checks a value against the code's
-    length n (contact positions, flip drives, the sizing cap), only valid values are drawn."""
+    length n (contact positions, flip drives, the sizing cap), or dt against the halvings,
+    only valid values are drawn."""
     n_min, n_max = draw(_ordered(1))
     k_min, k_max = draw(_ordered(0))
     kind = draw(st.sampled_from(KINDS))
@@ -259,6 +268,7 @@ def _scenarios(draw):
         factors = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), min_size=1, max_size=4)
     env_dim = draw(st.integers(1, 10 ** 3))
     joint = 2 if kind == "bounds_table" else max(2, (1 if intro or contact else env_dim) * 2 ** n)
+    halvings = draw(st.integers(0, 60))
     return Scenario(
         kind=kind,
         code=code,
@@ -276,9 +286,9 @@ def _scenarios(draw):
         state_phi=draw(_finite),
         single_flip_omegas=tuple(draw(st.lists(_finite, min_size=n if intro else 0, max_size=n if intro else 6))),
         pair_flip=draw(_pair_flips(n if intro else 9)),
-        dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        dt=draw(st.floats(min_value=math.ldexp(sys.float_info.min, halvings), allow_infinity=False)),
         cycles=draw(st.integers(10, 10 ** 6)),
-        halvings=draw(st.integers(0, 60)),
+        halvings=halvings,
         n_min=n_min,
         n_max=n_max,
         k_min=k_min,
