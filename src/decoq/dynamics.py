@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import DensityMatrix, kron, operator_norm, require_hermitian
-from .pauli import embed, pauli_action, pauli_string
+from .pauli import PAULIS, pauli_action, pauli_string
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,17 @@ def random_environment(
     if coupling_bound < 0:
         raise ValidationError("coupling bound must be non-negative")
     rng = np.random.Generator(np.random.Philox(seed))
-    couplings = []
-    for _ in range(n_qubits):
-        triple = []
-        for _ in range(3):
-            g = rng.standard_normal((env_dim, env_dim)) + 1j * rng.standard_normal((env_dim, env_dim))
-            h = (g + g.conj().T) / 2.0
-            norm = operator_norm(h)
-            if coupling_bound == 0.0 or norm == 0.0:
-                h = np.zeros_like(h)
-            else:
-                h = h * (coupling_bound / norm)
-            triple.append(h)
-        couplings.append(tuple(triple))
+    z = rng.standard_normal((n_qubits, 3, 2, env_dim, env_dim))  # per coupling: real part, then imaginary
+    g = z[:, :, 0] + 1j * z[:, :, 1]
+    h = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    norms = np.linalg.norm(h, 2, axis=(-2, -1))
+    scale = np.divide(coupling_bound, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    h *= scale[:, :, None, None]
+    h[scale == 0.0] = 0.0  # exact +0 entries, as a zero matrix has, not the signed zeros of h * 0
+    couplings = tuple(tuple(triple) for triple in h)
     rho0 = DensityMatrix(np.diag(gibbs_weights(env_dim, beta)).astype(complex), (env_dim,))
     h_env = np.diag(np.arange(env_dim, dtype=float)).astype(complex)
-    return EnvironmentModel(env_dim, rho0, h_env, tuple(couplings))
+    return EnvironmentModel(env_dim, rho0, h_env, couplings)
 
 
 @dataclass(frozen=True)
@@ -204,17 +199,15 @@ class InteractionSpec:
 def add_qubit_coupling(v: np.ndarray, env: EnvironmentModel, l: int) -> np.ndarray:
     """Add V^l = sum_mu h^l_mu (x) sigma^l_mu for qubit ``l`` (0-based) into the joint matrix ``v``; returns ``v``.
 
-    sigma^l_mu has one entry per row, at the column and phase that
-    ``pauli_action`` gives, so each h^l_mu is added straight into the
-    (d_e, 2^n, d_e, 2^n) view of ``v`` at those index pairs.
+    V^l is nonzero only where row and column agree on every qubit but ``l``,
+    so one strided add of the (d_e, 2, d_e, 2) block sum_mu h^l_mu (x) sigma_mu
+    into the writable diagonal view of ``v`` over the other qubits does it.
     """
     n, de = env.n_qubits, env.dim
-    dc = 2 ** n
-    blocks = v.reshape(de, dc, de, dc)
-    cols, phase = pauli_action([(0,) * l + (mu,) + (0,) * (n - 1 - l) for mu in (1, 2, 3)])
-    for k, h in enumerate(env.couplings[l]):
-        if np.any(h):
-            blocks[:, np.arange(dc), :, cols[k]] += phase[k, :, None, None] * h
+    left, right = 2 ** l, 2 ** (n - 1 - l)
+    view = np.einsum("eiajfibj->eiajfb", v.reshape(de, left, 2, right, de, left, 2, right))
+    block = np.einsum("mef,mab->eafb", np.array(env.couplings[l]), np.array(PAULIS[1:]))
+    view += block[:, None, :, None]
     return v
 
 
@@ -247,26 +240,33 @@ def interaction_matrix(spec: InteractionSpec) -> np.ndarray:
     return require_hermitian(v, tol.HERMITIAN_TOL, "contact interaction")
 
 
+def _flip_drive(strings, weights, n: int) -> np.ndarray:
+    """sum_k weights[k] sigma_{strings[k]} for X-type strings, added term by term at their ``pauli_action`` columns."""
+    rows = np.arange(2 ** n)
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    if strings:
+        cols, _ = pauli_action(strings)  # X letters only: every phase is 1
+        for k, w in enumerate(weights):
+            h[rows, cols[k]] += w
+    return h
+
+
 def single_flip_hamiltonian(omegas: Sequence[float]) -> np.ndarray:
     """Independent flip drive sum_l omega_l sigma_x^l on a bare register."""
     omegas = [float(w) for w in omegas]
     n = len(omegas)
     if n < 1:
         raise ShapeError("need at least one frequency")
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for l, w in enumerate(omegas, start=1):
-        h += w * embed(1, l, n)
-    return h
+    return _flip_drive([tuple(int(i == l) for i in range(n)) for l in range(n)], omegas, n)
 
 
 def pair_flip_hamiltonian(pair_omegas: Mapping[tuple[int, int], float], n_qubits: int) -> np.ndarray:
     """Correlated flip drive sum over pairs omega_kl sigma_x^k sigma_x^l."""
     n = int(n_qubits)
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for (k, l), w in pair_omegas.items():
+    for k, l in pair_omegas:
         if k == l:
             raise ShapeError(f"pair ({k},{l}) must couple two distinct qubits")
         if not (1 <= k <= n and 1 <= l <= n):
             raise ShapeError(f"pair ({k},{l}) outside 1..{n}")
-        h += float(w) * (embed(1, k, n) @ embed(1, l, n))
-    return h
+    strings = [tuple(int(i in (k, l)) for i in range(1, n + 1)) for k, l in pair_omegas]
+    return _flip_drive(strings, [float(w) for w in pair_omegas.values()], n)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,17 @@ class DecayResult:
 
     rate: float
     samples: tuple[tuple[int, float, float], ...]
+
+    @property
+    def rate_floor(self) -> float:
+        """cycles * eps / dt, read off the trace: a rate whose size is not above it may be rounding alone.
+
+        F picks up a relative rounding error of a few eps per cycle, and the
+        rate is the slope of log F per cycle divided by dt; the cycle count
+        stands in for the few.
+        """
+        cycles, dt = len(self.samples) - 1, self.samples[1][1]
+        return cycles * sys.float_info.epsilon / dt
 
 
 def _logical_amplitudes(psi_logical) -> tuple[complex, complex]:

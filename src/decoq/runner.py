@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .scenario import Scenario, serialize_scenario
 from .codes import asymptotic_x0, build_code, hamming_gv_check
 from .dynamics import (
@@ -59,9 +59,13 @@ class RunManifest:
     warnings: tuple[str, ...]
 
 
+def _bool_cell(x) -> str:
+    return "true" if x else "false"
+
+
 def _cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    if isinstance(x, (bool, np.bool_)):
+        return _bool_cell(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -69,9 +73,34 @@ def _cell(x) -> str:
     return str(x)
 
 
+_FLOAT_CELL = "{:.16e}".format
+# one formatter per cell type, each giving the bytes that ``_cell`` gives for that type
+_COLUMN_FORMATS = {
+    float: _FLOAT_CELL,
+    np.float64: _FLOAT_CELL,
+    int: str,
+    np.int64: str,
+    bool: _bool_cell,
+    np.bool_: _bool_cell,
+    str: str,
+}
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """The cells of one column, with one formatter for a column of one cell type and ``_cell`` otherwise."""
+    formats = {_COLUMN_FORMATS.get(t) for t in set(map(type, column))}
+    fmt = formats.pop() if len(formats) == 1 else None
+    return list(map(fmt or _cell, column))
+
+
 def format_csv(header: list[str], rows) -> str:
-    """CSV text with a header line, LF endings and the fixed cell formats."""
-    lines = [",".join(header)] + [",".join(_cell(x) for x in row) for row in rows]
+    """CSV text with a header line, LF endings and the fixed cell formats, built a column at a time."""
+    rows = list(rows)
+    widths = set(map(len, rows)) - {len(header)}
+    if widths:
+        raise ShapeError(f"CSV rows of {sorted(widths)} cells for {len(header)} columns")
+    columns = [_column_cells(column) for column in zip(*rows)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -102,23 +131,25 @@ def _materialize(scenario: Scenario, seed: int):
 
 
 class _Outputs:
-    """Collects written files and warnings for the manifest."""
+    """Writes each output file once and keeps the sha256 of the bytes written, and the warnings, for the manifest."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.names: list[str] = []
+        self.files: dict[str, str] = {}
         self.warnings: list[str] = []
 
-    def path(self, name: str) -> str:
-        self.names.append(name)
-        return os.path.join(self.out_dir, name)
+    def write(self, name: str, text: str) -> None:
+        data = text.encode("utf-8")
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
+            fh.write(data)
+        self.files[name] = hashlib.sha256(data).hexdigest()
 
     def csv(self, name: str, header: list[str], rows) -> None:
-        with open(self.path(name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_csv(header, rows))
+        self.write(name, format_csv(header, rows))
 
     def svg(self, name: str, series, axes: AxesSpec) -> None:
-        dropped = emit_svg(series, axes, self.path(name))
+        text, dropped = emit_svg(series, axes)
+        self.write(name, text)
         if dropped:
             self.warnings.append(f"{name}: dropped {dropped} non-positive points on log axes")
 
@@ -245,6 +276,11 @@ def _run_periodic(scenario: Scenario, seed: int, out: _Outputs) -> None:
             tag = "on" if corrected else "off"
             out.csv(f"periodic_{i}_{tag}.csv", ["cycle", "total_t", "fidelity"], decay.samples)
             rate_rows.append((dt, corrected, decay.rate))
+            if not abs(decay.rate) > decay.rate_floor:
+                out.warnings.append(
+                    f"rates.csv: the {'corrected' if corrected else 'uncorrected'} rate {decay.rate:.3e} at "
+                    f"dt = {dt!r} is not above its rounding floor {decay.rate_floor:.3e}"
+                )
             if corrected:
                 plot_series.append((f"dt={dt:.6g}", [(t, f) for _, t, f in decay.samples]))
     out.csv("rates.csv", ["dt", "corrected", "rate"], rate_rows)
@@ -294,7 +330,7 @@ def run(
     else:  # periodic_correction, the last of the kinds Scenario accepts
         _run_periodic(scenario, effective_seed, out)
 
-    files = {name: _sha256(os.path.join(effective_out, name)) for name in sorted(out.names)}
+    files = dict(sorted(out.files.items()))
     manifest = RunManifest(
         scenario=serialize_scenario(scenario),
         seed=effective_seed,

@@ -58,12 +58,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def emit_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]], axes: AxesSpec, path: str) -> int:
-    """Write a line plot; returns the number of points dropped by log axes.
+def emit_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]], axes: AxesSpec) -> tuple[str, int]:
+    """A line plot as SVG text, and the number of points dropped by log axes.
 
     ``series`` is a list of (label, [(x, y), ...]) pairs.  Points with a
     non-positive coordinate on a log axis are dropped and counted rather than
-    plotted.
+    plotted.  The caller writes the text.
     """
     dropped = 0
     cleaned: list[tuple[str, list[tuple[float, float]]]] = []
@@ -146,12 +146,10 @@ def emit_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]], axes: 
     for idx, (label, samples) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         if samples:
-            coords = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}" for x, y in samples)
+            coords = " ".join("{:.2f},{:.2f}".format(*to_px(x, y)) for x, y in samples)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _TOP + 16 + 16 * idx
         out.append(f'<line x1="{_LEFT + plot_w - 120}" y1="{ly - 4}" x2="{_LEFT + plot_w - 96}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{_LEFT + plot_w - 90}" y="{ly}">{_escape(label)}</text>')
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
-    return dropped
+    return "\n".join(out) + "\n", dropped

@@ -117,7 +117,59 @@ class TestFreeHamiltonian:
             FreeHamiltonian(np.zeros((2, 2)), (np.zeros((3, 3)),))
 
 
+def drawn_couplings(n: int, de: int, coupling_bound: float, seed: int) -> list[np.ndarray]:
+    """Reference draw: one coupling at a time, real then imaginary part, each rescaled to its own norm."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = []
+    for _ in range(3 * n):
+        g = rng.standard_normal((de, de)) + 1j * rng.standard_normal((de, de))
+        h = (g + g.conj().T) / 2.0
+        norm = operator_norm(h)
+        out.append(np.zeros_like(h) if coupling_bound == 0.0 or norm == 0.0 else h * (coupling_bound / norm))
+    return out
+
+
+@pytest.mark.parametrize("n,de", [(1, 1), (1, 2), (2, 3), (3, 2), (5, 2), (5, 8), (7, 4)])
+@pytest.mark.parametrize("coupling_bound", [1.0, 0.37, 0.0])
+def test_random_environment_bit_identical_to_per_coupling_draws(n, de, coupling_bound):
+    for seed in (0, 7, 42):
+        env = random_environment(n, de, coupling_bound=coupling_bound, seed=seed)
+        drawn = [h for triple in env.couplings for h in triple]
+        assert len(drawn) == 3 * n
+        for k, (h, ref) in enumerate(zip(drawn, drawn_couplings(n, de, coupling_bound, seed))):
+            assert h.tobytes() == ref.tobytes(), (seed, k)
+
+
+def embed_single_flip(omegas) -> np.ndarray:
+    """Reference single-flip drive: a sum of dense embedded sigma_x."""
+    n = len(omegas)
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for l, w in enumerate(omegas, start=1):
+        h += float(w) * embed(1, l, n)
+    return h
+
+
+def embed_pair_flip(pairs, n: int) -> np.ndarray:
+    """Reference pair-flip drive: a sum of dense products of embedded sigma_x."""
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for (k, l), w in pairs.items():
+        h += float(w) * (embed(1, k, n) @ embed(1, l, n))
+    return h
+
+
 class TestFlipDrives:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_single_flip_bit_identical_to_embed_sum(self, rng, n):
+        omegas = tuple(rng.uniform(-1.5, 1.5, n))
+        assert single_flip_hamiltonian(omegas).tobytes() == embed_single_flip(omegas).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_pair_flip_bit_identical_to_embed_sum(self, rng, n):
+        every = {(k, l): float(rng.uniform(-1.0, 1.0)) for k in range(1, n + 1) for l in range(1, n + 1) if k != l}
+        some = {(1, 2): 0.8, (n, 1): -0.65}  # (n, 1) flips the same bits as (1, n)
+        for pairs in (every, some, {}):
+            assert pair_flip_hamiltonian(pairs, n).tobytes() == embed_pair_flip(pairs, n).tobytes()
+
     def test_single_flip_matches_exponential(self):
         # closed form follows the +i product convention, so compare to exp(+iHt)
         omegas = (0.9, 1.1, 0.75)

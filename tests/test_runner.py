@@ -16,7 +16,7 @@ from decoq.codes import asymptotic_bound_gap
 
 from decoq.cli import main
 from decoq.errors import ShapeError, SizingError
-from decoq.runner import run, verify_manifest
+from decoq.runner import _cell, format_csv, run, verify_manifest
 from decoq.scenario import Scenario, TimeGrid, parse_scenario
 from decoq.svg import AxesSpec, emit_svg
 
@@ -75,11 +75,6 @@ class TestScalingSweep:
         for name in ("sweep.csv", "fit_summary.csv", "sweep.svg"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 
-    def test_manifest_hashes_verify(self, tmp_path):
-        run(SWEEP, out_dir=str(tmp_path))
-        assert verify_manifest(str(tmp_path)) == []
-        (tmp_path / "sweep.csv").write_text("tampered\n")
-        assert verify_manifest(str(tmp_path)) == ["sweep.csv"]
 
     def test_manifest_payload(self, tmp_path):
         manifest = run(SWEEP, out_dir=str(tmp_path), seed=7)
@@ -109,6 +104,65 @@ class TestScalingSweep:
         monkeypatch.setattr(decoq.runner, "_sphere_suprema", counted("suprema", decoq.runner._sphere_suprema))
         run(Scenario(kind=kind, code="identity", time_grid=TimeGrid(0.004, 0.12, 10), plots=False), out_dir=str(tmp_path))
         assert calls == ["covariances", "suprema"]
+
+
+KINDS = {
+    "scaling_sweep": (SWEEP, "sweep.csv"),
+    "bound_check": (Scenario(kind="bound_check", code="identity", time_grid=TimeGrid(0.004, 0.12, 10)), "bound_check.csv"),
+    "intro_example": (Scenario(kind="intro_example", code="repetition-3", single_flip_omegas=(0.9, 1.1, 0.75),
+                               pair_flip=((1, 2, 0.8), (2, 3, 0.65))), "pair_flip.csv"),
+    "bounds_table": (BOUNDS, "bounds.csv"),
+    "periodic_correction": (Scenario(kind="periodic_correction", code="repetition-3", cycles=10, halvings=1),
+                            "periodic_1_off.csv"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_manifest_hashes_verify(tmp_path, kind):
+    # the hashes taken from the bytes in memory are those of the files on disk
+    scenario, tampered = KINDS[kind]
+    assert scenario.kind == kind
+    manifest = run(scenario, out_dir=str(tmp_path))
+    assert tampered in manifest.files
+    assert verify_manifest(str(tmp_path)) == []
+    (tmp_path / tampered).write_text("tampered\n")
+    assert verify_manifest(str(tmp_path)) == [tampered]
+
+
+def cell_joined_csv(header, rows) -> str:
+    """Reference CSV text: every cell through ``_cell``, one row at a time."""
+    lines = [",".join(header)] + [",".join(_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatCsv:
+    def test_numpy_bools_print_like_python_bools(self):
+        assert _cell(np.True_) == _cell(True) == "true"
+        assert _cell(np.False_) == _cell(False) == "false"
+        assert format_csv(["ok"], [(np.True_,), (np.False_,)]) == "ok\ntrue\nfalse\n"
+
+    def test_columns_match_per_cell_join(self):
+        header = ["int", "np_int", "float", "np_float", "bool", "np_bool", "str", "mixed", "np_mixed"]
+        rows = [
+            (3, np.int64(-4), 0.1, np.float64(-0.0), True, np.True_, "five_qubit", 7, np.float64(2.5)),
+            (-12, np.int64(0), -0.0, np.float64(1e-300), False, np.False_, "a:b", 2.5, 3),
+            (0, np.int64(2 ** 40), 1e300, np.float64(np.inf), True, np.False_, "", True, "x"),
+            (2 ** 70, np.int64(-1), float("nan"), np.float64(-7.25), False, np.True_, "true", "s", np.True_),
+            (1, np.int32(5), np.float32(0.1), np.float64(3.0), True, np.True_, "z", np.int64(9), 1.5),
+        ]
+        assert format_csv(header, rows) == cell_joined_csv(header, rows)
+        assert format_csv(header, iter(rows)) == cell_joined_csv(header, rows)
+        assert format_csv(header, []) == ",".join(header) + "\n"
+
+    def test_cell_formats(self):
+        text = format_csv(["a", "b", "c", "d"], [(-0.0, 7, True, "s"), (0.1, np.int64(-3), False, "t")])
+        assert text == (
+            "a,b,c,d\n-0.0000000000000000e+00,7,true,s\n1.0000000000000001e-01,-3,false,t\n"
+        )
+
+    def test_row_width_must_match_header(self):
+        with pytest.raises(ShapeError, match="cells for 2 columns"):
+            format_csv(["a", "b"], [(1, 2), (3,)])
 
 
 class TestSizingGuard:
@@ -197,6 +251,24 @@ class TestPeriodicKind:
         dts = [0.12 / 2 ** i for i in range(halvings + 1)]
         assert calls == [dts, dts]
 
+    def test_rates_within_rounding_floor_warn(self, tmp_path):
+        # identity at d_e = 1 decays at O(dt); at dt = 1e-30 the rates are drift / dt, of order 1e13
+        s = Scenario(kind="periodic_correction", code="identity", env_dim=1, seed=1, dt=1e-30, cycles=12,
+                     halvings=0, plots=False)
+        manifest = run(s, out_dir=str(tmp_path))
+        floor = 12 * sys.float_info.epsilon / 1e-30
+        rates = [float(line.split(",")[2]) for line in (tmp_path / "rates.csv").read_text().splitlines()[1:]]
+        assert all(abs(rate) <= floor for rate in rates)
+        assert len(manifest.warnings) == 2
+        assert all("is not above its rounding floor" in w for w in manifest.warnings)
+        assert "the corrected rate" in manifest.warnings[0] and "the uncorrected rate" in manifest.warnings[1]
+
+    def test_shipped_scenario_rates_clear_the_floor(self, tmp_path):
+        from decoq.scenario import load_scenario
+
+        manifest = run(load_scenario(str(SCENARIO_DIR / "periodic_correction.cfg")), out_dir=str(tmp_path))
+        assert manifest.warnings == ()
+
     def test_more_halvings_keep_the_leading_files(self, tmp_path):
         for halvings in (1, 2):
             s = Scenario(kind="periodic_correction", code="five_qubit", cycles=20, halvings=halvings, plots=False)
@@ -256,34 +328,28 @@ class TestIntroKind:
 
 
 class TestSvg:
-    def test_single_series_single_polyline(self, tmp_path):
-        path = tmp_path / "one.svg"
-        emit_svg([("E", [(0.1, 1.0), (0.2, 4.0)])], AxesSpec("t", "E"), str(path))
-        assert path.read_text().count("<polyline") == 1
+    def test_single_series_single_polyline(self):
+        text, _ = emit_svg([("E", [(0.1, 1.0), (0.2, 4.0)])], AxesSpec("t", "E"))
+        assert text.count("<polyline") == 1
 
-    def test_log_axes_drop_count(self, tmp_path):
-        path = tmp_path / "log.svg"
-        dropped = emit_svg(
+    def test_log_axes_drop_count(self):
+        _, dropped = emit_svg(
             [("E", [(0.0, 1.0), (0.1, 0.0), (0.2, 4.0), (0.3, 9.0)])],
             AxesSpec("t", "E", xlog=True, ylog=True),
-            str(path),
         )
         assert dropped == 2
 
-    def test_empty_after_filter_rejected(self, tmp_path):
+    def test_empty_after_filter_rejected(self):
         with pytest.raises(ShapeError):
             emit_svg(
                 [("E", [(0.0, 1.0)])],
                 AxesSpec("t", "E", xlog=True),
-                str(tmp_path / "x.svg"),
             )
 
-    def test_byte_identical_rerun(self, tmp_path):
+    def test_byte_identical_rerun(self):
         series = [("a", [(1.0, 2.0), (2.0, 3.0)]), ("b", [(1.0, 5.0)])]
         axes = AxesSpec("x", "y", title="twice")
-        emit_svg(series, axes, str(tmp_path / "p.svg"))
-        emit_svg(series, axes, str(tmp_path / "q.svg"))
-        assert read(tmp_path / "p.svg") == read(tmp_path / "q.svg")
+        assert emit_svg(series, axes) == emit_svg(series, axes)
 
     def test_runner_records_drop_warning(self, tmp_path):
         # a linear time grid starting at zero yields E = 0 there, which the
