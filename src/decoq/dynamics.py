@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
-from .tensor import DensityMatrix, kron, operator_norm, require_hermitian
+from .tensor import DensityMatrix, kron, require_hermitian
 from .pauli import PAULIS, pauli_action, pauli_string
 
 
@@ -46,17 +46,17 @@ class EnvironmentModel:
         object.__setattr__(
             self, "h_env", require_hermitian(self.h_env, tol.HERMITIAN_TOL, "environment Hamiltonian")
         )
-        checked = []
         for l, triple in enumerate(self.couplings):
             if len(triple) != 3:
                 raise ShapeError(f"qubit {l + 1} needs exactly three coupling operators")
-            checked.append(
-                tuple(
-                    require_hermitian(h, tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
-                    for mu, h in enumerate(triple)
-                )
-            )
-        object.__setattr__(self, "couplings", tuple(checked))
+            for mu, shape in enumerate(map(np.shape, triple)):
+                if shape != (self.dim, self.dim):
+                    raise ShapeError(f"coupling h[{l + 1}][{mu + 1}] must be {self.dim} x {self.dim}, got shape {shape}")
+        stack = np.array(self.couplings, dtype=complex).reshape(-1, 3, self.dim, self.dim)
+        defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))  # (n, 3), one Hermiticity check
+        for l, mu in np.argwhere(defects > tol.HERMITIAN_TOL)[:1]:  # the first offender in (l, mu) order
+            require_hermitian(stack[l, mu], tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
+        object.__setattr__(self, "couplings", tuple(tuple(triple) for triple in stack))
 
     @property
     def n_qubits(self) -> int:
@@ -64,8 +64,9 @@ class EnvironmentModel:
 
     @property
     def coupling_bound(self) -> float:
-        norms = [operator_norm(h) for triple in self.couplings for h in triple]
-        return max(norms) if norms else 0.0
+        if not self.couplings:
+            return 0.0
+        return float(np.linalg.norm(np.array(self.couplings), 2, axis=(-2, -1)).max())
 
 
 def gibbs_weights(dim: int, beta: float) -> np.ndarray:

@@ -138,15 +138,27 @@ def _logical_readout(code: CodeSpec) -> np.ndarray:
     return np.ascontiguousarray(w.conj().T).reshape(-1, 2, code.register_dim)
 
 
+def _read_out(readout: np.ndarray, vecs: np.ndarray, env_dim: int) -> np.ndarray:
+    """encoder^dag K_s applied to the register part of every column of ``vecs``, as one matrix product.
+
+    ``vecs`` is (d_e 2^n, ...) with the environment index first; it is copied
+    register index first, as (2^n, d_e ...), so that the readout, as a
+    (2 S, 2^n) matrix over the S syndromes, takes one BLAS product with it.
+    The result is (S, 2, d_e, ...)."""
+    n_s, _, dc = readout.shape
+    columns = vecs.reshape(env_dim, dc, -1).transpose(1, 0, 2).reshape(dc, -1)
+    return (readout.reshape(2 * n_s, dc) @ columns).reshape(n_s, 2, env_dim, *vecs.shape[1:])
+
+
 def _pauli_covariance(readout: np.ndarray, vecs: np.ndarray, env_dim: int) -> np.ndarray:
     """C = sum a a^dag over the traceless Pauli parts a of the logical blocks, per time.
 
     ``vecs`` is (d, T, 2 m): the 2 m propagated start vectors at each of T times.
-    All T readouts go through one ``einsum``; the result is the (T, 3, 3) stack of C.
+    All T readouts go through one matrix product; the result is the (T, 3, 3) stack of C.
     """
     _, n_t, cols = vecs.shape
-    sheets = vecs.reshape(env_dim, readout.shape[2], n_t, cols // 2, 2)
-    blocks = np.einsum("sac,ectij->tseiaj", readout, sheets).reshape(n_t, len(readout) * env_dim * cols // 2, 2, 2)
+    logical = _read_out(readout, vecs.reshape(len(vecs), n_t, cols // 2, 2), env_dim)  # (s, a, e, t, i, j)
+    blocks = logical.transpose(3, 0, 2, 4, 1, 5).reshape(n_t, len(readout) * env_dim * cols // 2, 2, 2)
     a00, a01, a10, a11 = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
     a = np.stack([(a01 + a10) / 2.0, 1j * (a01 - a10) / 2.0, (a00 - a11) / 2.0], axis=1)
     return a @ a.conj().transpose(0, 2, 1)
@@ -181,6 +193,9 @@ def _state_error(cs: np.ndarray, psi_logical) -> np.ndarray:
     return _checked_errors(_sphere_error(cs, _bloch_vector(psi_logical)))
 
 
+ARGMAX_TIE_ULPS = 4  # the hard case wins when its E is at most this many ulps below the interior E
+
+
 def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
     """Exact maximum over the logical Bloch sphere of the error for each C of a (T, 3, 3) stack, with its angles.
 
@@ -190,9 +205,11 @@ def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
     s = lam + m_0, |r| = 1 is a secular equation falling in s, bisected on
     plain floats to float resolution between max(|g_i| - d_i) and |g|.  The
     hard case s = 0 completes the unit norm along the bottom eigenvector; of
-    the two candidates the one with the larger E is kept.  Everything but the
-    bisection runs once for the whole stack.  A zero C has no error anywhere
-    and is reported at the pole.
+    the two candidates the one with the larger E is kept, and the hard case
+    also when it scores at most ARGMAX_TIE_ULPS ulps lower: both are then
+    maximisers to rounding, and the printed angles should not hang on their
+    last bits.  Everything but the bisection runs once for the whole stack.
+    A zero C has no error anywhere and is reported at the pole.
     """
     trace = cs[:, 0, 0].real + cs[:, 1, 1].real + cs[:, 2, 2].real
     zero = trace == 0.0
@@ -223,7 +240,7 @@ def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
     r = _dot3(evecs[:, None], np.stack([inner, hard], axis=1)[:, :, None, :])  # evecs @ each candidate
     r /= np.sqrt(_dot3(r, r))[..., None]
     e = _sphere_error(cs[:, None], r)
-    use_hard = (spare >= 0.0) & (e[:, 1] > e[:, 0])
+    use_hard = (spare >= 0.0) & (e[:, 1] >= e[:, 0] - ARGMAX_TIE_ULPS * np.spacing(np.abs(e[:, 0])))
     r = np.where(use_hard[:, None], r[:, 1], r[:, 0])
     r[zero] = (0.0, 0.0, 1.0)  # the pole: theta = phi = 0
     values = _checked_errors(np.where(use_hard, e[:, 1], e[:, 0]))
@@ -326,7 +343,8 @@ class _CorrectionPipeline:
         tau = float(np.abs(times).max(initial=0.0))
         if d >= TAYLOR_MIN_DIM:
             mu = float(np.trace(self.h).real) / d
-            shifted = self.h - mu * np.eye(d)
+            shifted = self.h.copy()
+            shifted.flat[::d + 1] -= mu
             if tau * float(np.abs(shifted).sum(axis=0).max()) <= 1.0:
                 terms = _taylor_terms(shifted, self.start, tau)
                 return _pauli_covariance(self.readout, _taylor_sums(terms, times, tau, mu), self.env_dim)
@@ -388,14 +406,9 @@ class _CorrectionPipeline:
 
     def _corrected_trace(self, dts: list[float], cycles: int, psi_l: np.ndarray) -> np.ndarray:
         """F after each recovery, as (len(dts), cycles + 1) with F = 1 at cycle 0."""
-        evals, evecs, _ = self.eigenbasis()
-        de, dc = self.env_dim, self.code.register_dim
-        side, n_s = 2 * de, len(self.readout)
-        lifted = evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
-        kraus = np.empty((len(dts), n_s * side, side), dtype=complex)  # M_s stacked by rows, per dt
-        for out, dt in zip(kraus, dts):
-            moved = evecs @ (np.exp(-1j * evals * dt)[:, None] * lifted)
-            out[:] = np.einsum("sac,ecx->seax", self.readout, moved.reshape(de, dc, side)).reshape(-1, side)
+        kraus = self._recovery_steps(dts)
+        de, n_s = self.env_dim, len(self.readout)
+        side = 2 * de
         kraus_h = kraus.reshape(-1, n_s, side, side).conj().transpose(0, 1, 3, 2).reshape(kraus.shape)
         weight = np.kron(np.eye(de), np.outer(psi_l.conj(), psi_l)).reshape(-1, 1)
         rhos = np.repeat(np.kron(self.rho0, np.outer(psi_l, psi_l.conj()))[None], len(dts), axis=0)
@@ -405,6 +418,19 @@ class _CorrectionPipeline:
             rhos = left @ kraus_h
             fs[:, m] = (rhos.reshape(-1, 1, side * side) @ weight)[:, 0, 0].real  # one dot per dt
         return fs
+
+    def _recovery_steps(self, dts: list[float]) -> np.ndarray:
+        """M_s = encoder^dag K_s U(dt) (1 (x) encoder) stacked by rows (s, e, a), as (len(dts), syndromes 2 d_e, 2 d_e).
+
+        U(dt) (1 (x) encoder) is formed per dt; all of them share one readout product."""
+        evals, evecs, _ = self.eigenbasis()
+        de, side = self.env_dim, 2 * self.env_dim
+        lifted = evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
+        moved = np.empty((len(evals), len(dts), side), dtype=complex)
+        for i, dt in enumerate(dts):
+            moved[:, i] = evecs @ (np.exp(-1j * evals * dt)[:, None] * lifted)
+        steps = _read_out(self.readout, moved, de)  # (s, a, e, dt, x)
+        return steps.transpose(3, 0, 2, 1, 4).reshape(len(dts), -1, side)
 
     def _free_trace(self, dts: list[float], cycles: int, psi_bar: np.ndarray, psi_l: np.ndarray) -> np.ndarray:
         """F of the freely evolved encoded state at each m dt, as (len(dts), cycles + 1) with F = 1 at m = 0."""

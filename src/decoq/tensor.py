@@ -21,10 +21,24 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+HERMITICITY_PANEL = 64  # rows of a - a^dag formed at a time, so no d x d temporary is made
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest absolute entry of ``a - a^dag``."""
+    """Largest absolute entry of ``a - a^dag``, for a square ``a``; 0.0 when ``a`` is empty.
+
+    Entry (j, i) of a - a^dag is minus the conjugate of entry (i, j), to the bit
+    (IEEE subtraction is antisymmetric and addition commutes), so only the panels
+    a[i:i+P, i:] - a[i:, i:i+P]^dag on and above the diagonal are formed."""
     a = _as_complex(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"Hermiticity needs a square matrix, got shape {a.shape}")
+    if not a.size:
+        return 0.0
+    defect, panel = 0.0, HERMITICITY_PANEL
+    for i in range(0, len(a), panel):
+        defect = np.maximum(defect, np.abs(a[i:i + panel, i:] - a[i:, i:i + panel].conj().T).max())  # NaN carries
+    return float(defect)
 
 
 def require_hermitian(a: np.ndarray, tolerance: float, what: str = "matrix") -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from decoq import tolerances as tol
 from decoq.errors import ShapeError, ValidationError
-from decoq.tensor import DensityMatrix, kron, operator_norm
+from decoq.tensor import DensityMatrix, kron, operator_norm, require_hermitian
 from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed
 from decoq.dynamics import (
     ContactTerm,
@@ -47,6 +48,46 @@ class TestEnvironmentModel:
         zero = np.zeros((de, de))
         with pytest.raises(ValidationError):
             EnvironmentModel(de, rho, zero, ((zero, zero, bad),))
+
+    @pytest.mark.parametrize("offenders", [[(0, 0)], [(1, 2)], [(2, 1), (0, 2)], [(1, 0), (1, 1), (2, 2)]])
+    def test_stacked_check_names_the_first_offender(self, rng, offenders):
+        de = 3
+        couplings = [[random_hermitian(rng, de) for _ in range(3)] for _ in range(3)]
+        for k, (l, mu) in enumerate(offenders):
+            couplings[l][mu] = couplings[l][mu] + np.diag([0.0, 2e-12 * (k + 1) * 1j, 0.0])
+        rho = DensityMatrix(np.eye(de) / de, (de,))
+        with pytest.raises(ValidationError) as stacked:
+            EnvironmentModel(de, rho, np.zeros((de, de)), tuple(map(tuple, couplings)))
+        with pytest.raises(ValidationError) as looped:
+            for l, triple in enumerate(couplings):  # the per-coupling check the stack replaced
+                for mu, h in enumerate(triple):
+                    require_hermitian(h, tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
+        assert str(stacked.value) == str(looped.value)
+        assert "h[%d][%d]" % tuple(x + 1 for x in min(offenders)) in str(stacked.value)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,), (1, 1)])
+    def test_coupling_of_the_wrong_shape_rejected(self, shape):
+        zero = np.zeros((2, 2))
+        rho = DensityMatrix(np.eye(2) / 2, (2,))
+        couplings = ((zero, zero, zero), (zero, np.zeros(shape), zero))
+        with pytest.raises(ShapeError, match=r"^coupling h\[2\]\[2\] must be 2 x 2, got shape "):
+            EnvironmentModel(2, rho, zero, couplings)
+
+    def test_couplings_stored_complex(self):
+        zero = np.zeros((2, 2), dtype=np.int64)
+        env = EnvironmentModel(2, DensityMatrix(np.eye(2) / 2, (2,)), zero, ((zero, np.eye(2), zero),))
+        assert all(h.dtype == complex and h.shape == (2, 2) for triple in env.couplings for h in triple)
+        assert env.couplings[0][1].tolist() == np.eye(2).tolist()
+
+    @pytest.mark.parametrize("de", [1, 2, 3, 8])
+    def test_coupling_bound_bits_equal_per_coupling_norms(self, de):
+        for seed in (1, 2, 7):
+            for bound in (1.0, 0.37, 2.5, 0.0):
+                env = random_environment(4, de, coupling_bound=bound, seed=seed)
+                norms = [operator_norm(h) for triple in env.couplings for h in triple]
+                assert env.coupling_bound == max(norms)
+        assert trivial_environment(5).coupling_bound == 0.0
+        assert trivial_environment(0).coupling_bound == 0.0
 
     def test_coupling_bound_is_max_norm(self, rng):
         env, h = dephasing_environment(rng, 3)

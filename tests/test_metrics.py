@@ -18,8 +18,9 @@ from decoq.dynamics import (
     random_environment,
     trivial_environment,
 )
-from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
+from decoq.codes import CODES, asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
 from decoq.metrics import (
+    ARGMAX_TIE_ULPS,
     CodeErrorResult,
     FidelityCurve,
     _bloch_pair,
@@ -238,6 +239,64 @@ class TestGridShape:
             assert pipeline.error_direct(PSI, t) == e
 
 
+def einsum_covariance(readout, vecs, env_dim):
+    """C per time through one ``einsum`` over the register index: the reference for ``_pauli_covariance``."""
+    _, n_t, cols = vecs.shape
+    sheets = vecs.reshape(env_dim, readout.shape[2], n_t, cols // 2, 2)
+    blocks = np.einsum("sac,ectij->tseiaj", readout, sheets).reshape(n_t, len(readout) * env_dim * cols // 2, 2, 2)
+    a00, a01, a10, a11 = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
+    a = np.stack([(a01 + a10) / 2.0, 1j * (a01 - a10) / 2.0, (a00 - a11) / 2.0], axis=1)
+    return a @ a.conj().transpose(0, 2, 1)
+
+
+def einsum_recovery_steps(pipeline, dts):
+    """M_s per dt, each from its own ``einsum`` over the register index: the reference for ``_recovery_steps``."""
+    evals, evecs, _ = pipeline.eigenbasis()
+    de, dc = pipeline.env_dim, pipeline.code.register_dim
+    side, n_s = 2 * de, len(pipeline.readout)
+    lifted = evecs.conj().T @ np.kron(np.eye(de), pipeline.code.encoder)
+    kraus = np.empty((len(dts), n_s * side, side), dtype=complex)
+    for out, dt in zip(kraus, dts):
+        moved = evecs @ (np.exp(-1j * evals * dt)[:, None] * lifted)
+        out[:] = np.einsum("sac,ecx->seax", pipeline.readout, moved.reshape(de, dc, side)).reshape(-1, side)
+    return kraus
+
+
+READOUT_MODELS = [(name, de) for name in CODES for de in (1, 2, 3, 8)]
+
+
+def readout_model(name, de):
+    code = build_code(name)
+    env = random_environment(code.n, de, seed=31 + de)
+    return code, env, free_hamiltonian(env), build_noncontact(env)
+
+
+class TestReadoutProduct:
+    """The readout as one matrix product gives the bits of the ``einsum`` it replaced."""
+
+    @pytest.mark.parametrize("name,de", READOUT_MODELS)
+    def test_covariance_bits_equal_einsum(self, name, de):
+        code = build_code(name)
+        readout = decoq.metrics._logical_readout(code)
+        rng = np.random.default_rng(de)
+        d = de * code.register_dim
+        for n_t in (1, 3, 14):
+            vecs = rng.standard_normal((d, n_t, 2 * de)) + 1j * rng.standard_normal((d, n_t, 2 * de))
+            got = _pauli_covariance(readout, vecs, de)
+            assert got.tobytes() == einsum_covariance(readout, vecs, de).tobytes(), (name, de, n_t)
+
+    @pytest.mark.parametrize("name,de", [m for m in READOUT_MODELS if m != ("repetition-7", 8)])
+    def test_corrected_decay_bits_equal_einsum(self, name, de, monkeypatch):
+        # repetition-7 at d_e = 8 is left out only for the 1024-dimensional eigh it would cost
+        dts = [0.2, 0.1, 0.05]
+        pipeline = _CorrectionPipeline(*readout_model(name, de))
+        steps = pipeline._recovery_steps(dts)
+        assert steps.tobytes() == einsum_recovery_steps(pipeline, dts).tobytes()
+        got = pipeline.decay(dts, 12, PSI)
+        monkeypatch.setattr(_CorrectionPipeline, "_recovery_steps", einsum_recovery_steps)
+        assert pipeline.decay(dts, 12, PSI) == got
+
+
 WIDE_GRID = tuple(float(t) for t in np.geomspace(2e-3, 1.6e-2, 3))
 
 
@@ -286,8 +345,10 @@ class TestTaylorPropagation:
             tau = max(grid)
             terms = _taylor_terms(shifted, pipeline.start, tau)
             assert len(terms) <= 22
+            series = _taylor_sums(terms, np.array(grid), tau, mu)
+            assert np.array_equal(taylor, _pauli_covariance(pipeline.readout, series, pipeline.env_dim))
             moved = np.stack([propagated(pipeline, t) for t in grid], axis=1)
-            assert np.max(np.abs(_taylor_sums(terms, np.array(grid), tau, mu) - moved)) <= 1e-13, seed
+            assert np.max(np.abs(series - moved)) <= 1e-13, seed
             dense = _pauli_covariance(pipeline.readout, moved, pipeline.env_dim)
             for t, got, want in zip(grid, _sphere_suprema(taylor), _sphere_suprema(dense)):
                 assert got.value == pytest.approx(want.value, rel=1e-9), (seed, t)
@@ -430,6 +491,23 @@ class TestSphereMaximum:
         sup = _sphere_suprema(np.diag([0.5, 0.2, 0.9])[None] / 1.6 + 0j)[0]
         assert abs(_bloch(sup)[1]) == pytest.approx(1.0, abs=1e-15)
         assert sup.value == pytest.approx(1.4 / 1.6, rel=1e-15)
+
+    @pytest.mark.parametrize("w", [(1e-9, 1.0 / 64.0, 1.0 / 64.0), (1e-9, 2.0 / 64.0, 23.0 / 64.0)])
+    def test_tied_candidates_take_the_hard_case(self, w):
+        # Re C is diagonal and w nearly misses its bottom axis, so the interior
+        # root lies 2e-10 to 1e-9 from the hard-case point; their E agree to
+        # rounding (here the interior scores 1 or 2 ulps higher), and the hard
+        # case is the one reported, whichever way the last bits fall
+        m, w = np.diag([0.125, 0.25, 0.5]), np.array(w)
+        c = _covariance(m, w)
+        tr = float(np.trace(m))
+        g, gaps = w / (2.0 * tr), (np.diag(m) - m[0, 0]) / tr
+        hard = np.array([0.0, g[1] / gaps[1], g[2] / gaps[2]])
+        hard[0] = math.sqrt(1.0 - hard @ hard)
+        sup = _sphere_suprema(c[None])[0]
+        assert np.max(np.abs(_bloch(sup) - hard)) <= 1e-13
+        at_hard = float(_sphere_error(c, hard))
+        assert abs(sup.value - at_hard) <= ARGMAX_TIE_ULPS * np.spacing(at_hard)
 
     def test_zero_matrix_and_zero_w(self):
         assert _sphere_suprema(np.zeros((1, 3, 3), complex)) == [CodeErrorResult(0.0, 0.0, 0.0)]

@@ -58,8 +58,47 @@ class TestDensityMatrix:
 def test_require_hermitian_reports_defect():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert hermiticity_defect(a) == 1.0
-    with pytest.raises(ValidationError):
-        require_hermitian(a, 1e-12)
+    with pytest.raises(ValidationError, match=r"^joint H is not Hermitian: max \|M - M\^dag\| = 1\.000e\+00 > 1\.0e-12$"):
+        require_hermitian(a, 1e-12, "joint H")
+    with pytest.raises(ShapeError, match=r"^joint H must be square, got shape \(2, 3\)$"):
+        require_hermitian(np.zeros((2, 3)), 1e-12, "joint H")
+
+
+def dense_defect(a):
+    """max |a - a^dag| over the whole matrix: the reference for the panel-by-panel ``hermiticity_defect``."""
+    a = np.asarray(a, dtype=complex)
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 130, 257])
+    def test_bits_equal_dense_defect(self, rng, d):
+        h = random_hermitian(rng, d)
+        noisy = h + 1e-13 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        cases = [h, noisy, noisy.real, np.round(noisy.real * 7).astype(np.int64)]
+        for i, j in [(0, d - 1), (d - 1, 0), (d // 2, d // 3), (d // 3, d // 2)]:
+            bumped = h.copy()
+            bumped[i, j] += 3e-11 - 2e-11j  # one entry above the diagonal or below it
+            cases.append(bumped)
+        diagonal = h.copy()
+        diagonal[d // 2, d // 2] += 5e-12j
+        cases.append(diagonal)
+        for a in cases:
+            assert hermiticity_defect(a) == dense_defect(a)
+        assert hermiticity_defect(cases[4]) > 0.0
+
+    def test_nan_in_a_later_panel_carries(self):
+        a = np.eye(130, dtype=complex)
+        a[129, 70] = np.nan
+        assert np.isnan(hermiticity_defect(a))
+
+    def test_empty_is_zero(self):
+        assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), (0, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ShapeError, match="square"):
+            hermiticity_defect(np.zeros(shape))
 
 
 class TestKron:
