@@ -14,6 +14,7 @@ from .pauli import (
     embed,
     pauli_action,
     pauli_string,
+    pauli_sum,
     reconstruct,
 )
 from .dynamics import (

@@ -308,18 +308,6 @@ def recovery_channel(code: CodeSpec) -> KrausChannel:
     return KrausChannel(tuple(code.encoder @ b.conj().T for b in code.syndrome_blocks))
 
 
-def _ancilla_flip(bits: tuple[int, ...]) -> np.ndarray:
-    """Unitary on the ancilla mapping |0...0> to |bits>."""
-    if not bits:
-        return np.eye(1, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    out = x if bits[0] else eye
-    for b in bits[1:]:
-        out = np.kron(out, x if b else eye)
-    return out
-
-
 def recovery_unitary(code: CodeSpec) -> np.ndarray:
     """Unitary recovery on register (x) ancilla.
 
@@ -331,7 +319,7 @@ def recovery_unitary(code: CodeSpec) -> np.ndarray:
     write = np.zeros((dc * da, dc * da), dtype=complex)
     correct = np.zeros((dc * da, dc * da), dtype=complex)
     for bits, proj in code.syndrome_projectors.items():
-        write += kron(proj, _ancilla_flip(bits))
+        write += kron(proj, pauli_string(bits) if bits else np.eye(1))  # X where a bit is set: |0...0> -> |bits>
         idx = int("".join(str(b) for b in bits), 2) if bits else 0
         marker = np.zeros((da, da), dtype=complex)
         marker[idx, idx] = 1.0

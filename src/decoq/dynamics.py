@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import DensityMatrix, kron, require_hermitian
-from .pauli import PAULIS, pauli_action, pauli_string
+from .pauli import pauli_sum
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class EnvironmentModel:
                     raise ShapeError(f"coupling h[{l + 1}][{mu + 1}] must be {self.dim} x {self.dim}, got shape {shape}")
         stack = np.array(self.couplings, dtype=complex).reshape(-1, 3, self.dim, self.dim)
         defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))  # (n, 3), one Hermiticity check
-        for l, mu in np.argwhere(defects > tol.HERMITIAN_TOL)[:1]:  # the first offender in (l, mu) order
+        for l, mu in np.argwhere(~(defects <= tol.HERMITIAN_TOL))[:1]:  # the first offender in (l, mu) order, NaN too
             require_hermitian(stack[l, mu], tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
         object.__setattr__(self, "couplings", tuple(tuple(triple) for triple in stack))
 
@@ -197,30 +197,22 @@ class InteractionSpec:
         return len(self.terms[0].string)
 
 
-def add_qubit_coupling(v: np.ndarray, env: EnvironmentModel, l: int) -> np.ndarray:
-    """Add V^l = sum_mu h^l_mu (x) sigma^l_mu for qubit ``l`` (0-based) into the joint matrix ``v``; returns ``v``.
-
-    V^l is nonzero only where row and column agree on every qubit but ``l``,
-    so one strided add of the (d_e, 2, d_e, 2) block sum_mu h^l_mu (x) sigma_mu
-    into the writable diagonal view of ``v`` over the other qubits does it.
-    """
-    n, de = env.n_qubits, env.dim
-    left, right = 2 ** l, 2 ** (n - 1 - l)
-    view = np.einsum("eiajfibj->eiajfb", v.reshape(de, left, 2, right, de, left, 2, right))
-    block = np.einsum("mef,mab->eafb", np.array(env.couplings[l]), np.array(PAULIS[1:]))
-    view += block[:, None, :, None]
-    return v
+def coupling_terms(env: EnvironmentModel, qubits) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The ``pauli_sum`` terms (h^l_mu, sigma^l_mu) of the 0-based ``qubits``, in (l, mu) order."""
+    n = env.n_qubits
+    return [
+        (h, tuple(mu if i == l else 0 for i in range(n)))
+        for l in qubits
+        for mu, h in enumerate(env.couplings[l], start=1)
+    ]
 
 
 def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.ndarray:
-    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register, one qubit at a time."""
+    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register."""
     n = env.n_qubits if n_qubits is None else int(n_qubits)
     if n != env.n_qubits:
         raise ShapeError(f"environment provides couplings for {env.n_qubits} qubits, asked for {n}")
-    d = env.dim * 2 ** n
-    v = np.zeros((d, d), dtype=complex)
-    for l in range(n):
-        add_qubit_coupling(v, env, l)
+    v = pauli_sum(coupling_terms(env, range(n)), env.dim, n)
     require_hermitian(v, tol.HERMITIAN_TOL, "non-contact interaction")
     return v
 
@@ -235,21 +227,8 @@ def interaction_matrix(spec: InteractionSpec) -> np.ndarray:
     n = spec.n_qubits
     if any(len(term.string) != n for term in spec.terms):
         raise ShapeError("all contact terms must address the same number of qubits")
-    v = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for term in spec.terms:
-        v += float(term.omega) * pauli_string(term.string)
+    v = pauli_sum([(float(term.omega), term.string) for term in spec.terms], 1, n)
     return require_hermitian(v, tol.HERMITIAN_TOL, "contact interaction")
-
-
-def _flip_drive(strings, weights, n: int) -> np.ndarray:
-    """sum_k weights[k] sigma_{strings[k]} for X-type strings, added term by term at their ``pauli_action`` columns."""
-    rows = np.arange(2 ** n)
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    if strings:
-        cols, _ = pauli_action(strings)  # X letters only: every phase is 1
-        for k, w in enumerate(weights):
-            h[rows, cols[k]] += w
-    return h
 
 
 def single_flip_hamiltonian(omegas: Sequence[float]) -> np.ndarray:
@@ -258,7 +237,7 @@ def single_flip_hamiltonian(omegas: Sequence[float]) -> np.ndarray:
     n = len(omegas)
     if n < 1:
         raise ShapeError("need at least one frequency")
-    return _flip_drive([tuple(int(i == l) for i in range(n)) for l in range(n)], omegas, n)
+    return pauli_sum([(w, tuple(int(i == l) for i in range(n))) for l, w in enumerate(omegas)], 1, n)
 
 
 def pair_flip_hamiltonian(pair_omegas: Mapping[tuple[int, int], float], n_qubits: int) -> np.ndarray:
@@ -269,5 +248,5 @@ def pair_flip_hamiltonian(pair_omegas: Mapping[tuple[int, int], float], n_qubits
             raise ShapeError(f"pair ({k},{l}) must couple two distinct qubits")
         if not (1 <= k <= n and 1 <= l <= n):
             raise ShapeError(f"pair ({k},{l}) outside 1..{n}")
-    strings = [tuple(int(i in (k, l)) for i in range(1, n + 1)) for k, l in pair_omegas]
-    return _flip_drive(strings, [float(w) for w in pair_omegas.values()], n)
+    terms = [(float(w), tuple(int(i in (k, l)) for i in range(1, n + 1))) for (k, l), w in pair_omegas.items()]
+    return pauli_sum(terms, 1, n)

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
 from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
-from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec, add_qubit_coupling
+from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec, coupling_terms
+from .pauli import pauli_sum
 from .codes import CodeSpec, asymptotic_x0, encode_logical
 
 
@@ -534,7 +535,7 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
 
     d = env.dim * code.register_dim
-    per_qubit = [add_qubit_coupling(np.zeros((d, d), dtype=complex), env, l) for l in range(code.n)]
+    per_qubit = [pauli_sum(coupling_terms(env, [l]), env.dim, code.n) for l in range(code.n)]
 
     w_total = np.zeros((d, d), dtype=complex)
     for tup in itertools.permutations(range(code.n), k + 1):

@@ -95,6 +95,33 @@ def pauli_action(strings) -> tuple[np.ndarray, np.ndarray]:
     return rows ^ flips[:, None], phase
 
 
+def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
+    """sum_k A_k (x) sigma_{v_k} on environment (x) register, for ``(A_k, v_k)`` pairs.
+
+    A_k is an env_dim x env_dim array, or a scalar when env_dim is 1.  Term k
+    puts A_k[e, f] phase[k, i] at entry ((e, i), (f, cols[k, i])) of the
+    ``pauli_action`` layout, and one unbuffered scatter adds the terms in their
+    given order, so every entry equals the in-order sum of dense krons to the bit.
+    """
+    de, dc = int(env_dim), 2 ** int(n_qubits)
+    out = np.zeros((de * dc, de * dc), dtype=complex)
+    if not terms:
+        return out
+    ops, strings = zip(*terms)
+    a = _as_complex(ops)
+    if a.shape[1:] != (de, de) and not (de == 1 and a.ndim == 1):
+        raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got shape {a.shape[1:]}")
+    cols, phase = pauli_action(strings)
+    if cols.shape[1] != dc:
+        raise ShapeError(f"Pauli strings address {len(strings[0])} qubits, not {n_qubits}")
+    d = de * dc
+    rows = np.arange(d).reshape(de, dc, 1)  # (e, i) -> e dc + i
+    flat = rows * d + np.arange(de) * dc + cols[:, None, :, None]  # flat entry index, axes (k, e, i, f)
+    values = a.reshape(-1, de, 1, de) * phase[:, None, :, None]
+    np.add.at(out.reshape(-1), flat.reshape(-1), values.reshape(-1))
+    return out
+
+
 def anticommutation(strings, others) -> np.ndarray:
     """Symplectic criterion for every pair of rows: entry (i, j) is 1 where
     ``strings[i]`` anticommutes with ``others[j]`` and 0 where they commute.
@@ -154,8 +181,4 @@ def decompose(u: np.ndarray, env_dim: int, n_qubits: int) -> dict[PauliIndexVect
 
 def reconstruct(components: dict[PauliIndexVector, np.ndarray], env_dim: int, n_qubits: int) -> np.ndarray:
     """Rebuild the joint operator from its components (inverse of ``decompose``)."""
-    d = env_dim * 2 ** n_qubits
-    out = np.zeros((d, d), dtype=complex)
-    for v, comp in components.items():
-        out += np.kron(_as_complex(comp), pauli_string(v))
-    return out
+    return pauli_sum([(comp, v) for v, comp in components.items()], env_dim, n_qubits)

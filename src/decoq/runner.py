@@ -63,34 +63,28 @@ def _bool_cell(x) -> str:
     return "true" if x else "false"
 
 
-def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return _bool_cell(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.16e}"
-    return str(x)
-
-
 _FLOAT_CELL = "{:.16e}".format
-# one formatter per cell type, each giving the bytes that ``_cell`` gives for that type
-_COLUMN_FORMATS = {
-    float: _FLOAT_CELL,
-    np.float64: _FLOAT_CELL,
-    int: str,
-    np.int64: str,
-    bool: _bool_cell,
-    np.bool_: _bool_cell,
-    str: str,
-}
+
+
+def _cell_format(t: type):
+    """The formatter of a CSV cell of type ``t``; bool is tested before int, which it subclasses."""
+    if issubclass(t, (bool, np.bool_)):
+        return _bool_cell
+    if issubclass(t, (int, np.integer)):
+        return str
+    if issubclass(t, (float, np.floating)):
+        return _FLOAT_CELL
+    return str
+
+
+def _cell(x) -> str:
+    return _cell_format(type(x))(x)
 
 
 def _column_cells(column: tuple) -> list[str]:
-    """The cells of one column, with one formatter for a column of one cell type and ``_cell`` otherwise."""
-    formats = {_COLUMN_FORMATS.get(t) for t in set(map(type, column))}
-    fmt = formats.pop() if len(formats) == 1 else None
-    return list(map(fmt or _cell, column))
+    """The cells of one column, with one formatter for a column whose cell types share one and ``_cell`` otherwise."""
+    formats = {_cell_format(t) for t in set(map(type, column))}
+    return list(map(formats.pop() if len(formats) == 1 else _cell, column))
 
 
 def format_csv(header: list[str], rows) -> str:

@@ -297,6 +297,19 @@ _PARSERS = {
     "contact": _parse_contact_terms,
 }
 
+# parser tag -> the text that its parser reads back as the same value
+_FORMATTERS = {
+    "str": str,
+    "int": str,
+    "float": repr,
+    "bool": lambda value: "true" if value else "false",
+    "floats": lambda values: ", ".join(map(repr, values)),
+    "pairs": lambda pairs: ", ".join(f"{k}-{l}:{w!r}" for k, l, w in pairs),
+    "contact": lambda terms: ", ".join(
+        f"{omega!r}:" + " ".join(f"{_AXIS_NAMES[axis]}{pos}" for axis, pos in factors) for omega, factors in terms
+    ),
+}
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document; every unknown name is an error with its line."""
@@ -344,59 +357,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical full-form document; ``parse_scenario`` inverts it exactly."""
-    omegas = ", ".join(repr(w) for w in s.single_flip_omegas)
-    pairs = ", ".join(f"{k}-{l}:{w!r}" for k, l, w in s.pair_flip)
-    terms = ", ".join(
-        f"{omega!r}:" + " ".join(f"{_AXIS_NAMES[axis]}{pos}" for axis, pos in factors)
-        for omega, factors in s.contact_terms
-    )
-    lines = [
-        "[scenario]",
-        f"kind = {s.kind}",
-        f"code = {s.code}",
-        f"seed = {s.seed}",
-        f"out = {s.out}",
-        f"plots = {'true' if s.plots else 'false'}",
-        f"max_dim = {s.max_dim}",
-        "",
-        "[environment]",
-        f"d_e = {s.env_dim}",
-        f"coupling_bound = {s.coupling_bound!r}",
-        f"beta = {s.beta!r}",
-        "",
-        "[interaction]",
-        f"kind = {s.interaction_kind}",
-        f"terms = {terms}",
-        "",
-        "[time_grid]",
-        f"start = {s.time_grid.start!r}",
-        f"end = {s.time_grid.end!r}",
-        f"points = {s.time_grid.points}",
-        f"spacing = {s.time_grid.spacing}",
-        "",
-        "[state]",
-        f"theta = {s.state_theta!r}",
-        f"phi = {s.state_phi!r}",
-        "",
-        "[single_flip]",
-        f"omegas = {omegas}",
-        "",
-        "[pair_flip]",
-        f"pairs = {pairs}",
-        "",
-        "[correction]",
-        f"dt = {s.dt!r}",
-        f"cycles = {s.cycles}",
-        f"halvings = {s.halvings}",
-        "",
-        "[bounds]",
-        f"n_min = {s.n_min}",
-        f"n_max = {s.n_max}",
-        f"k_min = {s.k_min}",
-        f"k_max = {s.k_max}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Canonical full-form document, every schema key in schema order; ``parse_scenario`` inverts it exactly."""
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, (name, tag) in keys.items():
+            if name is not None:
+                value = getattr(s.time_grid, name[4:]) if name.startswith("_tg_") else getattr(s, name)
+                lines.append(f"{key} = {_FORMATTERS[tag](value)}")
+        if len(lines) > 1:  # a section of discarded keys, like [state_grid], is not written
+            sections.append("\n".join(lines) + "\n")
+    return "\n".join(sections)
 
 
 def load_scenario(path: str) -> Scenario:

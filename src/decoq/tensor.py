@@ -46,7 +46,7 @@ def require_hermitian(a: np.ndarray, tolerance: float, what: str = "matrix") -> 
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
     defect = hermiticity_defect(a)
-    if defect > tolerance:
+    if not defect <= tolerance:  # a NaN defect fails too
         raise ValidationError(
             f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e} > {tolerance:.1e}"
         )

@@ -4,14 +4,14 @@ import pytest
 from decoq import tolerances as tol
 from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import DensityMatrix, kron, operator_norm, require_hermitian
-from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed
+from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed, pauli_sum
 from decoq.dynamics import (
     ContactTerm,
     EnvironmentModel,
     FreeHamiltonian,
     InteractionSpec,
-    add_qubit_coupling,
     build_noncontact,
+    coupling_terms,
     free_hamiltonian,
     gibbs_weights,
     interaction_matrix,
@@ -48,6 +48,13 @@ class TestEnvironmentModel:
         zero = np.zeros((de, de))
         with pytest.raises(ValidationError):
             EnvironmentModel(de, rho, zero, ((zero, zero, bad),))
+
+    def test_rejects_nan_coupling(self):
+        zero = np.zeros((2, 2))
+        rho = DensityMatrix(np.eye(2) / 2, (2,))
+        bad = np.diag([0.0, np.nan])
+        with pytest.raises(ValidationError, match=r"^coupling h\[2\]\[1\] is not Hermitian: max \|M - M\^dag\| = nan"):
+            EnvironmentModel(2, rho, zero, ((zero, zero, zero), (bad, zero, zero)))
 
     @pytest.mark.parametrize("offenders", [[(0, 0)], [(1, 2)], [(2, 1), (0, 2)], [(1, 0), (1, 1), (2, 2)]])
     def test_stacked_check_names_the_first_offender(self, rng, offenders):
@@ -156,6 +163,13 @@ class TestFreeHamiltonian:
     def test_rejects_wrong_qubit_shape(self):
         with pytest.raises(ShapeError):
             FreeHamiltonian(np.zeros((2, 2)), (np.zeros((3, 3)),))
+
+    def test_rejects_nan_term(self):
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"^free qubit term 2 is not Hermitian"):
+            FreeHamiltonian(np.zeros((2, 2)), (np.zeros((2, 2)), nan))
+        with pytest.raises(ValidationError, match=r"^free environment term is not Hermitian"):
+            FreeHamiltonian(nan, (np.zeros((2, 2)),))
 
 
 def drawn_couplings(n: int, de: int, coupling_bound: float, seed: int) -> list[np.ndarray]:
@@ -292,7 +306,7 @@ class TestInteractions:
         partly = with_zero_couplings(env, {(0, 1), (n - 1, 0), (n - 1, 2)})
         for model in (env, partly):
             for l in range(n):
-                v_l = add_qubit_coupling(np.zeros((de * 2 ** n,) * 2, dtype=complex), model, l)
+                v_l = pauli_sum(coupling_terms(model, [l]), de, n)
                 assert v_l.tobytes() == kron_noncontact(model, [l]).tobytes(), l
 
     def test_noncontact_is_hermitian_sum(self):

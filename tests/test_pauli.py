@@ -14,6 +14,7 @@ from decoq.pauli import (
     embed,
     pauli_action,
     pauli_string,
+    pauli_sum,
     reconstruct,
 )
 
@@ -51,6 +52,39 @@ def test_pauli_action_rejects_bad_stacks():
     for bad in ([()], [(0, 4)], [(1, 2), (3,)], (1, 2)):
         with pytest.raises(ShapeError):
             pauli_action(bad)
+
+
+def kron_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
+    """Reference Pauli sum: one dense kron(A_k, pauli_string(v_k)) per term, added in order."""
+    out = np.zeros((env_dim * 2 ** n_qubits,) * 2, dtype=complex)
+    for a, v in terms:
+        out += np.kron(np.asarray(a, dtype=complex).reshape(env_dim, env_dim), pauli_string(v))
+    return out
+
+
+@pytest.mark.parametrize("de", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_pauli_sum_bit_identical_to_kron_sum(rng, de, n):
+    every = [tuple((mu + i) % 4 for i in range(n)) for mu in range(4)]  # every letter at every position
+    drawn = [tuple(int(i) for i in rng.integers(0, 4, size=n)) for _ in range(6)]
+    strings = every + drawn + drawn[:3]  # repeated strings add into the same entries
+    matrices = [rng.standard_normal((de, de)) + 1j * rng.standard_normal((de, de)) for _ in strings]
+    cases = [list(zip(matrices, strings)), list(zip(matrices, strings))[::-1], []]
+    if de == 1:
+        cases.append([(float(rng.uniform(-2.0, 2.0)), v) for v in strings])  # scalars, as the flip drives pass
+        cases.append([(complex(m[0, 0]), v) for m, v in zip(matrices, strings)])
+    for terms in cases:
+        assert pauli_sum(terms, de, n).tobytes() == kron_sum(terms, de, n).tobytes()
+
+
+def test_pauli_sum_rejects_mismatched_terms():
+    for a in (np.eye(3), 1.0):  # a scalar stands for a 1 x 1 matrix only
+        with pytest.raises(ShapeError, match="must be 2 x 2"):
+            pauli_sum([(a, (1,))], 2, 1)
+    with pytest.raises(ShapeError, match="address 2 qubits, not 3"):
+        pauli_sum([(1.0, (1, 3))], 1, 3)
+    with pytest.raises(ShapeError):
+        pauli_sum([(1.0, (1, 4))], 1, 2)
 
 
 def test_pauli_orthogonality():

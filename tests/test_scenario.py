@@ -179,37 +179,80 @@ class TestTimeGrid:
             TimeGrid(start, end, 10, spacing)
 
 
+def nontrivial_scenario() -> Scenario:
+    """A scenario with every field away from its default."""
+    return Scenario(
+        kind="periodic_correction",
+        code="repetition-5",
+        seed=1234,
+        out="results/deep",
+        plots=False,
+        env_dim=3,
+        coupling_bound=0.75,
+        beta=1.25,
+        interaction_kind="contact",
+        contact_terms=((0.9, ((1, 1), (1, 2))), (1.1, ((2, 4),))),
+        time_grid=TimeGrid(1e-4, 0.25, 21, "linear"),
+        state_theta=0.31,
+        state_phi=2.9,
+        single_flip_omegas=(1.0, 2.0, 3.0, 4.0, 5.0),
+        pair_flip=((1, 5, 0.123456789012345),),
+        dt=0.0625,
+        cycles=55,
+        halvings=3,
+        n_min=2,
+        n_max=11,
+        k_min=1,
+        k_max=2,
+    )
+
+
+def canonical_text(sections) -> str:
+    """One ``[section]`` header and its ``key = value`` lines per section, sections split by a blank line."""
+    return "\n".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections)
+
+
+DEFAULT_TEXT = canonical_text([
+    ("scenario", ["kind = scaling_sweep", "code = five_qubit", "seed = 42", "out = out", "plots = true", "max_dim = 4096"]),
+    ("environment", ["d_e = 2", "coupling_bound = 1.0", "beta = 0.0"]),
+    ("interaction", ["kind = non_contact", "terms = "]),
+    ("time_grid", ["start = 0.0005", "end = 0.008", "points = 14", "spacing = log"]),
+    ("state", ["theta = 1.2", "phi = 0.5"]),
+    ("single_flip", ["omegas = 0.9, 1.1, 0.75, 1.3, 0.85"]),
+    ("pair_flip", ["pairs = 1-2:0.8, 1-3:0.7, 2-3:0.65, 3-4:1.05, 4-5:0.95"]),
+    ("correction", ["dt = 0.12", "cycles = 40", "halvings = 2"]),
+    ("bounds", ["n_min = 1", "n_max = 20", "k_min = 0", "k_max = 3"]),
+])
+
+NONTRIVIAL_TEXT = canonical_text([
+    ("scenario", ["kind = periodic_correction", "code = repetition-5", "seed = 1234", "out = results/deep",
+                  "plots = false", "max_dim = 4096"]),
+    ("environment", ["d_e = 3", "coupling_bound = 0.75", "beta = 1.25"]),
+    ("interaction", ["kind = contact", "terms = 0.9:x1 x2, 1.1:y4"]),
+    ("time_grid", ["start = 0.0001", "end = 0.25", "points = 21", "spacing = linear"]),
+    ("state", ["theta = 0.31", "phi = 2.9"]),
+    ("single_flip", ["omegas = 1.0, 2.0, 3.0, 4.0, 5.0"]),
+    ("pair_flip", ["pairs = 1-5:0.123456789012345"]),
+    ("correction", ["dt = 0.0625", "cycles = 55", "halvings = 3"]),
+    ("bounds", ["n_min = 2", "n_max = 11", "k_min = 1", "k_max = 2"]),
+])
+
+
 class TestRoundTrip:
     def test_default_scenario(self):
         s = Scenario(kind="scaling_sweep")
         assert parse_scenario(serialize_scenario(s)) == s
 
     def test_nontrivial_scenario(self):
-        s = Scenario(
-            kind="periodic_correction",
-            code="repetition-5",
-            seed=1234,
-            out="results/deep",
-            plots=False,
-            env_dim=3,
-            coupling_bound=0.75,
-            beta=1.25,
-            interaction_kind="contact",
-            contact_terms=((0.9, ((1, 1), (1, 2))), (1.1, ((2, 4),))),
-            time_grid=TimeGrid(1e-4, 0.25, 21, "linear"),
-            state_theta=0.31,
-            state_phi=2.9,
-            single_flip_omegas=(1.0, 2.0, 3.0, 4.0, 5.0),
-            pair_flip=((1, 5, 0.123456789012345),),
-            dt=0.0625,
-            cycles=55,
-            halvings=3,
-            n_min=2,
-            n_max=11,
-            k_min=1,
-            k_max=2,
-        )
+        s = nontrivial_scenario()
         assert parse_scenario(serialize_scenario(s)) == s
+
+    def test_canonical_text_of_default_scenario(self):
+        # the exact document, so a reordered or reformatted one fails where a round trip would pass
+        assert serialize_scenario(Scenario(kind="scaling_sweep")) == DEFAULT_TEXT
+
+    def test_canonical_text_of_nontrivial_scenario(self):
+        assert serialize_scenario(nontrivial_scenario()) == NONTRIVIAL_TEXT
 
     def test_repr_floats_survive(self):
         s = Scenario(kind="scaling_sweep", coupling_bound=1.0 / 3.0, state_phi=0.1 + 0.2)

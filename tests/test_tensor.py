@@ -64,6 +64,14 @@ def test_require_hermitian_reports_defect():
         require_hermitian(np.zeros((2, 3)), 1e-12, "joint H")
 
 
+def test_require_hermitian_rejects_nan():
+    # a NaN defect compares false with every tolerance, so it must be refused, not passed
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = a[2, 1] = np.nan
+    with pytest.raises(ValidationError, match=r"^joint H is not Hermitian: max \|M - M\^dag\| = nan > 1\.0e-12$"):
+        require_hermitian(a, 1e-12, "joint H")
+
+
 def dense_defect(a):
     """max |a - a^dag| over the whole matrix: the reference for the panel-by-panel ``hermiticity_defect``."""
     a = np.asarray(a, dtype=complex)
