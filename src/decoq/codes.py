@@ -249,6 +249,29 @@ def build_five_qubit_code() -> CodeSpec:
     return build_stabilizer_code("five_qubit", 5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI)
 
 
+# Rows of the parity-check matrix of the Hamming [7,4] code, qubit 1 first.
+_HAMMING_ROWS = ((0, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0, 1))
+
+
+def build_steane_code() -> CodeSpec:
+    """Steane [[7,1,3]] code: one X check and one Z check per Hamming [7,4] parity row."""
+    gens = [tuple(letter * bit for bit in row) for letter in (1, 3) for row in _HAMMING_ROWS]
+    return build_stabilizer_code("steane", 7, gens, 1, FULL_PAULI)
+
+
+def build_shor_code() -> CodeSpec:
+    """Shor [[9,1,3]] code: Z_i Z_(i+1) within each block of three, X on qubits 1-6 and 4-9.
+
+    The code is degenerate (Z errors in one block share a syndrome and act
+    alike), and its encoder columns Pi |0...0> and Pi |1...1> are the
+    textbook |+_L> and |-_L>.
+    """
+    pairs = ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9))
+    gens = [tuple(3 if q in pair else 0 for q in range(1, 10)) for pair in pairs]
+    gens += [tuple(1 if lo <= q <= lo + 5 else 0 for q in range(1, 10)) for lo in (1, 4)]
+    return build_stabilizer_code("shor", 9, gens, 1, FULL_PAULI)
+
+
 # Scenario identifier -> (register length n, builder).  The length lets a
 # scenario be checked and sized without building its code.
 CODES = {
@@ -256,7 +279,10 @@ CODES = {
     "repetition-3": (3, lambda: build_repetition_code(3)),
     "repetition-5": (5, lambda: build_repetition_code(5)),
     "repetition-7": (7, lambda: build_repetition_code(7)),
+    "repetition-9": (9, lambda: build_repetition_code(9)),
     "five_qubit": (5, build_five_qubit_code),
+    "steane": (7, build_steane_code),
+    "shor": (9, build_shor_code),
 }
 
 

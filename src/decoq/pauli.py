@@ -95,15 +95,22 @@ def pauli_action(strings) -> tuple[np.ndarray, np.ndarray]:
     return rows ^ flips[:, None], phase
 
 
+# Entries, counted per term as 2^n (n + d_e^2), that one block of ``pauli_sum`` holds at once.
+_SUM_BLOCK_ENTRIES = 2 ** 18
+
+
 def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
     """sum_k A_k (x) sigma_{v_k} on environment (x) register, for ``(A_k, v_k)`` pairs.
 
     A_k is an env_dim x env_dim array, or a scalar when env_dim is 1.  Term k
     puts A_k[e, f] phase[k, i] at entry ((e, i), (f, cols[k, i])) of the
-    ``pauli_action`` layout, and one unbuffered scatter adds the terms in their
-    given order, so every entry equals the in-order sum of dense krons to the bit.
+    ``pauli_action`` layout.  The terms go in blocks of a fixed number of
+    entries, so memory stays bounded however many terms there are, and one
+    unbuffered scatter per block adds them in their given order: every entry
+    equals the in-order sum of dense krons to the bit.
     """
-    de, dc = int(env_dim), 2 ** int(n_qubits)
+    n, de = int(n_qubits), int(env_dim)
+    dc = 2 ** n
     out = np.zeros((de * dc, de * dc), dtype=complex)
     if not terms:
         return out
@@ -111,14 +118,16 @@ def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
     a = _as_complex(ops)
     if a.shape[1:] != (de, de) and not (de == 1 and a.ndim == 1):
         raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got shape {a.shape[1:]}")
-    cols, phase = pauli_action(strings)
-    if cols.shape[1] != dc:
-        raise ShapeError(f"Pauli strings address {len(strings[0])} qubits, not {n_qubits}")
     d = de * dc
     rows = np.arange(d).reshape(de, dc, 1)  # (e, i) -> e dc + i
-    flat = rows * d + np.arange(de) * dc + cols[:, None, :, None]  # flat entry index, axes (k, e, i, f)
-    values = a.reshape(-1, de, 1, de) * phase[:, None, :, None]
-    np.add.at(out.reshape(-1), flat.reshape(-1), values.reshape(-1))
+    step = max(1, _SUM_BLOCK_ENTRIES // (dc * (n + de * de)))
+    for lo in range(0, len(strings), step):
+        cols, phase = pauli_action(strings[lo:lo + step])
+        if cols.shape[1] != dc:
+            raise ShapeError(f"Pauli strings address {len(strings[lo])} qubits, not {n_qubits}")
+        flat = rows * d + np.arange(de) * dc + cols[:, None, :, None]  # flat entry index, axes (k, e, i, f)
+        values = a[lo:lo + step].reshape(-1, de, 1, de) * phase[:, None, :, None]
+        np.add.at(out.reshape(-1), flat.reshape(-1), values.reshape(-1))
     return out
 
 

@@ -124,6 +124,26 @@ def _materialize(scenario: Scenario, seed: int):
     return code, env, v, free_hamiltonian(env)
 
 
+def _overwrite(path: str, data: bytes) -> None:
+    """Make ``data`` the whole content of ``path``, written in place and then cut to length.
+
+    Like ``open(path, "wb")`` it creates the file with the umask's permissions
+    or rewrites the existing inode (so links are written through), and raises
+    its ``OSError``.  It does not truncate to zero first: ext4 (with its
+    default ``auto_da_alloc``) flushes a file cut to zero when it is closed,
+    which costs a rerun far more than the write.  ``O_BINARY``, which only
+    Windows has, keeps LF endings as written there.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 class _Outputs:
     """Writes each output file once and keeps the sha256 of the bytes written, and the warnings, for the manifest."""
 
@@ -134,8 +154,7 @@ class _Outputs:
 
     def write(self, name: str, text: str) -> None:
         data = text.encode("utf-8")
-        with open(os.path.join(self.out_dir, name), "wb") as fh:
-            fh.write(data)
+        _overwrite(os.path.join(self.out_dir, name), data)
         self.files[name] = hashlib.sha256(data).hexdigest()
 
     def csv(self, name: str, header: list[str], rows) -> None:
@@ -341,9 +360,8 @@ def run(
         "files": manifest.files,
         "warnings": list(manifest.warnings),
     }
-    with open(os.path.join(effective_out, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _overwrite(os.path.join(effective_out, "manifest.json"), manifest_text.encode("utf-8"))
     return manifest
 
 

@@ -8,7 +8,14 @@ import scipy.optimize
 from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
-from decoq.metrics import _logical_readout
+from decoq.dynamics import (
+    build_noncontact,
+    free_hamiltonian,
+    random_environment,
+    single_flip_hamiltonian,
+    trivial_environment,
+)
+from decoq.metrics import _CorrectionPipeline, _logical_readout, _sphere_suprema, _state_error, fit_power_law
 from decoq.codes import (
     AMPLITUDE_ONLY,
     CODES,
@@ -34,6 +41,10 @@ from decoq.codes import (
 from conftest import random_density
 
 ALL_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
+# codes with a hand-built dense reference below; the dense projectors of a nine-qubit code would take a GiB
+DENSE_REFERENCE_CODES = ("identity", "repetition-3", "repetition-5", "repetition-7", "five_qubit")
+# codes whose recovery dilation, 2^n x 2^(n-1), is too large to build
+UNDILATED_CODES = ("steane", "shor", "repetition-9")
 
 
 def strings_commute(v, w) -> bool:
@@ -216,7 +227,7 @@ def dense_reference(name: str):
     return dense_repetition_reference(int(name.split("-")[1]))
 
 
-@pytest.mark.parametrize("name", CODES)
+@pytest.mark.parametrize("name", DENSE_REFERENCE_CODES)
 def test_stabilizer_core_matches_dense_reference(name):
     code = build_code(name)
     encoder, table, projectors = dense_reference(name)
@@ -302,7 +313,8 @@ def test_degenerate_leaders_accepted():
         (0, 0, 0, 0, 0, 0, 3, 3, 0), (0, 0, 0, 0, 0, 0, 0, 3, 3),
         (1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 1, 1),
     ]
-    code = build_stabilizer_code("shor", 9, gens, 1, FULL_PAULI)
+    code = build_code("shor")
+    assert code.generators == tuple(gens)
     z1, z2 = (3,) + (0,) * 8, (0, 3) + (0,) * 7
     assert code.syndrome_table[tuple(0 if strings_commute(g, z2) else 1 for g in gens)] == z1
     for err in covered_errors(code):  # the leader undoes every covered error up to a phase
@@ -313,9 +325,72 @@ def test_degenerate_leaders_accepted():
         assert np.max(np.abs(undone - phase * code.encoder)) < 1e-12
 
 
+def test_shor_encoder_is_plus_and_minus_logical():
+    # |0_L> and |1_L> are (|000> +- |111>)^(x)3 / 2^(3/2); Pi |0...0> and Pi |1...1> are their sum and difference
+    block = np.zeros(8)
+    block[0] = block[7] = 1.0
+    flipped = block * np.array([1.0] + [0.0] * 6 + [-1.0])
+    zero_l = np.kron(np.kron(block, block), block) / 2 ** 1.5
+    one_l = np.kron(np.kron(flipped, flipped), flipped) / 2 ** 1.5
+    encoder = build_code("shor").encoder
+    assert np.max(np.abs(encoder[:, 0] - (zero_l + one_l) / np.sqrt(2))) < 1e-15
+    assert np.max(np.abs(encoder[:, 1] - (zero_l - one_l) / np.sqrt(2))) < 1e-15
+
+
+def test_steane_generators_from_hamming_rows():
+    rows = ((0, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0, 1))
+    code = build_code("steane")
+    assert code.generators == tuple(tuple(letter * b for b in row) for letter in (1, 3) for row in rows)
+    assert (code.n, code.k_corr, code.error_class, len(code.syndrome_table)) == (7, 1, FULL_PAULI, 64)
+
+
+@pytest.mark.parametrize("name", UNDILATED_CODES)
+def test_recovery_without_dilation(name, rng):
+    # criterion 8 where R (register x ancilla) is too large: 100 encoded states, each hit by a covered error,
+    # recovered by the channel's Kraus operators K_s = encoder W_s^dag and by measuring each generator and
+    # applying the tabulated correction
+    code = build_code(name)
+    errors = list(covered_errors(code))
+    gens = [pauli_string(g) for g in code.generators]
+    blocks_dag = code.syndrome_blocks.conj().transpose(0, 2, 1)
+    worst = 0.0
+    for _ in range(100):
+        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        raw = raw / np.linalg.norm(raw)
+        psi = encode_logical(code, raw[0], raw[1]).amplitudes
+        corrupted = pauli_string(errors[int(rng.integers(0, len(errors)))]) @ psi
+        logical = blocks_dag @ corrupted  # K_s corrupted = encoder logical[s]
+        worst = max(worst, trace_distance(logical.T @ logical.conj(), np.outer(raw, raw.conj())))
+        bits = tuple(int(np.vdot(corrupted, g @ corrupted).real < 0.0) for g in gens)
+        fixed = pauli_string(code.syndrome_table[bits]) @ corrupted
+        worst = max(worst, float(np.max(np.abs(fixed - np.vdot(psi, fixed) * psi))))
+    assert worst <= 1e-10
+
+
+def test_steane_exponent_four():
+    # k = 1 under full Pauli noise: the supremum error starts at t^4
+    code = build_code("steane")
+    env = random_environment(code.n, 2, coupling_bound=1.0, seed=42)
+    pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env), build_noncontact(env))
+    ts = np.geomspace(2e-3, 4e-2, 14).tolist()
+    fit = fit_power_law([(t, sup.value) for t, sup in zip(ts, _sphere_suprema(pipeline.covariances(ts)))])
+    assert fit.exponent == pytest.approx(4.0, abs=0.1)
+
+
+def test_repetition_nine_single_flip_exponent():
+    # k = 4: the single-flip error starts at t^10
+    code = build_code("repetition-9")
+    h = single_flip_hamiltonian((0.9, 1.1, 0.75, 1.3, 0.85, 1.0, 0.95, 1.2, 0.8))
+    pipeline = _CorrectionPipeline(code, trivial_environment(code.n), None, h)
+    ts = np.geomspace(0.04, 0.16, 14).tolist()
+    errors = _state_error(pipeline.covariances(ts), (0.6, 0.8j))
+    fit = fit_power_law(list(zip(ts, errors.tolist())))
+    assert fit.exponent == pytest.approx(10.0, abs=0.1)
+
+
 def test_build_code_unknown():
     with pytest.raises(ShapeError):
-        build_code("steane")
+        build_code("no_such_code")
 
 
 def test_encode_logical_norm_gate():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import decoq.pauli
 from decoq.errors import ShapeError
 from decoq.pauli import (
     PAULIS,
@@ -75,6 +76,19 @@ def test_pauli_sum_bit_identical_to_kron_sum(rng, de, n):
         cases.append([(complex(m[0, 0]), v) for m, v in zip(matrices, strings)])
     for terms in cases:
         assert pauli_sum(terms, de, n).tobytes() == kron_sum(terms, de, n).tobytes()
+
+
+def test_full_basis_reconstruct_in_blocks_equals_one_scatter(rng, monkeypatch):
+    # 4^6 terms at d_e = 2 span several blocks; one block as large as the whole sum is the one-shot scatter
+    de, n = 2, 6
+    comps = {
+        v: rng.standard_normal((de, de)) + 1j * rng.standard_normal((de, de))
+        for v in itertools.product(range(4), repeat=n)
+    }
+    assert decoq.pauli._SUM_BLOCK_ENTRIES < len(comps) * 2 ** n * (n + de * de)
+    blocked = reconstruct(comps, de, n)
+    monkeypatch.setattr(decoq.pauli, "_SUM_BLOCK_ENTRIES", len(comps) * 2 ** n * (n + de * de))
+    assert np.array_equal(blocked, reconstruct(comps, de, n))
 
 
 def test_pauli_sum_rejects_mismatched_terms():

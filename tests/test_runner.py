@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -127,6 +129,49 @@ def test_manifest_hashes_verify(tmp_path, kind):
     assert verify_manifest(str(tmp_path)) == []
     (tmp_path / tampered).write_text("tampered\n")
     assert verify_manifest(str(tmp_path)) == [tampered]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_rerun_rewrites_longer_files_in_place(tmp_path, kind):
+    # every output name already holds longer junk: the rerun writes each file in place and cuts it to length
+    scenario, _ = KINDS[kind]
+    fresh_dir, rerun_dir = tmp_path / "fresh", tmp_path / "rerun"
+    fresh = run(scenario, out_dir=str(fresh_dir))
+    names = [*fresh.files, "manifest.json"]
+    rerun_dir.mkdir()
+    (tmp_path / "links").mkdir()
+    for name in names:
+        (rerun_dir / name).write_bytes(b"junk," * (len(read(fresh_dir / name)) // 5 + 2))
+        os.link(rerun_dir / name, tmp_path / "links" / name)  # the old inodes stay alive, so no number is reused
+    inodes = {name: (rerun_dir / name).stat().st_ino for name in names}
+    rerun = run(scenario, out_dir=str(rerun_dir))
+    assert rerun.files == fresh.files
+    for name in fresh.files:
+        assert read(rerun_dir / name) == read(fresh_dir / name)
+    text = (rerun_dir / "manifest.json").read_text(encoding="utf-8")
+    payload = json.loads(text)  # trailing junk would not parse
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (payload["files"], payload["scenario"]) == (fresh.files, rerun.scenario)
+    assert verify_manifest(str(rerun_dir)) == []
+    assert {name: (rerun_dir / name).stat().st_ino for name in names} == inodes
+    assert all(read(tmp_path / "links" / name) == read(rerun_dir / name) for name in names)
+
+
+def test_outputs_written_through_symlinks_with_open_permissions(tmp_path):
+    # a symlinked output is rewritten where it points, and a new file gets the mode open("wb") gives
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "target.csv").write_text("stale\n", encoding="utf-8")
+    (out / "bounds.csv").symlink_to(tmp_path / "target.csv")
+    manifest = run(BOUNDS, out_dir=str(out))
+    assert (out / "bounds.csv").is_symlink()
+    assert hashlib.sha256(read(tmp_path / "target.csv")).hexdigest() == manifest.files["bounds.csv"]
+    with open(tmp_path / "by_open.csv", "wb"):
+        pass
+    fresh = run(BOUNDS, out_dir=str(tmp_path / "fresh"))
+    assert fresh.files == manifest.files
+    written, opened = (stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "fresh" / "bounds.csv", tmp_path / "by_open.csv"))
+    assert written == opened
 
 
 def cell_joined_csv(header, rows) -> str:
@@ -529,6 +574,16 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / "plain" / "sub")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["bounds.csv", "manifest.json"])
+    def test_output_name_taken_by_directory_exit_2(self, tmp_path, capsys, name):
+        # the output directory exists but one output cannot be opened for writing
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nkind = bounds_table\n", encoding="utf-8")
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {tmp_path / 'out' / name}: ") and err.count("\n") == 1
 
     def test_no_svg_flag(self, tmp_path):
         cfg = tmp_path / "s.cfg"

@@ -50,7 +50,7 @@ class TestParsing:
 
     def test_unknown_code_value(self):
         with pytest.raises(ConfigError, match="unknown code"):
-            parse_scenario("[scenario]\nkind = scaling_sweep\ncode = steane\n")
+            parse_scenario("[scenario]\nkind = scaling_sweep\ncode = no_such_code\n")
 
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="line 1: key outside any section"):
