@@ -37,8 +37,7 @@ def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     out_dir = args.out or scenario.out
     try:
-        manifest = run(scenario, out_dir=args.out, seed=args.seed, workers=args.workers,
-                       plots=False if args.no_svg else None)
+        manifest = run(scenario, out_dir=args.out, seed=args.seed, plots=False if args.no_svg else None)
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
     print(f"wrote {len(manifest.files)} files to {out_dir} (seed {manifest.seed})")
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="path to a scenario config")
     p_run.add_argument("--out", default=None, help="output directory (overrides the scenario)")
     p_run.add_argument("--seed", type=int, default=None, help="seed override")
-    p_run.add_argument("--workers", type=int, default=1, help="accepted and ignored; sweeps run serially")
     p_run.add_argument("--no-svg", action="store_true", help="skip plot emission")
     p_run.set_defaults(func=_cmd_run)
 

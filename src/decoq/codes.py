@@ -49,7 +49,11 @@ class CodeSpec:
     correction.  ``k_corr`` is the number of simultaneous single-qubit errors
     of the covered class that the code corrects.  Validation builds
     ``syndrome_basis``, the unitary W with columns C_s |j_L> over the sorted
-    syndromes s and j = 0, 1, and checks W^dag W = 1.
+    syndromes s and j = 0, 1, and checks W^dag W = 1.  ``readout`` is
+    encoder^dag K_s = W_s^dag for each recovery Kraus operator
+    K_s = encoder W_s^dag, stacked as (syndrome, 2, 2^n): W^dag reshaped.
+    K_s lands in the span of the encoder, which every generator fixes, so
+    these blocks are the whole logical readout.
     """
 
     name: str
@@ -60,6 +64,7 @@ class CodeSpec:
     encoder: np.ndarray
     syndrome_table: dict[tuple[int, ...], PauliIndexVector]
     syndrome_basis: np.ndarray = field(init=False, repr=False)
+    readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.error_class not in (AMPLITUDE_ONLY, FULL_PAULI):
@@ -94,6 +99,7 @@ class CodeSpec:
         if defect > tol.CHANNEL_TOL:
             raise ValidationError(f"syndrome spaces are not orthonormal, ||W^dag W - 1||_max = {defect:.3e}")
         object.__setattr__(self, "syndrome_basis", w)
+        object.__setattr__(self, "readout", np.ascontiguousarray(w.conj().T).reshape(-1, 2, dc))
 
     @property
     def register_dim(self) -> int:

@@ -207,11 +207,9 @@ def coupling_terms(env: EnvironmentModel, qubits) -> list[tuple[np.ndarray, tupl
     ]
 
 
-def build_noncontact(env: EnvironmentModel, n_qubits: int | None = None) -> np.ndarray:
+def build_noncontact(env: EnvironmentModel) -> np.ndarray:
     """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register."""
-    n = env.n_qubits if n_qubits is None else int(n_qubits)
-    if n != env.n_qubits:
-        raise ShapeError(f"environment provides couplings for {env.n_qubits} qubits, asked for {n}")
+    n = env.n_qubits
     v = pauli_sum(coupling_terms(env, range(n)), env.dim, n)
     require_hermitian(v, tol.HERMITIAN_TOL, "non-contact interaction")
     return v

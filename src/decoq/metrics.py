@@ -130,15 +130,6 @@ def _start_vectors(code: CodeSpec, env: EnvironmentModel) -> np.ndarray:
     return cols.reshape(env.dim * code.register_dim, -1)
 
 
-def _logical_readout(code: CodeSpec) -> np.ndarray:
-    """encoder^dag K_s = W_s^dag per syndrome s, stacked as (syndrome, 2, 2^n): W^dag reshaped.
-
-    K_s = encoder W_s^dag lands in the span of the encoder, which every
-    generator fixes (``CodeSpec`` checks it), so these blocks are the whole readout."""
-    w = code.syndrome_basis
-    return np.ascontiguousarray(w.conj().T).reshape(-1, 2, code.register_dim)
-
-
 def _read_out(readout: np.ndarray, vecs: np.ndarray, env_dim: int) -> np.ndarray:
     """encoder^dag K_s applied to the register part of every column of ``vecs``, as one matrix product.
 
@@ -275,8 +266,8 @@ def _taylor_terms(shifted: np.ndarray, x: np.ndarray, tau: float) -> list[np.nda
 def _taylor_sums(terms: list[np.ndarray], times: np.ndarray, tau: float, mu: float) -> np.ndarray:
     """exp(-i mu t) sum_j (-i t / tau)^j P_j at every t of ``times`` by one stacked Horner's rule, as (d, T, cols).
 
-    This is exp(-iHt) x for H = A + mu."""
-    steps = -1j * (times / tau) if tau > 0.0 else np.zeros(len(times), dtype=complex)
+    This is exp(-iHt) x for H = A + mu; every t is summed on its own."""
+    steps = -1j * (times / tau)
     acc = terms[-1][:, None, :]
     for p in reversed(terms[:-1]):
         acc = p[:, None, :] + steps[:, None] * acc
@@ -287,72 +278,70 @@ class _CorrectionPipeline:
     """E(t) for one code, environment and Hamiltonian; built once, queried per time grid.
 
     Holds the joint Hamiltonian H, the start vectors |e_i> (x) |j_L> (weighted
-    by the environment eigenvalues) and the logical readout of the recovery
-    channel.  ``covariances`` propagates only those 2 m vectors to every t of
-    a grid and reduces them to the (T, 3, 3) stack of the Pauli covariance C
-    of the module docstring, from which ``_sphere_suprema`` and
+    by the environment eigenvalues) and the code's logical readout of the
+    recovery channel.  ``covariances`` propagates only those 2 m vectors to
+    every t of a grid and reduces them to the (T, 3, 3) stack of the Pauli
+    covariance C of the module docstring, from which ``_sphere_suprema`` and
     ``_state_error`` read E; ``supremum`` and ``error_direct`` are their
     one-row views.  ``decay`` runs periodic recovery for a list of intervals
-    dt in one call, on the eigendecomposition of H, which is computed on
-    first use and at most once.  ``readout`` may be passed in to share it
-    between pipelines on the same code.
+    dt in one call.  Both propagate through ``_evolve``; the eigendecomposition
+    of H is computed on first use and at most once.
     """
 
-    def __init__(
-        self,
-        code: CodeSpec,
-        env: EnvironmentModel,
-        h0: FreeHamiltonian | None,
-        v: np.ndarray,
-        readout: np.ndarray | None = None,
-    ):
+    def __init__(self, code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray):
         self.env_dim = env.dim
         v = _as_complex(v)
         d = env.dim * code.register_dim
         if v.shape != (d, d):
             raise ShapeError(f"interaction shape {v.shape} does not match env {env.dim} x register {code.register_dim}")
+        if h0 is not None and (h0.env_dim, h0.n_qubits) != (env.dim, code.n):
+            raise ShapeError(
+                f"free Hamiltonian on env {h0.env_dim} x {h0.n_qubits} qubits does not match "
+                f"env {env.dim} x {code.n} qubits"
+            )
         h = v if h0 is None else h0.matrix() + v
-        if h.shape != (d, d):
-            raise ShapeError("free Hamiltonian dimensions do not match the interaction")
         self.h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "joint Hamiltonian")
         self.start = _start_vectors(code, env)
-        self.readout = _logical_readout(code) if readout is None else readout
-        self.code, self.rho0 = code, env.rho0.array
+        self.code, self.readout, self.rho0 = code, code.readout, env.rho0.array
         self._eigen = None
 
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of H and the start vectors in that basis; one ``eigh``, on first use."""
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of H; one ``eigh``, on first use."""
         if self._eigen is None:
-            evals, evecs = np.linalg.eigh(self.h)
-            self._eigen = evals, evecs, evecs.conj().T @ self.start
+            self._eigen = np.linalg.eigh(self.h)
         return self._eigen
 
-    def covariances(self, times) -> np.ndarray:
-        """C at every t of ``times`` as one (T, 3, 3) stack; the one place that chooses how exp(-iHt) is applied.
+    def _evolve(self, x: np.ndarray, times) -> np.ndarray:
+        """exp(-iHt) x at every t of ``times``, as (d, T, cols); the one place that applies the propagator.
 
-        From d = TAYLOR_MIN_DIM on, and when tau ||H - mu||_1 <= 1 for tau = max |t|
-        and mu = tr H / d, the start vectors are propagated by one Taylor power
-        basis shared by every t (about a dozen products with H); otherwise by
-        the eigendecomposition, with t folded into the columns: the phased
-        coefficients of all T times form one (d, T 2m) block and take one
-        product with the eigenvectors.
+        From d = TAYLOR_MIN_DIM on, and when max |t| ||H - mu||_1 <= 1 for
+        mu = tr H / d, x is propagated by a Taylor power basis with the fixed
+        step tau = 1 / ||H - mu||_1 (about fifteen products with H); otherwise
+        by the eigendecomposition, one product with the eigenvectors per t.
+        Either way a t's columns do not depend on the other times.
         """
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
             raise ShapeError(f"propagation times must be finite, got {times.tolist()}")
         d = len(self.h)
-        tau = float(np.abs(times).max(initial=0.0))
         if d >= TAYLOR_MIN_DIM:
             mu = float(np.trace(self.h).real) / d
             shifted = self.h.copy()
             shifted.flat[::d + 1] -= mu
-            if tau * float(np.abs(shifted).sum(axis=0).max()) <= 1.0:
-                terms = _taylor_terms(shifted, self.start, tau)
-                return _pauli_covariance(self.readout, _taylor_sums(terms, times, tau, mu), self.env_dim)
-        evals, evecs, start = self.eigenbasis()
-        coeffs = np.exp(np.multiply.outer(-1j * evals, times))[:, :, None] * start[:, None, :]
-        vecs = (evecs @ coeffs.reshape(d, -1)).reshape(coeffs.shape)
-        return _pauli_covariance(self.readout, vecs, self.env_dim)
+            norm = float(np.abs(shifted).sum(axis=0).max())
+            if float(np.abs(times).max(initial=0.0)) * norm <= 1.0:
+                tau = 1.0 / norm if norm > 0.0 else 1.0
+                return _taylor_sums(_taylor_terms(shifted, x, tau), times, tau, mu)
+        evals, evecs = self.eigenbasis()
+        coeffs = evecs.conj().T @ x
+        out = np.empty((d, len(times), x.shape[1]), dtype=complex)
+        for i, t in enumerate(times.tolist()):
+            out[:, i] = evecs @ (np.exp(-1j * evals * t)[:, None] * coeffs)
+        return out
+
+    def covariances(self, times) -> np.ndarray:
+        """C at every t of ``times`` as one (T, 3, 3) stack."""
+        return _pauli_covariance(self.readout, self._evolve(self.start, times), self.env_dim)
 
     def error_direct(self, psi_logical, t: float) -> float:
         """Error of one encoded state at time t: one row of the grid."""
@@ -424,21 +413,17 @@ class _CorrectionPipeline:
         """M_s = encoder^dag K_s U(dt) (1 (x) encoder) stacked by rows (s, e, a), as (len(dts), syndromes 2 d_e, 2 d_e).
 
         U(dt) (1 (x) encoder) is formed per dt; all of them share one readout product."""
-        evals, evecs, _ = self.eigenbasis()
         de, side = self.env_dim, 2 * self.env_dim
-        lifted = evecs.conj().T @ np.kron(np.eye(de), self.code.encoder)
-        moved = np.empty((len(evals), len(dts), side), dtype=complex)
-        for i, dt in enumerate(dts):
-            moved[:, i] = evecs @ (np.exp(-1j * evals * dt)[:, None] * lifted)
+        moved = self._evolve(np.kron(np.eye(de), self.code.encoder), dts)
         steps = _read_out(self.readout, moved, de)  # (s, a, e, dt, x)
         return steps.transpose(3, 0, 2, 1, 4).reshape(len(dts), -1, side)
 
     def _free_trace(self, dts: list[float], cycles: int, psi_bar: np.ndarray, psi_l: np.ndarray) -> np.ndarray:
         """F of the freely evolved encoded state at each m dt, as (len(dts), cycles + 1) with F = 1 at m = 0."""
-        evals, evecs, start = self.eigenbasis()
+        evals, evecs = self.eigenbasis()
         d, de = len(evals), self.env_dim
         bra = psi_bar.conj() @ evecs.reshape(de, -1, d)  # (d_e, d): (1 (x) <psi_bar|) evecs
-        coeffs = start.reshape(d, -1, 2) @ psi_l  # (d, r): evecs^dag sqrt(w_i) |e_i> (x) |psi_bar>
+        coeffs = (evecs.conj().T @ self.start).reshape(d, -1, 2) @ psi_l  # (d, r): evecs^dag sqrt(w_i) |e_i> (x) |psi_bar>
         per_chunk = max(1, d // coeffs.shape[1])  # environment rows of G per chunk, so at most d columns
         steps = np.arange(1, cycles + 1)
         fs = np.zeros((len(dts), cycles + 1))
@@ -533,6 +518,8 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
         raise ShapeError(f"k = {k} does not match the code's correction strength {code.k_corr}")
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
+    if interaction.env is not env:
+        raise ShapeError("the interaction must be declared on the environment it is evaluated with")
 
     d = env.dim * code.register_dim
     per_qubit = [pauli_sum(coupling_terms(env, [l]), env.dim, code.n) for l in range(code.n)]
@@ -544,7 +531,7 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
             prod = prod @ per_qubit[idx]
         w_total += prod
 
-    c = _pauli_covariance(_logical_readout(code), (w_total @ _start_vectors(code, env))[:, None, :], env.dim)
+    c = _pauli_covariance(code.readout, (w_total @ _start_vectors(code, env))[:, None, :], env.dim)
     return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
 
 

@@ -36,7 +36,6 @@ from .metrics import (
     FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
-    _logical_readout,
     _sphere_suprema,
     _state_error,
     error_bound,
@@ -238,14 +237,13 @@ def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     ts = scenario.time_grid.times().tolist()
     pairs = {(k_pos, l_pos): w for k_pos, l_pos, w in scenario.pair_flip}
-    readout = _logical_readout(code)  # one recovery readout serves both drives
 
     curves = {}
     for label, h in (
         ("single_flip", single_flip_hamiltonian(scenario.single_flip_omegas)),
         ("pair_flip", pair_flip_hamiltonian(pairs, code.n)),
     ):
-        pipeline = _CorrectionPipeline(code, env, None, h, readout)
+        pipeline = _CorrectionPipeline(code, env, None, h)
         curves[label] = list(zip(ts, _state_error(pipeline.covariances(ts), psi).tolist()))
         out.csv(f"{label}.csv", ["t", "E"], curves[label])
     fit_rows = _fit_rows("single_flip", curves["single_flip"]) + _fit_rows("pair_flip", curves["pair_flip"])

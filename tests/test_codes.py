@@ -15,7 +15,7 @@ from decoq.dynamics import (
     single_flip_hamiltonian,
     trivial_environment,
 )
-from decoq.metrics import _CorrectionPipeline, _logical_readout, _sphere_suprema, _state_error, fit_power_law
+from decoq.metrics import _CorrectionPipeline, _sphere_suprema, _state_error, fit_power_law
 from decoq.codes import (
     AMPLITUDE_ONLY,
     CODES,
@@ -237,7 +237,7 @@ def test_stabilizer_core_matches_dense_reference(name):
     assert list(derived) == sorted(projectors)
     assert all(np.array_equal(derived[bits], projectors[bits]) for bits in projectors)
     kraus = [pauli_string(table[bits]) @ projectors[bits] for bits in sorted(table)]
-    assert np.array_equal(_logical_readout(code), np.stack([encoder.conj().T @ k for k in kraus]))
+    assert np.array_equal(code.readout, np.stack([encoder.conj().T @ k for k in kraus]))
     assert all(np.array_equal(a, b) for a, b in zip(recovery_channel(code).operators, kraus))
 
 

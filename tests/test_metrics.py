@@ -11,11 +11,13 @@ from decoq.tensor import DensityMatrix, operator_norm
 from decoq.dynamics import (
     ContactTerm,
     EnvironmentModel,
+    FreeHamiltonian,
     InteractionSpec,
     build_noncontact,
     free_hamiltonian,
     interaction_matrix,
     random_environment,
+    single_flip_hamiltonian,
     trivial_environment,
 )
 from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
@@ -95,13 +97,13 @@ def dense_periodic_reference(code, env, h0, v, dt, cycles, psi_logical, correcte
 
 def propagated(pipeline, t):
     """U(t) applied to the start vectors from the pipeline's eigendecomposition: the per-t reference."""
-    evals, evecs, start = pipeline.eigenbasis()
-    return evecs @ (np.exp(-1j * evals * float(t))[:, None] * start)
+    evals, evecs = pipeline.eigenbasis()
+    return evecs @ (np.exp(-1j * evals * float(t))[:, None] * (evecs.conj().T @ pipeline.start))
 
 
-def shipped_model(name, seed):
+def shipped_model(name, seed, de=2):
     code = build_code(name)
-    env = random_environment(code.n, 2, seed=seed)
+    env = random_environment(code.n, de, seed=seed)
     return code, env, free_hamiltonian(env), build_noncontact(env)
 
 
@@ -165,6 +167,16 @@ class TestFidelity:
         e1 = _CorrectionPipeline(code, env, None, v).error_direct(PSI, 0.8)
         e2 = _CorrectionPipeline(code, env, None, s * v).error_direct(PSI, 0.8 / s)
         assert e1 == pytest.approx(e2, abs=1e-12)
+
+    def test_free_hamiltonian_size_checked_before_the_sum(self):
+        # a 1 x 1 free term would broadcast onto every entry of V, and a wrong d_e would fail inside numpy
+        code = build_code("identity")
+        v = single_flip_hamiltonian([1.0])
+        with pytest.raises(ShapeError, match="free Hamiltonian"):
+            _CorrectionPipeline(code, trivial_environment(1), FreeHamiltonian(np.array([[0.5]]), ()), v)
+        env2, env3 = random_environment(1, 2, seed=3), random_environment(1, 3, seed=3)
+        with pytest.raises(ShapeError, match="free Hamiltonian"):
+            _CorrectionPipeline(code, env2, free_hamiltonian(env3), build_noncontact(env2))
 
     def test_logical_pair_required(self):
         env = trivial_environment(1)
@@ -239,6 +251,38 @@ class TestGridShape:
             assert pipeline.error_direct(PSI, t) == e
 
 
+def assert_rows_independent_of_grid(pipeline, ts, extra):
+    """Each t's C, supremum and error carry the same bits from ``ts``, from [t] alone and from ``ts`` grown by ``extra``."""
+    cs = pipeline.covariances(ts)
+    grown = sorted(ts + extra)
+    rows = dict(zip(grown, pipeline.covariances(grown)))
+    for t, c, sup, e in zip(ts, cs, _sphere_suprema(cs), _state_error(cs, PSI)):
+        assert pipeline.covariances([t])[0].tobytes() == c.tobytes(), t
+        assert rows[t].tobytes() == c.tobytes(), t
+        assert pipeline.supremum(t) == sup
+        assert pipeline.error_direct(PSI, t) == e
+
+
+class TestRowsIndependentOfGrid:
+    """A row of E(t) is a function of its own t: times added to the grid leave its bits alone."""
+
+    @pytest.mark.parametrize("name,de", [(n, de) for n in ("identity", "repetition-3", "five_qubit") for de in (1, 2, 3, 5)])
+    def test_eigendecomposition_rows(self, name, de):
+        # odd d_e gives 2 d_e columns per time, not a multiple of four: a product over the whole
+        # grid can round such a column by the grid's width
+        for seed in (1, 2, 3):
+            pipeline = _CorrectionPipeline(*shipped_model(name, seed, de))
+            assert_rows_independent_of_grid(pipeline, np.geomspace(5e-4, 0.3, 9).tolist(), [1e-4, 0.05, 0.7])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_taylor_rows(self, seed, eigh_sizes):
+        # the grown grid reaches the window's edge: a series step taken from the grid would move every row
+        pipeline = _CorrectionPipeline(*wide_model(seed))
+        _, _, t_edge = taylor_radius(pipeline)
+        assert_rows_independent_of_grid(pipeline, list(WIDE_GRID), [1e-3, 5e-3, t_edge])
+        assert 256 not in eigh_sizes
+
+
 def einsum_covariance(readout, vecs, env_dim):
     """C per time through one ``einsum`` over the register index: the reference for ``_pauli_covariance``."""
     _, n_t, cols = vecs.shape
@@ -251,7 +295,7 @@ def einsum_covariance(readout, vecs, env_dim):
 
 def einsum_recovery_steps(pipeline, dts):
     """M_s per dt, each from its own ``einsum`` over the register index: the reference for ``_recovery_steps``."""
-    evals, evecs, _ = pipeline.eigenbasis()
+    evals, evecs = pipeline.eigenbasis()
     de, dc = pipeline.env_dim, pipeline.code.register_dim
     side, n_s = 2 * de, len(pipeline.readout)
     lifted = evecs.conj().T @ np.kron(np.eye(de), pipeline.code.encoder)
@@ -279,7 +323,7 @@ class TestReadoutProduct:
     @pytest.mark.parametrize("name,de", READOUT_MODELS)
     def test_covariance_bits_equal_einsum(self, name, de):
         code = build_code(name)
-        readout = decoq.metrics._logical_readout(code)
+        readout = code.readout
         rng = np.random.default_rng(de)
         d = de * code.register_dim
         for n_t in (1, 3, 14):
@@ -338,13 +382,13 @@ class TestTaylorPropagation:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_eigendecomposition(self, seed, eigh_sizes):
         pipeline = _CorrectionPipeline(*wide_model(seed))
-        mu, _, t_edge = taylor_radius(pipeline)
+        mu, norm, t_edge = taylor_radius(pipeline)
         shifted = pipeline.h - mu * np.eye(len(pipeline.h))
         for grid in (WIDE_GRID, WIDE_GRID + (t_edge,)):
             eigh_sizes.clear()
             taylor = pipeline.covariances(grid)
             assert 256 not in eigh_sizes
-            tau = max(grid)
+            tau = 1.0 / norm
             terms = _taylor_terms(shifted, pipeline.start, tau)
             assert len(terms) <= 22
             series = _taylor_sums(terms, np.array(grid), tau, mu)
@@ -596,6 +640,12 @@ class TestLeadingCoefficient:
         with pytest.raises(UnsupportedInteractionError):
             leading_coefficient(code, env, spec, PSI, 1)
 
+    def test_interaction_on_another_environment_rejected(self):
+        code = build_code("five_qubit")
+        env_a, env_b = random_environment(5, 2, seed=5), random_environment(5, 2, seed=6)
+        with pytest.raises(ShapeError, match="environment"):
+            leading_coefficient(code, env_a, InteractionSpec("non_contact", env=env_b), PSI, 1)
+
     def test_k_mismatch_rejected(self):
         env = random_environment(5, 2, seed=5)
         code = build_code("five_qubit")
@@ -668,13 +718,26 @@ class TestPeriodicCorrection:
     @pytest.mark.parametrize("name", SHIPPED_CODES)
     def test_rows_equal_single_interval_calls(self, name):
         dts = (0.12, 0.06, 0.03, 0.2)
-        for seed in (61, 67):
-            pipeline = _CorrectionPipeline(*shipped_model(name, seed))
+        for seed, de in ((61, 2), (67, 2), (61, 1), (61, 3)):
+            pipeline = _CorrectionPipeline(*shipped_model(name, seed, de))
             for corrected in (True, False):
                 together = pipeline.decay(dts, 40, PSI, apply_correction=corrected)
                 backwards = pipeline.decay(dts[::-1], 40, PSI, apply_correction=corrected)[::-1]
                 alone = [pipeline.decay([dt], 40, PSI, apply_correction=corrected)[0] for dt in dts]
-                assert together == alone == backwards, (seed, corrected)
+                assert together == alone == backwards, (seed, de, corrected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_equal_single_interval_calls_on_taylor_branch(self, seed, eigh_sizes, monkeypatch):
+        # d = 256 with every dt inside the Taylor window: the recovery steps skip the eigendecomposition
+        dts = (0.04, 0.02, 0.01, 0.03)
+        pipeline = _CorrectionPipeline(*wide_model(seed))
+        together = pipeline.decay(dts, 12, PSI)
+        assert 256 not in eigh_sizes
+        backwards = pipeline.decay(dts[::-1], 12, PSI)[::-1]
+        assert together == [pipeline.decay([dt], 12, PSI)[0] for dt in dts] == backwards
+        monkeypatch.setattr(_CorrectionPipeline, "_recovery_steps", einsum_recovery_steps)
+        for got, want in zip(together, pipeline.decay(dts, 12, PSI)):
+            assert np.max(np.abs(np.subtract(got.samples, want.samples))) <= 1e-13
 
     def test_no_intervals(self):
         pipeline = _CorrectionPipeline(*shipped_model("repetition-3", 61))

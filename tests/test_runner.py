@@ -340,19 +340,19 @@ class TestIntroKind:
         assert calls == [14, 14]
 
     def test_one_readout_per_scenario(self, tmp_path, monkeypatch):
-        calls = []
-        original = decoq.metrics._logical_readout
+        seen = []
+        original = decoq.metrics._CorrectionPipeline.__init__
 
-        def counted(code):
-            calls.append(code.name)
-            return original(code)
+        def recorded(self, code, *args):
+            original(self, code, *args)
+            seen.append((code, self.readout))
 
-        for module in (decoq.metrics, decoq.runner):  # the pipeline's default and the runner's shared call
-            monkeypatch.setattr(module, "_logical_readout", counted)
+        monkeypatch.setattr(decoq.metrics._CorrectionPipeline, "__init__", recorded)
         s = Scenario(kind="intro_example", code="repetition-5", time_grid=TimeGrid(0.02, 0.2, 14), plots=False)
         manifest = run(s, out_dir=str(tmp_path))
         assert set(manifest.files) == {"single_flip.csv", "pair_flip.csv", "fit_summary.csv"}
-        assert calls == ["repetition-5"]
+        (code, first), (other, second) = seen  # one pipeline per drive
+        assert code is other and first is second is code.readout
 
 
     def test_repetition_seven_single_flip_exponent(self, tmp_path):
@@ -420,6 +420,13 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "bounds.csv").exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_workers_flag_gone(self, tmp_path, capsys):
+        # sweeps run serially and take no worker count: argparse rejects the flag with its usage exit code
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "s.cfg"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
