@@ -39,7 +39,7 @@ def _syndromes(errors, generators, n: int) -> np.ndarray:
     return anticommutation(errors, np.array(generators, dtype=np.int64).reshape(len(generators), n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """One logical qubit protected on ``n`` register qubits by n - 1 stabilizer generators.
 
@@ -47,13 +47,15 @@ class CodeSpec:
     columns.  ``syndrome_table`` maps each syndrome (bit i is 1 where the
     error anticommutes with generator i) to the Pauli index vector of its
     correction.  ``k_corr`` is the number of simultaneous single-qubit errors
-    of the covered class that the code corrects.  Validation builds
-    ``syndrome_basis``, the unitary W with columns C_s |j_L> over the sorted
-    syndromes s and j = 0, 1, and checks W^dag W = 1.  ``readout`` is
+    of the covered class that the code corrects.  Validation builds the
+    unitary W with columns C_s |j_L> over the sorted syndromes s and
+    j = 0, 1, checks W^dag W = 1 and keeps only ``readout``:
     encoder^dag K_s = W_s^dag for each recovery Kraus operator
-    K_s = encoder W_s^dag, stacked as (syndrome, 2, 2^n): W^dag reshaped.
+    K_s = encoder W_s^dag, stacked as (syndrome, 2, 2^n), i.e. W^dag reshaped.
     K_s lands in the span of the encoder, which every generator fixes, so
-    these blocks are the whole logical readout.
+    these blocks are the whole logical readout.  ``syndrome_basis`` and
+    ``syndrome_blocks`` are derived from it; conjugation is exact, so W comes
+    back to the bit.  Equality is identity, as for any record holding arrays.
     """
 
     name: str
@@ -63,7 +65,6 @@ class CodeSpec:
     generators: tuple[PauliIndexVector, ...]
     encoder: np.ndarray
     syndrome_table: dict[tuple[int, ...], PauliIndexVector]
-    syndrome_basis: np.ndarray = field(init=False, repr=False)
     readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -98,7 +99,6 @@ class CodeSpec:
         defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dc))))
         if defect > tol.CHANNEL_TOL:
             raise ValidationError(f"syndrome spaces are not orthonormal, ||W^dag W - 1||_max = {defect:.3e}")
-        object.__setattr__(self, "syndrome_basis", w)
         object.__setattr__(self, "readout", np.ascontiguousarray(w.conj().T).reshape(-1, 2, dc))
 
     @property
@@ -119,9 +119,14 @@ class CodeSpec:
         return tuple(sorted(self.syndrome_table))
 
     @property
+    def syndrome_basis(self) -> np.ndarray:
+        """W, the (2^n, 2^n) unitary with columns C_s |j_L>: the conjugate transpose of ``readout``, built on every access."""
+        return self.readout.reshape(self.register_dim, -1).conj().T
+
+    @property
     def syndrome_blocks(self) -> np.ndarray:
-        """W_s = C_s encoder per syndrome, stacked as (syndrome, 2^n, 2); a view of ``syndrome_basis``."""
-        return self.syndrome_basis.reshape(self.register_dim, -1, 2).transpose(1, 0, 2)
+        """W_s = C_s encoder per syndrome, stacked as (syndrome, 2^n, 2), built from ``readout`` on every access."""
+        return self.readout.conj().transpose(0, 2, 1)
 
     @property
     def syndrome_projectors(self) -> dict[tuple[int, ...], np.ndarray]:
@@ -300,7 +305,7 @@ def build_code(name: str) -> CodeSpec:
         raise ShapeError(f"unknown code {name!r}; known: {sorted(CODES)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map given by explicit Kraus operators."""
 

@@ -24,19 +24,21 @@ from .tensor import DensityMatrix, kron, require_hermitian
 from .pauli import pauli_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentModel:
     """Environment Hilbert space, initial state and per-qubit couplings.
 
-    ``couplings[l]`` holds the three Hermitian environment operators paired
-    with sigma_x, sigma_y, sigma_z on qubit ``l + 1``.  The largest operator
-    norm among them is the recorded coupling bound.
+    ``couplings`` is given as n triples of d_e x d_e matrices (or one array)
+    and stored as one complex (n, 3, d_e, d_e) array: ``couplings[l]`` holds
+    the three Hermitian environment operators paired with sigma_x, sigma_y,
+    sigma_z on qubit ``l + 1``.  The largest operator norm among them is the
+    recorded coupling bound.
     """
 
     dim: int
     rho0: DensityMatrix
     h_env: np.ndarray
-    couplings: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    couplings: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
@@ -52,11 +54,11 @@ class EnvironmentModel:
             for mu, shape in enumerate(map(np.shape, triple)):
                 if shape != (self.dim, self.dim):
                     raise ShapeError(f"coupling h[{l + 1}][{mu + 1}] must be {self.dim} x {self.dim}, got shape {shape}")
-        stack = np.array(self.couplings, dtype=complex).reshape(-1, 3, self.dim, self.dim)
+        stack = np.asarray(self.couplings, dtype=complex).reshape(-1, 3, self.dim, self.dim)
         defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))  # (n, 3), one Hermiticity check
         for l, mu in np.argwhere(~(defects <= tol.HERMITIAN_TOL))[:1]:  # the first offender in (l, mu) order, NaN too
             require_hermitian(stack[l, mu], tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
-        object.__setattr__(self, "couplings", tuple(tuple(triple) for triple in stack))
+        object.__setattr__(self, "couplings", stack)
 
     @property
     def n_qubits(self) -> int:
@@ -64,9 +66,9 @@ class EnvironmentModel:
 
     @property
     def coupling_bound(self) -> float:
-        if not self.couplings:
+        if not len(self.couplings):
             return 0.0
-        return float(np.linalg.norm(np.array(self.couplings), 2, axis=(-2, -1)).max())
+        return float(np.linalg.norm(self.couplings, 2, axis=(-2, -1)).max())
 
 
 def gibbs_weights(dim: int, beta: float) -> np.ndarray:
@@ -77,9 +79,8 @@ def gibbs_weights(dim: int, beta: float) -> np.ndarray:
 
 def trivial_environment(n_qubits: int) -> EnvironmentModel:
     """One-dimensional environment with zero couplings, for register-only models."""
-    zero = np.zeros((1, 1), dtype=complex)
     rho = DensityMatrix(np.eye(1, dtype=complex), (1,))
-    return EnvironmentModel(1, rho, zero, tuple((zero, zero, zero) for _ in range(n_qubits)))
+    return EnvironmentModel(1, rho, np.zeros((1, 1), dtype=complex), np.zeros((n_qubits, 3, 1, 1), dtype=complex))
 
 
 def random_environment(
@@ -109,13 +110,12 @@ def random_environment(
     scale = np.divide(coupling_bound, norms, out=np.zeros_like(norms), where=norms > 0.0)
     h *= scale[:, :, None, None]
     h[scale == 0.0] = 0.0  # exact +0 entries, as a zero matrix has, not the signed zeros of h * 0
-    couplings = tuple(tuple(triple) for triple in h)
     rho0 = DensityMatrix(np.diag(gibbs_weights(env_dim, beta)).astype(complex), (env_dim,))
     h_env = np.diag(np.arange(env_dim, dtype=float)).astype(complex)
-    return EnvironmentModel(env_dim, rho0, h_env, couplings)
+    return EnvironmentModel(env_dim, rho0, h_env, h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeHamiltonian:
     """Non-interacting part: an environment term plus independent qubit terms."""
 

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _materialize(scenario: Scenario, seed: int):
+def _materialize(scenario: Scenario):
     """Build the code, environment, interaction matrix and free Hamiltonian."""
     code = build_code(scenario.code)
     if scenario.interaction_kind == "contact":
@@ -118,7 +118,7 @@ def _materialize(scenario: Scenario, seed: int):
             terms.append(ContactTerm(float(omega), tuple(string)))
         v = interaction_matrix(InteractionSpec("contact", terms=tuple(terms)))
     else:
-        env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, seed)
+        env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, scenario.seed)
         v = build_noncontact(env)
     return code, env, v, free_hamiltonian(env)
 
@@ -174,8 +174,8 @@ def _fit_rows(label: str, samples) -> list[tuple]:
 _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_max", "residual"]
 
 
-def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: bool) -> None:
-    code, env, v, h0 = _materialize(scenario, seed)
+def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
+    code, env, v, h0 = _materialize(scenario)
     pipeline = _CorrectionPipeline(code, env, h0, v)
     ts = scenario.time_grid.times().tolist()
     sups = _sphere_suprema(pipeline.covariances(ts))
@@ -231,7 +231,7 @@ def _run_scaling(scenario: Scenario, seed: int, out: _Outputs, check_bounds: boo
         )
 
 
-def _run_intro(scenario: Scenario, seed: int, out: _Outputs) -> None:
+def _run_intro(scenario: Scenario, out: _Outputs) -> None:
     code = build_code(scenario.code)
     env = trivial_environment(code.n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
@@ -274,8 +274,8 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
     out.csv("bounds.csv", BOUNDS_HEADER, rows)
 
 
-def _run_periodic(scenario: Scenario, seed: int, out: _Outputs) -> None:
-    code, env, v, h0 = _materialize(scenario, seed)
+def _run_periodic(scenario: Scenario, out: _Outputs) -> None:
+    code, env, v, h0 = _materialize(scenario)
     pipeline = _CorrectionPipeline(code, env, h0, v)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     dts = [math.ldexp(scenario.dt, -i) for i in range(scenario.halvings + 1)]
@@ -312,54 +312,36 @@ def run(
 ) -> RunManifest:
     """Execute a scenario and return the manifest (also written as manifest.json).
 
-    ``workers`` is accepted for compatibility and ignored: a sweep runs
-    serially from one pipeline built per scenario.
+    ``out_dir``, ``seed`` and ``plots`` override the scenario's values; the
+    run reads them from the one scenario record they produce.  ``workers``
+    is accepted for compatibility and ignored: a sweep runs serially from
+    one pipeline built per scenario.
     """
     started = time.monotonic()
-    effective_seed = scenario.seed if seed is None else int(seed)
-    effective_out = scenario.out if out_dir is None else str(out_dir)
-    if plots is not None or seed is not None or out_dir is not None:
-        from dataclasses import replace
+    given = {"out": (out_dir, str), "seed": (seed, int), "plots": (plots, bool)}
+    scenario = replace(scenario, **{key: cast(value) for key, (value, cast) in given.items() if value is not None})
+    os.makedirs(scenario.out, exist_ok=True)
+    out = _Outputs(scenario.out)
 
-        scenario = replace(
-            scenario,
-            seed=effective_seed,
-            out=effective_out,
-            plots=scenario.plots if plots is None else bool(plots),
-        )
-    os.makedirs(effective_out, exist_ok=True)
-    out = _Outputs(effective_out)
-
-    if scenario.kind == "scaling_sweep":
-        _run_scaling(scenario, effective_seed, out, check_bounds=False)
-    elif scenario.kind == "bound_check":
-        _run_scaling(scenario, effective_seed, out, check_bounds=True)
+    if scenario.kind in ("scaling_sweep", "bound_check"):
+        _run_scaling(scenario, out, check_bounds=scenario.kind == "bound_check")
     elif scenario.kind == "intro_example":
-        _run_intro(scenario, effective_seed, out)
+        _run_intro(scenario, out)
     elif scenario.kind == "bounds_table":
         _run_bounds(scenario, out)
     else:  # periodic_correction, the last of the kinds Scenario accepts
-        _run_periodic(scenario, effective_seed, out)
+        _run_periodic(scenario, out)
 
-    files = dict(sorted(out.files.items()))
     manifest = RunManifest(
         scenario=serialize_scenario(scenario),
-        seed=effective_seed,
+        seed=scenario.seed,
         version=__version__,
         duration_s=time.monotonic() - started,
-        files=files,
+        files=dict(sorted(out.files.items())),
         warnings=tuple(out.warnings),
     )
-    payload = {
-        "scenario": manifest.scenario,
-        "seed": manifest.seed,
-        "version": manifest.version,
-        "duration_s": manifest.duration_s,
-        "files": manifest.files,
-        "warnings": list(manifest.warnings),
-    }
-    manifest_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _overwrite(os.path.join(effective_out, "manifest.json"), manifest_text.encode("utf-8"))
+    manifest_text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    _overwrite(os.path.join(scenario.out, "manifest.json"), manifest_text.encode("utf-8"))
     return manifest
 
 

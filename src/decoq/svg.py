@@ -50,6 +50,15 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
     return [10.0 ** e for e in range(lo_exp, hi_exp + 1) if lo <= 10.0 ** e <= hi * (1 + 1e-12)]
 
 
+def _axis(lo: float, hi: float, log: bool) -> tuple[list[float], float, float]:
+    """Ticks of an axis spanning [lo, hi] and its plotted range, in log10 on a log axis; an empty range is one unit wide."""
+    if log:
+        ticks, f_lo, f_hi = _decade_ticks(lo, hi), math.log10(lo), math.log10(hi)
+    else:
+        ticks, f_lo, f_hi = _nice_ticks(lo, hi), lo, hi
+    return ticks, f_lo, f_lo + 1.0 if f_hi <= f_lo else f_hi
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -80,26 +89,9 @@ def emit_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]], axes: 
     if not points:
         raise ShapeError("nothing to plot after filtering log-incompatible points")
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if axes.xlog:
-        x_ticks = _decade_ticks(x_lo, x_hi)
-        fx_lo, fx_hi = math.log10(x_lo), math.log10(x_hi)
-    else:
-        x_ticks = _nice_ticks(x_lo, x_hi)
-        fx_lo, fx_hi = x_lo, x_hi
-    if axes.ylog:
-        y_ticks = _decade_ticks(y_lo, y_hi)
-        fy_lo, fy_hi = math.log10(y_lo), math.log10(y_hi)
-    else:
-        y_ticks = _nice_ticks(y_lo, y_hi)
-        fy_lo, fy_hi = y_lo, y_hi
-    if fx_hi <= fx_lo:
-        fx_hi = fx_lo + 1.0
-    if fy_hi <= fy_lo:
-        fy_hi = fy_lo + 1.0
+    x_lo, y_lo = min(x for x, _ in points), min(y for _, y in points)
+    x_ticks, fx_lo, fx_hi = _axis(x_lo, max(x for x, _ in points), axes.xlog)
+    y_ticks, fy_lo, fy_hi = _axis(y_lo, max(y for _, y in points), axes.ylog)
 
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM

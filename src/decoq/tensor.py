@@ -65,7 +65,7 @@ def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state on a composite space.
 
@@ -91,7 +91,7 @@ class StateVector:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix with explicit tensor factor dimensions."""
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 from decoq.errors import ShapeError, ValidationError
-from decoq.tensor import partial_trace_array, trace_distance
+from decoq.tensor import DensityMatrix, StateVector, partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
 from decoq.dynamics import (
     build_noncontact,
@@ -22,6 +22,7 @@ from decoq.codes import (
     FULL_PAULI,
     CodeSpec,
     KrausChannel,
+    _apply,
     _sphere_sum,
     asymptotic_bound_gap,
     asymptotic_x0,
@@ -256,6 +257,37 @@ def test_syndrome_basis_is_unitary_and_generators_fix_code_space(name):
         assert np.max(np.abs(pauli_string(g) @ code.encoder - code.encoder)) < 1e-12
     for bits, block in zip(code.syndromes, code.syndrome_blocks):
         assert np.array_equal(block, pauli_string(code.syndrome_table[bits]) @ code.encoder)
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_readout_is_the_one_register_array_held(name):
+    code = build_code(name)
+    dc = code.register_dim
+    corrections = [code.syndrome_table[bits] for bits in code.syndromes]
+    w = _apply(corrections, code.encoder).transpose(1, 0, 2).reshape(dc, dc)  # the W whose W^dag W the build checks
+    assert np.ascontiguousarray(code.syndrome_basis).tobytes() == w.tobytes()
+    blocks = w.reshape(dc, -1, 2).transpose(1, 0, 2)
+    assert np.ascontiguousarray(code.syndrome_blocks).tobytes() == np.ascontiguousarray(blocks).tobytes()
+    held = {key: value.shape for key, value in vars(code).items() if isinstance(value, np.ndarray)}
+    assert held == {"encoder": (dc, 2), "readout": (len(corrections), 2, dc)}
+
+
+RECORDS_WITH_ARRAYS = {
+    "CodeSpec": lambda: build_code("identity"),
+    "EnvironmentModel": lambda: random_environment(1, 2, seed=1),
+    "FreeHamiltonian": lambda: free_hamiltonian(random_environment(1, 2, seed=1)),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2, (2,)),
+    "StateVector": lambda: StateVector(np.array([1.0, 0.0]), (2,)),
+    "KrausChannel": lambda: KrausChannel((np.eye(2),)),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS_WITH_ARRAYS.values(), ids=RECORDS_WITH_ARRAYS)
+def test_equality_of_records_holding_arrays_is_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+    assert len({a, b, a}) == 2
 
 
 def test_repetition_seven_registered():

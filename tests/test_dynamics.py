@@ -86,6 +86,18 @@ class TestEnvironmentModel:
         assert all(h.dtype == complex and h.shape == (2, 2) for triple in env.couplings for h in triple)
         assert env.couplings[0][1].tolist() == np.eye(2).tolist()
 
+    @pytest.mark.parametrize("n, de", [(0, 1), (1, 1), (3, 2), (2, 3)])
+    def test_couplings_held_as_one_array(self, n, de):
+        drawn = random_environment(n, de, seed=3)
+        nested = tuple(tuple(np.array(h) for h in triple) for triple in drawn.couplings)
+        rebuilt = EnvironmentModel(de, drawn.rho0, drawn.h_env, nested)
+        for env in (drawn, rebuilt, trivial_environment(n)):
+            assert isinstance(env.couplings, np.ndarray)
+            assert env.couplings.dtype == complex
+            assert env.couplings.shape == (n, 3, env.dim, env.dim)
+            assert len(env.couplings) == env.n_qubits == n
+        assert rebuilt.couplings.tobytes() == drawn.couplings.tobytes()
+
     @pytest.mark.parametrize("de", [1, 2, 3, 8])
     def test_coupling_bound_bits_equal_per_coupling_norms(self, de):
         for seed in (1, 2, 7):

@@ -19,7 +19,7 @@ from decoq.codes import asymptotic_bound_gap
 from decoq.cli import main
 from decoq.errors import ShapeError, SizingError
 from decoq.runner import _cell, format_csv, run, verify_manifest
-from decoq.scenario import Scenario, TimeGrid, parse_scenario
+from decoq.scenario import Scenario, TimeGrid, parse_scenario, serialize_scenario
 from decoq.svg import AxesSpec, emit_svg
 
 SWEEP = Scenario(
@@ -620,6 +620,25 @@ def test_seed_override_changes_data(tmp_path):
     run(SWEEP, out_dir=str(tmp_path / "a"))
     run(SWEEP, out_dir=str(tmp_path / "b"), seed=43)
     assert read(tmp_path / "a" / "sweep.csv") != read(tmp_path / "b" / "sweep.csv")
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        SWEEP,
+        Scenario(kind="bound_check", code="five_qubit", env_dim=1, time_grid=TimeGrid(0.01, 0.1, 4)),
+        Scenario(kind="periodic_correction", code="repetition-3", cycles=12, halvings=1),
+    ],
+    ids=lambda s: s.kind,
+)
+def test_seed_override_matches_seed_in_the_scenario(tmp_path, scenario):
+    from dataclasses import replace
+
+    overridden = run(scenario, out_dir=str(tmp_path / "a"), seed=43)
+    in_file = run(parse_scenario(serialize_scenario(replace(scenario, seed=43))), out_dir=str(tmp_path / "b"))
+    assert overridden.seed == in_file.seed == 43
+    assert overridden.files == in_file.files
+    assert all(read(tmp_path / "a" / name) == read(tmp_path / "b" / name) for name in in_file.files)
 
 
 def test_parse_then_run_matches_direct_scenario(tmp_path):
