@@ -263,15 +263,20 @@ def _taylor_terms(shifted: np.ndarray, x: np.ndarray, tau: float) -> list[np.nda
     return terms
 
 
-def _taylor_sums(terms: list[np.ndarray], times: np.ndarray, tau: float, mu: float) -> np.ndarray:
+def _taylor_sums(terms: list[np.ndarray], times: np.ndarray, tau: float, mu: float, minus_one: bool = False) -> np.ndarray:
     """exp(-i mu t) sum_j (-i t / tau)^j P_j at every t of ``times`` by one stacked Horner's rule, as (d, T, cols).
 
-    This is exp(-iHt) x for H = A + mu; every t is summed on its own."""
-    steps = -1j * (times / tau)
+    This is exp(-iHt) x for H = A + mu and x = P_0; every t is summed on its
+    own.  With ``minus_one`` it is (exp(-iHt) - 1) x, formed without
+    subtracting x: with S the sum from j = 1, expm1(-i mu t) (x + S) + S."""
+    steps = -1j * (times / tau)[:, None]
     acc = terms[-1][:, None, :]
-    for p in reversed(terms[:-1]):
-        acc = p[:, None, :] + steps[:, None] * acc
-    return np.exp(-1j * mu * times)[:, None] * acc
+    for p in reversed(terms[1:-1]):
+        acc = p[:, None, :] + steps * acc
+    x, s = terms[0][:, None, :], steps * acc
+    if minus_one:
+        return np.expm1(-1j * mu * times)[:, None] * (x + s) + s
+    return np.exp(-1j * mu * times)[:, None] * (x + s)
 
 
 class _CorrectionPipeline:
@@ -311,14 +316,16 @@ class _CorrectionPipeline:
             self._eigen = np.linalg.eigh(self.h)
         return self._eigen
 
-    def _evolve(self, x: np.ndarray, times) -> np.ndarray:
+    def _evolve(self, x: np.ndarray, times, minus_one: bool = False) -> np.ndarray:
         """exp(-iHt) x at every t of ``times``, as (d, T, cols); the one place that applies the propagator.
 
         From d = TAYLOR_MIN_DIM on, and when max |t| ||H - mu||_1 <= 1 for
         mu = tr H / d, x is propagated by a Taylor power basis with the fixed
         step tau = 1 / ||H - mu||_1 (about fifteen products with H); otherwise
         by the eigendecomposition, one product with the eigenvectors per t.
-        Either way a t's columns do not depend on the other times.
+        Either way a t's columns do not depend on the other times.  With
+        ``minus_one`` it is (exp(-iHt) - 1) x, with x never subtracted (expm1
+        phases, or the series from its first power), so a small change keeps its digits.
         """
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
@@ -331,17 +338,22 @@ class _CorrectionPipeline:
             norm = float(np.abs(shifted).sum(axis=0).max())
             if float(np.abs(times).max(initial=0.0)) * norm <= 1.0:
                 tau = 1.0 / norm if norm > 0.0 else 1.0
-                return _taylor_sums(_taylor_terms(shifted, x, tau), times, tau, mu)
+                return _taylor_sums(_taylor_terms(shifted, x, tau), times, tau, mu, minus_one)
         evals, evecs = self.eigenbasis()
         coeffs = evecs.conj().T @ x
+        phase = np.expm1 if minus_one else np.exp
         out = np.empty((d, len(times), x.shape[1]), dtype=complex)
         for i, t in enumerate(times.tolist()):
-            out[:, i] = evecs @ (np.exp(-1j * evals * t)[:, None] * coeffs)
+            out[:, i] = evecs @ (phase(-1j * evals * t)[:, None] * coeffs)
         return out
 
     def covariances(self, times) -> np.ndarray:
-        """C at every t of ``times`` as one (T, 3, 3) stack."""
-        return _pauli_covariance(self.readout, self._evolve(self.start, times), self.env_dim)
+        """C at every t of ``times`` as one (T, 3, 3) stack, read out from (U(t) - 1) X.
+
+        Every start column reads out as a logical block identity, which has no
+        traceless part, so dropping X changes C only by that of rounding, while
+        the traceless parts, O(t^(k+1)), are no longer differences of O(1) entries."""
+        return _pauli_covariance(self.readout, self._evolve(self.start, times, minus_one=True), self.env_dim)
 
     def error_direct(self, psi_logical, t: float) -> float:
         """Error of one encoded state at time t: one row of the grid."""

@@ -95,10 +95,12 @@ def dense_periodic_reference(code, env, h0, v, dt, cycles, psi_logical, correcte
     return fidelities
 
 
-def propagated(pipeline, t):
-    """U(t) applied to the start vectors from the pipeline's eigendecomposition: the per-t reference."""
+def propagated(pipeline, t, phase=np.exp):
+    """U(t) applied to the start vectors from the pipeline's eigendecomposition: the per-t reference.
+
+    With ``phase=np.expm1`` it is (U(t) - 1) applied to them, the form ``covariances`` reads out."""
     evals, evecs = pipeline.eigenbasis()
-    return evecs @ (np.exp(-1j * evals * float(t))[:, None] * (evecs.conj().T @ pipeline.start))
+    return evecs @ (phase(-1j * evals * float(t))[:, None] * (evecs.conj().T @ pipeline.start))
 
 
 def shipped_model(name, seed, de=2):
@@ -244,7 +246,7 @@ class TestGridShape:
         sups = _sphere_suprema(cs)
         errors = _state_error(cs, PSI)
         for t, c, sup, e in zip(ts, cs, sups, errors):
-            moved = propagated(pipeline, t)[:, None, :]
+            moved = propagated(pipeline, t, np.expm1)[:, None, :]
             assert np.array_equal(_pauli_covariance(pipeline.readout, moved, pipeline.env_dim)[0], c)
             assert np.array_equal(pipeline.covariances([t])[0], c)
             assert pipeline.supremum(t) == sup
@@ -392,9 +394,11 @@ class TestTaylorPropagation:
             terms = _taylor_terms(shifted, pipeline.start, tau)
             assert len(terms) <= 22
             series = _taylor_sums(terms, np.array(grid), tau, mu)
-            assert np.array_equal(taylor, _pauli_covariance(pipeline.readout, series, pipeline.env_dim))
+            change = _taylor_sums(terms, np.array(grid), tau, mu, minus_one=True)
+            assert np.array_equal(taylor, _pauli_covariance(pipeline.readout, change, pipeline.env_dim))
             moved = np.stack([propagated(pipeline, t) for t in grid], axis=1)
             assert np.max(np.abs(series - moved)) <= 1e-13, seed
+            assert np.max(np.abs(change - (moved - pipeline.start[:, None, :]))) <= 1e-13, seed
             dense = _pauli_covariance(pipeline.readout, moved, pipeline.env_dim)
             for t, got, want in zip(grid, _sphere_suprema(taylor), _sphere_suprema(dense)):
                 assert got.value == pytest.approx(want.value, rel=1e-9), (seed, t)
@@ -440,6 +444,52 @@ class TestTaylorPropagation:
         for model in (wide_model(1), shipped_model("identity", 1)):
             with pytest.raises(ShapeError, match="finite"):
                 _CorrectionPipeline(*model).covariances(grid)
+
+
+def extended_suprema(pipeline, times):
+    """Suprema from C formed in extended precision: (U(t) - 1) X by its Taylor series and its readout in clongdouble.
+
+    The series runs until a term is below 1e-30 of the start vectors X; only
+    the sphere search on the final 3 x 3 C runs in double."""
+    h = pipeline.h.astype(np.clongdouble)
+    x = pipeline.start.astype(np.clongdouble)
+    readout = pipeline.readout.astype(np.clongdouble)
+    limit = 1e-30 * np.abs(x).max()
+    cs = []
+    for t in times:
+        step = np.clongdouble(-1j * t)
+        term, total, j = x, np.zeros_like(x), 0
+        while j == 0 or np.abs(term).max() > limit:
+            j += 1
+            term = (h @ term) * (step / j)
+            total = total + term
+        cs.append(_pauli_covariance(readout, total[:, None, :], pipeline.env_dim)[0])
+    return _sphere_suprema(np.array(cs, dtype=complex))
+
+
+EXPONENT_LAW_GRID = tuple(float(t) for t in np.geomspace(5e-4, 8e-3, 14))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double")
+class TestShortTimeDigits:
+    """E keeps the digits it prints: C is read out from (U - 1) X, so the O(t^(k+1)) traceless
+    parts are not differences of O(1) block entries, and E matches an extended-precision reference."""
+
+    @pytest.mark.parametrize("name,de", [(n, de) for n in ("identity", "repetition-3", "five_qubit") for de in (1, 2, 3)])
+    def test_eigendecomposition_rows(self, name, de):
+        # five_qubit at d_e = 2, seed 42, is the shipped exponent_law, whose first row read out from U X was 2.9e-10 off
+        pipeline = _CorrectionPipeline(*shipped_model(name, 42, de))
+        got = _sphere_suprema(pipeline.covariances(EXPONENT_LAW_GRID))
+        for t, sup, want in zip(EXPONENT_LAW_GRID, got, extended_suprema(pipeline, EXPONENT_LAW_GRID)):
+            assert sup.value == pytest.approx(want.value, rel=1e-11, abs=0.0), (name, de, t)
+
+    def test_taylor_rows(self, eigh_sizes):
+        pipeline = _CorrectionPipeline(*wide_model(1))
+        grid = (5e-4, 2e-3) + WIDE_GRID
+        got = _sphere_suprema(pipeline.covariances(grid))
+        assert 256 not in eigh_sizes
+        for t, sup, want in zip(grid, got, extended_suprema(pipeline, grid)):
+            assert sup.value == pytest.approx(want.value, rel=1e-11, abs=0.0), t
 
 
 def _sphere_points(rng, count):
