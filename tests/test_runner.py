@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -632,8 +633,6 @@ def test_seed_override_changes_data(tmp_path):
     ids=lambda s: s.kind,
 )
 def test_seed_override_matches_seed_in_the_scenario(tmp_path, scenario):
-    from dataclasses import replace
-
     overridden = run(scenario, out_dir=str(tmp_path / "a"), seed=43)
     in_file = run(parse_scenario(serialize_scenario(replace(scenario, seed=43))), out_dir=str(tmp_path / "b"))
     assert overridden.seed == in_file.seed == 43
