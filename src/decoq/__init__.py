@@ -18,14 +18,11 @@ from .pauli import (
     reconstruct,
 )
 from .dynamics import (
-    ContactTerm,
     EnvironmentModel,
-    FreeHamiltonian,
-    InteractionSpec,
     build_noncontact,
+    contact_hamiltonian,
     free_hamiltonian,
     gibbs_weights,
-    interaction_matrix,
     pair_flip_hamiltonian,
     random_environment,
     single_flip_hamiltonian,
@@ -67,7 +64,6 @@ from .errors import (
     FitError,
     ShapeError,
     SizingError,
-    UnsupportedInteractionError,
     ValidationError,
 )
 

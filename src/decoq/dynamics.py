@@ -5,10 +5,10 @@ The central object is a non-contact interaction
     V = sum_{l=1}^{n} sum_{mu=1}^{3} h^l_mu (x) sigma^l_mu,
 
 one environment operator per qubit per Pauli axis and no multi-qubit terms.
-Free evolution is a sum of an environment part and independent single-qubit
-parts; contact interactions (products of Paulis on several qubits) are
-supported as explicit term lists so that counterexamples can be driven
-through the same machinery.
+The joint Hamiltonian is H = h_env (x) 1 + V, a plain matrix; the register
+has no free term.  Contact interactions (products of Paulis on several
+qubits) and the flip drives are register-only Pauli sums, so that
+counterexamples can be driven through the same machinery.
 """
 
 from __future__ import annotations
@@ -115,86 +115,9 @@ def random_environment(
     return EnvironmentModel(env_dim, rho0, h_env, h)
 
 
-@dataclass(frozen=True, eq=False)
-class FreeHamiltonian:
-    """Non-interacting part: an environment term plus independent qubit terms."""
-
-    env_term: np.ndarray
-    qubit_terms: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "env_term", require_hermitian(self.env_term, tol.HERMITIAN_TOL, "free environment term")
-        )
-        checked = []
-        for l, q in enumerate(self.qubit_terms):
-            q = require_hermitian(q, tol.HERMITIAN_TOL, f"free qubit term {l + 1}")
-            if q.shape != (2, 2):
-                raise ShapeError(f"free qubit term {l + 1} must be 2x2, got {q.shape}")
-            checked.append(q)
-        object.__setattr__(self, "qubit_terms", tuple(checked))
-
-    @property
-    def env_dim(self) -> int:
-        return self.env_term.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_terms)
-
-    def matrix(self) -> np.ndarray:
-        """Full matrix on environment (x) register."""
-        de, n = self.env_dim, self.n_qubits
-        dc = 2 ** n
-        out = kron(self.env_term, np.eye(dc))
-        eye_e = np.eye(de, dtype=complex)
-        for l, q in enumerate(self.qubit_terms, start=1):
-            if not np.any(q):
-                continue
-            single = np.kron(
-                np.kron(np.eye(2 ** (l - 1), dtype=complex), q),
-                np.eye(2 ** (n - l), dtype=complex),
-            )
-            out += kron(eye_e, single)
-        return out
-
-
-def free_hamiltonian(env: EnvironmentModel, qubit_terms: Sequence[np.ndarray] | None = None) -> FreeHamiltonian:
-    """Free Hamiltonian using the environment's own term; qubit terms default to zero."""
-    if qubit_terms is None:
-        qubit_terms = tuple(np.zeros((2, 2), dtype=complex) for _ in range(env.n_qubits))
-    return FreeHamiltonian(env.h_env, tuple(qubit_terms))
-
-
-@dataclass(frozen=True)
-class ContactTerm:
-    """One product term on the register alone: coefficient and Pauli letters per qubit."""
-
-    omega: float
-    string: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class InteractionSpec:
-    """Declared interaction: either non-contact (from an environment model) or a term list."""
-
-    kind: str  # "non_contact" | "contact"
-    env: EnvironmentModel | None = None
-    terms: tuple[ContactTerm, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("non_contact", "contact"):
-            raise ShapeError(f"unknown interaction kind {self.kind!r}")
-        if self.kind == "non_contact" and self.env is None:
-            raise ShapeError("non-contact interaction needs an environment model")
-        if self.kind == "contact" and not self.terms:
-            raise ShapeError("contact interaction needs at least one term")
-
-    @property
-    def n_qubits(self) -> int:
-        if self.kind == "non_contact":
-            return self.env.n_qubits
-        return len(self.terms[0].string)
+def free_hamiltonian(env: EnvironmentModel) -> np.ndarray:
+    """The free part h_env (x) 1 on environment (x) register; the register has no free term."""
+    return kron(env.h_env, np.eye(2 ** env.n_qubits))
 
 
 def coupling_terms(env: EnvironmentModel, qubits) -> list[tuple[np.ndarray, tuple[int, ...]]]:
@@ -215,17 +138,11 @@ def build_noncontact(env: EnvironmentModel) -> np.ndarray:
     return v
 
 
-def interaction_matrix(spec: InteractionSpec) -> np.ndarray:
-    """Materialize an interaction declaration as a Hermitian matrix.
+def contact_hamiltonian(terms: Sequence[tuple[float, Sequence[int]]], n_qubits: int) -> np.ndarray:
+    """Contact interaction sum_k omega_k sigma_{v_k} on a bare register, from ``(omega_k, v_k)`` pairs.
 
-    A contact interaction acts on the register alone, so its matrix is 2^n x 2^n.
-    """
-    if spec.kind == "non_contact":
-        return build_noncontact(spec.env)
-    n = spec.n_qubits
-    if any(len(term.string) != n for term in spec.terms):
-        raise ShapeError("all contact terms must address the same number of qubits")
-    v = pauli_sum([(float(term.omega), term.string) for term in spec.terms], 1, n)
+    Each v_k holds one Pauli letter per qubit, so strings of another length raise ``ShapeError``."""
+    v = pauli_sum([(float(w), tuple(string)) for w, string in terms], 1, n_qubits)
     return require_hermitian(v, tol.HERMITIAN_TOL, "contact interaction")
 
 

@@ -9,10 +9,6 @@ class ValidationError(ValueError):
     """A numerical contract is violated (hermiticity, unitarity, normalization)."""
 
 
-class UnsupportedInteractionError(ValueError):
-    """The requested quantity is only defined for non-contact interactions."""
-
-
 class FitError(RuntimeError):
     """A power-law fit could not be performed; the message says how to fix the data."""
 

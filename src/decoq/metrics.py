@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
+from .errors import FitError, ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
-from .dynamics import EnvironmentModel, FreeHamiltonian, InteractionSpec, coupling_terms
+from .dynamics import EnvironmentModel, coupling_terms
 from .pauli import pauli_sum
 from .codes import CodeSpec, asymptotic_x0, encode_logical
 
@@ -185,7 +185,7 @@ def _state_error(cs: np.ndarray, psi_logical) -> np.ndarray:
     return _checked_errors(_sphere_error(cs, _bloch_vector(psi_logical)))
 
 
-ARGMAX_TIE_ULPS = 4  # the hard case wins when its E is at most this many ulps below the interior E
+ARGMAX_TIE_ULPS = 4  # rounding ties: E this many ulps below the other's, or a twist |g| this many eps from 0
 
 
 def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
@@ -200,8 +200,11 @@ def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
     the two candidates the one with the larger E is kept, and the hard case
     also when it scores at most ARGMAX_TIE_ULPS ulps lower: both are then
     maximisers to rounding, and the printed angles should not hang on their
-    last bits.  Everything but the bisection runs once for the whole stack.
-    A zero C has no error anywhere and is reported at the pole.
+    last bits.  Likewise a twist |g| <= ARGMAX_TIE_ULPS eps is rounding alone:
+    E is then even, and of r and -r the one with z >= 0 (on the equator
+    y >= 0, then x >= 0) is scored and reported.  Everything but the
+    bisection runs once for the whole stack.  A zero C has no error anywhere
+    and is reported at the pole.
     """
     trace = cs[:, 0, 0].real + cs[:, 1, 1].real + cs[:, 2, 2].real
     zero = trace == 0.0
@@ -231,6 +234,9 @@ def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
 
     r = _dot3(evecs[:, None], np.stack([inner, hard], axis=1)[:, :, None, :])  # evecs @ each candidate
     r /= np.sqrt(_dot3(r, r))[..., None]
+    tie = ARGMAX_TIE_ULPS * np.finfo(float).eps
+    lead = np.where(np.abs(r[..., 2]) > tie, r[..., 2], np.where(np.abs(r[..., 1]) > tie, r[..., 1], r[..., 0]))
+    r[(his <= tie)[:, None] & (lead < 0.0)] *= -1.0  # E(r) = E(-r) to rounding: keep the z >= 0 one
     e = _sphere_error(cs[:, None], r)
     use_hard = (spare >= 0.0) & (e[:, 1] >= e[:, 0] - ARGMAX_TIE_ULPS * np.spacing(np.abs(e[:, 0])))
     r = np.where(use_hard[:, None], r[:, 1], r[:, 0])
@@ -289,22 +295,18 @@ class _CorrectionPipeline:
     covariance C of the module docstring, from which ``_sphere_suprema`` and
     ``_state_error`` read E; ``supremum`` and ``error_direct`` are their
     one-row views.  ``decay`` runs periodic recovery for a list of intervals
-    dt in one call.  Both propagate through ``_evolve``; the eigendecomposition
+    dt in one call.  ``covariances`` and the corrected ``decay`` propagate
+    columns through ``_evolve``; the uncorrected ``decay`` (``_free_trace``)
+    applies exp(-i lam t) itself, in the eigenbasis.  The eigendecomposition
     of H is computed on first use and at most once.
     """
 
-    def __init__(self, code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray):
+    def __init__(self, code: CodeSpec, env: EnvironmentModel, h: np.ndarray):
         self.env_dim = env.dim
-        v = _as_complex(v)
+        h = _as_complex(h)
         d = env.dim * code.register_dim
-        if v.shape != (d, d):
-            raise ShapeError(f"interaction shape {v.shape} does not match env {env.dim} x register {code.register_dim}")
-        if h0 is not None and (h0.env_dim, h0.n_qubits) != (env.dim, code.n):
-            raise ShapeError(
-                f"free Hamiltonian on env {h0.env_dim} x {h0.n_qubits} qubits does not match "
-                f"env {env.dim} x {code.n} qubits"
-            )
-        h = v if h0 is None else h0.matrix() + v
+        if h.shape != (d, d):
+            raise ShapeError(f"Hamiltonian shape {h.shape} does not match env {env.dim} x register {code.register_dim}")
         self.h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "joint Hamiltonian")
         self.start = _start_vectors(code, env)
         self.code, self.readout, self.rho0 = code, code.readout, env.rho0.array
@@ -317,7 +319,7 @@ class _CorrectionPipeline:
         return self._eigen
 
     def _evolve(self, x: np.ndarray, times, minus_one: bool = False) -> np.ndarray:
-        """exp(-iHt) x at every t of ``times``, as (d, T, cols); the one place that applies the propagator.
+        """exp(-iHt) x at every t of ``times``, as (d, T, cols); ``_free_trace`` applies its own phases instead.
 
         From d = TAYLOR_MIN_DIM on, and when max |t| ||H - mu||_1 <= 1 for
         mu = tr H / d, x is propagated by a Taylor power basis with the fixed
@@ -464,9 +466,9 @@ def _log_slopes(fs: np.ndarray) -> np.ndarray:
     return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
 
 
-def code_error(code: CodeSpec, env: EnvironmentModel, h0: FreeHamiltonian | None, v: np.ndarray, t: float) -> CodeErrorResult:
-    """Supremum of the error over the encoded logical sphere, exact up to rounding."""
-    return _CorrectionPipeline(code, env, h0, v).supremum(t)
+def code_error(code: CodeSpec, env: EnvironmentModel, h: np.ndarray, t: float) -> CodeErrorResult:
+    """Supremum of the error over the encoded logical sphere under the joint Hamiltonian ``h``, exact up to rounding."""
+    return _CorrectionPipeline(code, env, h).supremum(t)
 
 
 def fit_power_law(
@@ -510,7 +512,7 @@ def fit_power_law(
     )
 
 
-def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: InteractionSpec, psi_logical, k: int) -> float:
+def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical, k: int) -> float:
     """Coefficient of t^(2k+2) in the short-time error of a k-correcting code.
 
     Only chains of k+1 interaction factors on pairwise distinct qubits
@@ -521,17 +523,13 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, interaction: Inte
     summed over the environment eigenvectors, with W the sum of ordered
     products V^{l_1} ... V^{l_{k+1}} over distinct index tuples.  W is applied
     to the same start vectors as the time evolution and reduced by the same
-    sphere quadratic.  Defined for non-contact interactions only.
+    sphere quadratic.  The interaction is the non-contact coupling of ``env``.
     """
-    if interaction.kind != "non_contact":
-        raise UnsupportedInteractionError("the short-time coefficient requires a non-contact interaction")
     k = int(k)
     if k != code.k_corr:
         raise ShapeError(f"k = {k} does not match the code's correction strength {code.k_corr}")
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
-    if interaction.env is not env:
-        raise ShapeError("the interaction must be declared on the environment it is evaluated with")
 
     d = env.dim * code.register_dim
     per_qubit = [pauli_sum(coupling_terms(env, [l]), env.dim, code.n) for l in range(code.n)]
@@ -577,12 +575,11 @@ def threshold_time(coupling_bound: float, x0: float | None = None) -> float:
 def periodic_correction_decay(
     code: CodeSpec,
     env: EnvironmentModel,
-    h0: FreeHamiltonian | None,
-    v: np.ndarray,
+    h: np.ndarray,
     dt: float,
     cycles: int,
     psi_logical,
     apply_correction: bool = True,
 ) -> DecayResult:
     """Fidelity trace and decay rate under recovery every ``dt``; see ``_CorrectionPipeline.decay``."""
-    return _CorrectionPipeline(code, env, h0, v).decay([dt], cycles, psi_logical, apply_correction)[0]
+    return _CorrectionPipeline(code, env, h).decay([dt], cycles, psi_logical, apply_correction)[0]

@@ -22,11 +22,9 @@ from .errors import ShapeError, ValidationError
 from .scenario import Scenario, serialize_scenario
 from .codes import asymptotic_x0, build_code, hamming_gv_check
 from .dynamics import (
-    ContactTerm,
-    InteractionSpec,
     build_noncontact,
+    contact_hamiltonian,
     free_hamiltonian,
-    interaction_matrix,
     pair_flip_hamiltonian,
     random_environment,
     single_flip_hamiltonian,
@@ -106,7 +104,7 @@ def _sha256(path: str) -> str:
 
 
 def _materialize(scenario: Scenario):
-    """Build the code, environment, interaction matrix and free Hamiltonian."""
+    """Build the code, the environment, the interaction V and the joint Hamiltonian H = h_env (x) 1 + V."""
     code = build_code(scenario.code)
     if scenario.interaction_kind == "contact":
         env = trivial_environment(code.n)
@@ -115,12 +113,12 @@ def _materialize(scenario: Scenario):
             string = [0] * code.n
             for axis, pos in factors:
                 string[pos - 1] = axis
-            terms.append(ContactTerm(float(omega), tuple(string)))
-        v = interaction_matrix(InteractionSpec("contact", terms=tuple(terms)))
+            terms.append((omega, string))
+        v = contact_hamiltonian(terms, code.n)
     else:
         env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, scenario.seed)
         v = build_noncontact(env)
-    return code, env, v, free_hamiltonian(env)
+    return code, env, v, free_hamiltonian(env) + v
 
 
 def _overwrite(path: str, data: bytes) -> None:
@@ -175,8 +173,8 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 
 
 def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
-    code, env, v, h0 = _materialize(scenario)
-    pipeline = _CorrectionPipeline(code, env, h0, v)
+    code, env, v, h = _materialize(scenario)
+    pipeline = _CorrectionPipeline(code, env, h)
     ts = scenario.time_grid.times().tolist()
     sups = _sphere_suprema(pipeline.covariances(ts))
     points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
@@ -243,7 +241,7 @@ def _run_intro(scenario: Scenario, out: _Outputs) -> None:
         ("single_flip", single_flip_hamiltonian(scenario.single_flip_omegas)),
         ("pair_flip", pair_flip_hamiltonian(pairs, code.n)),
     ):
-        pipeline = _CorrectionPipeline(code, env, None, h)
+        pipeline = _CorrectionPipeline(code, env, h)
         curves[label] = list(zip(ts, _state_error(pipeline.covariances(ts), psi).tolist()))
         out.csv(f"{label}.csv", ["t", "E"], curves[label])
     fit_rows = _fit_rows("single_flip", curves["single_flip"]) + _fit_rows("pair_flip", curves["pair_flip"])
@@ -275,8 +273,8 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
 
 
 def _run_periodic(scenario: Scenario, out: _Outputs) -> None:
-    code, env, v, h0 = _materialize(scenario)
-    pipeline = _CorrectionPipeline(code, env, h0, v)
+    code, env, _, h = _materialize(scenario)
+    pipeline = _CorrectionPipeline(code, env, h)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     dts = [math.ldexp(scenario.dt, -i) for i in range(scenario.halvings + 1)]
     on, off = (pipeline.decay(dts, scenario.cycles, psi, apply_correction=corrected) for corrected in (True, False))

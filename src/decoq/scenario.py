@@ -38,6 +38,8 @@ class TimeGrid:
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.points < 1:
             raise ConfigError("time grid needs at least one point")
+        if self.start < 0:
+            raise ConfigError(f"time grid start must be >= 0, got {self.start!r}")
         if not self.start < self.end:
             raise ConfigError("time grid start must lie before end")
         if self.spacing == "log" and self.start <= 0:

@@ -43,13 +43,6 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (evecs * phases) @ evecs.conj().T
 
 
-def evolve(h0, v: np.ndarray, t: float) -> np.ndarray:
-    """Reference joint unitary exp(-i (H0 + V) t); ``h0`` is a ``FreeHamiltonian`` or None."""
-    v = np.asarray(v, dtype=complex)
-    h = v if h0 is None else h0.matrix() + v
-    return expm_hermitian(h, t)
-
-
 def single_flip_product(omegas, t: float) -> np.ndarray:
     """Closed form prod_l [cos(w_l t) + i sin(w_l t) sigma_x^l] = exp(+i H t) for the single-flip drive.
 

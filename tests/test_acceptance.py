@@ -18,7 +18,6 @@ import pytest
 
 from decoq.pauli import decompose, pauli_string, reconstruct
 from decoq.dynamics import (
-    InteractionSpec,
     build_noncontact,
     free_hamiltonian,
     pair_flip_hamiltonian,
@@ -70,11 +69,10 @@ def exponent_law_data():
     for seed in EXPONENT_SEEDS:
         env = random_environment(5, 2, coupling_bound=1.0, seed=seed)
         v = build_noncontact(env)
-        h0 = free_hamiltonian(env)
-        pipeline = _CorrectionPipeline(code, env, h0, v)
+        pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env) + v)
         curve = tuple((float(t), pipeline.error_direct(PSI, float(t))) for t in ts)
         fit = fit_power_law(curve)
-        c13 = leading_coefficient(code, env, InteractionSpec("non_contact", env=env), PSI, 1)
+        c13 = leading_coefficient(code, env, PSI, 1)
         data[seed] = {"curve": curve, "fit": fit, "c13": c13, "v_norm": operator_norm(v)}
     return {"seeds": data, "elapsed": time.monotonic() - started}
 
@@ -146,9 +144,8 @@ def test_criterion_04_watchdog_baseline():
     started = time.monotonic()
     code = build_code("identity")
     env = random_environment(1, 2, coupling_bound=1.0, seed=42)
-    v = build_noncontact(env)
-    h0 = free_hamiltonian(env)
-    pipeline = _CorrectionPipeline(code, env, h0, v)
+    h = free_hamiltonian(env) + build_noncontact(env)
+    pipeline = _CorrectionPipeline(code, env, h)
     ts = np.geomspace(0.004, 0.12, 16)
     curve = tuple((float(t), pipeline.error_direct(PSI, float(t))) for t in ts)
     fit = fit_power_law(curve)
@@ -187,7 +184,7 @@ def test_criterion_06_intro_example():
     h_pair = pair_flip_hamiltonian(pairs, 5)
     fits = {}
     for label, h in (("single", h_single), ("pair", h_pair)):
-        pipeline = _CorrectionPipeline(code, env, None, h)
+        pipeline = _CorrectionPipeline(code, env, h)
         curve = tuple((float(t), pipeline.error_direct(psi, float(t))) for t in ts)
         fits[label] = fit_power_law(curve)
     elapsed = time.monotonic() - started
@@ -262,13 +259,12 @@ def test_criterion_09_periodic_correction():
     started = time.monotonic()
     code = build_code("five_qubit")
     env = random_environment(5, 2, coupling_bound=1.0, seed=42)
-    v = build_noncontact(env)
-    h0 = free_hamiltonian(env)
+    h = free_hamiltonian(env) + build_noncontact(env)
     on_rates = []
     paired_ok = True
     for dt in (0.12, 0.06, 0.03):
-        on = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=True)
-        off = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=False)
+        on = periodic_correction_decay(code, env, h, dt, 40, PSI, apply_correction=True)
+        off = periodic_correction_decay(code, env, h, dt, 40, PSI, apply_correction=False)
         paired_ok = paired_ok and on.rate < off.rate
         on_rates.append(on.rate)
     monotone = on_rates[0] > on_rates[1] > on_rates[2]

@@ -275,7 +275,6 @@ def test_readout_is_the_one_register_array_held(name):
 RECORDS_WITH_ARRAYS = {
     "CodeSpec": lambda: build_code("identity"),
     "EnvironmentModel": lambda: random_environment(1, 2, seed=1),
-    "FreeHamiltonian": lambda: free_hamiltonian(random_environment(1, 2, seed=1)),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2, (2,)),
     "StateVector": lambda: StateVector(np.array([1.0, 0.0]), (2,)),
     "KrausChannel": lambda: KrausChannel((np.eye(2),)),
@@ -403,7 +402,7 @@ def test_steane_exponent_four():
     # k = 1 under full Pauli noise: the supremum error starts at t^4
     code = build_code("steane")
     env = random_environment(code.n, 2, coupling_bound=1.0, seed=42)
-    pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env), build_noncontact(env))
+    pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env) + build_noncontact(env))
     ts = np.geomspace(2e-3, 4e-2, 14).tolist()
     fit = fit_power_law([(t, sup.value) for t, sup in zip(ts, _sphere_suprema(pipeline.covariances(ts)))])
     assert fit.exponent == pytest.approx(4.0, abs=0.1)
@@ -413,7 +412,7 @@ def test_repetition_nine_single_flip_exponent():
     # k = 4: the single-flip error starts at t^10
     code = build_code("repetition-9")
     h = single_flip_hamiltonian((0.9, 1.1, 0.75, 1.3, 0.85, 1.0, 0.95, 1.2, 0.8))
-    pipeline = _CorrectionPipeline(code, trivial_environment(code.n), None, h)
+    pipeline = _CorrectionPipeline(code, trivial_environment(code.n), h)
     ts = np.geomspace(0.04, 0.16, 14).tolist()
     errors = _state_error(pipeline.covariances(ts), (0.6, 0.8j))
     fit = fit_power_law(list(zip(ts, errors.tolist())))

@@ -6,15 +6,12 @@ from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import DensityMatrix, kron, operator_norm, require_hermitian
 from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed, pauli_sum
 from decoq.dynamics import (
-    ContactTerm,
     EnvironmentModel,
-    FreeHamiltonian,
-    InteractionSpec,
     build_noncontact,
+    contact_hamiltonian,
     coupling_terms,
     free_hamiltonian,
     gibbs_weights,
-    interaction_matrix,
     pair_flip_hamiltonian,
     random_environment,
     single_flip_hamiltonian,
@@ -22,7 +19,6 @@ from decoq.dynamics import (
 )
 
 from conftest import (
-    evolve,
     expm_hermitian,
     pair_flip_product,
     random_density,
@@ -149,39 +145,15 @@ class TestEnvironmentModel:
 
 
 class TestFreeHamiltonian:
-    def test_matrix_layout(self, rng):
-        h_env = np.diag([0.0, 1.0]).astype(complex)
-        q1 = SIGMA_Z / 2.0
-        q2 = np.zeros((2, 2), dtype=complex)
-        h0 = FreeHamiltonian(h_env, (q1, q2))
-        expected = kron(h_env, np.eye(4)) + kron(np.eye(2), kron(q1, np.eye(2)))
-        assert np.allclose(h0.matrix(), expected)
-
     def test_default_qubit_terms_zero(self):
         env = random_environment(2, 2, seed=5)
-        h0 = free_hamiltonian(env)
-        assert np.allclose(h0.matrix(), kron(env.h_env, np.eye(4)))
+        assert free_hamiltonian(env).tobytes() == kron(env.h_env, np.eye(4)).tobytes()
 
-    def test_zero_terms_skipped_without_changing_values(self, rng):
-        # skipping a zero term keeps a -0.0 that adding +0.0 turned into +0.0,
-        # so values are equal and bytes are equal when no -0.0 arises
-        terms = (np.zeros((2, 2), dtype=complex), random_hermitian(rng, 2), np.zeros((2, 2), dtype=complex))
-        h0 = FreeHamiltonian(random_hermitian(rng, 3), terms)
-        assert np.array_equal(h0.matrix(), kron_free_matrix(h0))
+    def test_zero_terms_skipped_without_changing_values(self):
+        # the register has no free term: h_env (x) 1 has the bytes of adding zero qubit terms
         for de in (1, 2, 3, 8):
-            h0 = free_hamiltonian(random_environment(5, de, seed=de))
-            assert h0.matrix().tobytes() == kron_free_matrix(h0).tobytes(), de
-
-    def test_rejects_wrong_qubit_shape(self):
-        with pytest.raises(ShapeError):
-            FreeHamiltonian(np.zeros((2, 2)), (np.zeros((3, 3)),))
-
-    def test_rejects_nan_term(self):
-        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError, match=r"^free qubit term 2 is not Hermitian"):
-            FreeHamiltonian(np.zeros((2, 2)), (np.zeros((2, 2)), nan))
-        with pytest.raises(ValidationError, match=r"^free environment term is not Hermitian"):
-            FreeHamiltonian(nan, (np.zeros((2, 2)),))
+            env = random_environment(5, de, seed=de)
+            assert free_hamiltonian(env).tobytes() == kron_free_matrix(env).tobytes(), de
 
 
 def drawn_couplings(n: int, de: int, coupling_bound: float, seed: int) -> list[np.ndarray]:
@@ -279,12 +251,13 @@ def kron_noncontact(env: EnvironmentModel, qubits=None) -> np.ndarray:
     return v
 
 
-def kron_free_matrix(h0: FreeHamiltonian) -> np.ndarray:
-    """Reference H0: the environment term plus one kron per qubit term, zero terms included."""
-    de, n = h0.env_dim, h0.n_qubits
-    out = kron(h0.env_term, np.eye(2 ** n))
-    for l, q in enumerate(h0.qubit_terms, start=1):
-        single = np.kron(np.kron(np.eye(2 ** (l - 1), dtype=complex), q), np.eye(2 ** (n - l), dtype=complex))
+def kron_free_matrix(env: EnvironmentModel) -> np.ndarray:
+    """Reference free part: h_env (x) 1 plus one kron per qubit of a zero qubit term."""
+    de, n = env.dim, env.n_qubits
+    out = kron(env.h_env, np.eye(2 ** n))
+    zero = np.zeros((2, 2), dtype=complex)
+    for l in range(1, n + 1):
+        single = np.kron(np.kron(np.eye(2 ** (l - 1), dtype=complex), zero), np.eye(2 ** (n - l), dtype=complex))
         out += kron(np.eye(de, dtype=complex), single)
     return out
 
@@ -334,40 +307,21 @@ class TestInteractions:
         # conjugation by the free evolution acts on the environment side only
         env = random_environment(2, 3, seed=13)
         v = build_noncontact(env)
-        u_plus = expm_hermitian(free_hamiltonian(env).matrix(), -0.83)  # exp(+i H0 t)
+        u_plus = expm_hermitian(free_hamiltonian(env), -0.83)  # exp(+i H0 t)
         v_t = u_plus @ v @ u_plus.conj().T
         for idx, comp in decompose(v_t, 3, 2).items():
             if np.any(comp):
                 assert np.count_nonzero(idx) <= 1
 
     def test_contact_term_matrix(self):
-        spec = InteractionSpec(
-            "contact", terms=(ContactTerm(0.9, (1, 1)), ContactTerm(-0.4, (3, 0)))
-        )
-        v = interaction_matrix(spec)
+        v = contact_hamiltonian([(0.9, (1, 1)), (-0.4, (3, 0))], 2)
         assert np.allclose(v, 0.9 * kron(SIGMA_X, SIGMA_X) - 0.4 * kron(SIGMA_Z, np.eye(2)))
 
     def test_contact_defaults_to_unit_environment(self):
-        spec = InteractionSpec("contact", terms=(ContactTerm(1.0, (1, 3)),))
-        assert interaction_matrix(spec).shape == (4, 4)
-
-    def test_spec_validation(self):
-        with pytest.raises(ShapeError):
-            InteractionSpec("magnetic")
-        with pytest.raises(ShapeError):
-            InteractionSpec("non_contact")
-        with pytest.raises(ShapeError):
-            InteractionSpec("contact")
+        assert contact_hamiltonian([(1.0, (1, 3))], 2).shape == (4, 4)
 
     def test_mixed_term_lengths_rejected(self):
-        spec = InteractionSpec(
-            "contact", terms=(ContactTerm(1.0, (1, 0)), ContactTerm(1.0, (1, 0, 0)))
-        )
         with pytest.raises(ShapeError):
-            interaction_matrix(spec)
-
-
-def test_evolve_without_free_part(rng):
-    # the conftest reference: with no free Hamiltonian the joint unitary is exp(-i V t)
-    v = random_hermitian(rng, 4)
-    assert np.allclose(evolve(None, v, 0.7), expm_hermitian(v, 0.7))
+            contact_hamiltonian([(1.0, (1, 0)), (1.0, (1, 0, 0))], 2)
+        with pytest.raises(ShapeError):
+            contact_hamiltonian([(1.0, (1, 0, 0)), (1.0, (1, 0))], 3)

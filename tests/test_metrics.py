@@ -6,18 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import decoq.metrics
-from decoq.errors import FitError, ShapeError, UnsupportedInteractionError, ValidationError
+from decoq.errors import FitError, ShapeError, ValidationError
 from decoq.tensor import DensityMatrix, operator_norm
 from decoq.dynamics import (
-    ContactTerm,
     EnvironmentModel,
-    FreeHamiltonian,
-    InteractionSpec,
     build_noncontact,
+    contact_hamiltonian,
     free_hamiltonian,
-    interaction_matrix,
     random_environment,
-    single_flip_hamiltonian,
     trivial_environment,
 )
 from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
@@ -43,7 +39,7 @@ from decoq.metrics import (
     threshold_time,
 )
 
-from conftest import evolve, random_density, random_hermitian
+from conftest import expm_hermitian, random_density, random_hermitian
 
 PSI = (0.6, 0.8j)
 SHIPPED_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
@@ -53,9 +49,9 @@ class DilationReference:
     """E through the unitary dilation: propagate, append a fresh ancilla,
     apply ``recovery_unitary`` and weigh the complement of the encoded state."""
 
-    def __init__(self, code, env, h0, v, t):
+    def __init__(self, code, env, h, t):
         self.code, self.env = code, env
-        self.u = evolve(h0, v, t)
+        self.u = expm_hermitian(h, t)
         self.recovery = recovery_unitary(code)
         self.ancilla = np.zeros(code.ancilla_dim, dtype=complex)
         self.ancilla[0] = 1.0
@@ -77,14 +73,14 @@ class DilationReference:
         return total
 
 
-def dense_periodic_reference(code, env, h0, v, dt, cycles, psi_logical, corrected):
-    """Fidelity trace on the full joint density matrix: one ``evolve`` step per
+def dense_periodic_reference(code, env, h, dt, cycles, psi_logical, corrected):
+    """Fidelity trace on the full joint density matrix: one ``exp(-i h dt)`` step per
     cycle, then every kron(1_env, K_s) of the recovery channel."""
     psi_bar = encode_logical(code, *psi_logical).amplitudes
     eye_e = np.eye(env.dim)
     p_full = np.kron(eye_e, np.outer(psi_bar, psi_bar.conj()))
     rho = np.kron(env.rho0.array, np.outer(psi_bar, psi_bar.conj()))
-    u = evolve(h0, v, dt)
+    u = expm_hermitian(h, dt)
     kraus = [np.kron(eye_e, k) for k in recovery_channel(code).operators]
     fidelities = [1.0]
     for _ in range(cycles):
@@ -106,7 +102,7 @@ def propagated(pipeline, t, phase=np.exp):
 def shipped_model(name, seed, de=2):
     code = build_code(name)
     env = random_environment(code.n, de, seed=seed)
-    return code, env, free_hamiltonian(env), build_noncontact(env)
+    return code, env, free_hamiltonian(env) + build_noncontact(env)
 
 
 def dephasing_environment(rng, de):
@@ -131,9 +127,9 @@ class TestFidelity:
         env = random_environment(5, 2, coupling_bound=0.0, seed=4)
         code = build_code("five_qubit")
         v = build_noncontact(env)
-        e = _CorrectionPipeline(code, env, free_hamiltonian(env), v).error_direct(PSI, 2.0)
+        e = _CorrectionPipeline(code, env, free_hamiltonian(env) + v).error_direct(PSI, 2.0)
         assert 1.0 - e == pytest.approx(1.0, abs=1e-12)
-        e = _CorrectionPipeline(code, env, None, v).error_direct(PSI, 2.0)
+        e = _CorrectionPipeline(code, env, v).error_direct(PSI, 2.0)
         assert e == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_dephasing_analytic(self, rng):
@@ -145,15 +141,15 @@ class TestFidelity:
         t = 0.7
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         expected = 0.5 + np.trace(env.rho0.array @ scipy.linalg.expm(-2j * h * t)).real / 2.0
-        e = _CorrectionPipeline(code, env, None, v).error_direct(psi_plus, t)
+        e = _CorrectionPipeline(code, env, v).error_direct(psi_plus, t)
         assert 1.0 - e == pytest.approx(expected, abs=1e-12)
 
     def test_matches_dilation_reference(self, rng):
         for name in SHIPPED_CODES:
-            code, env, h0, v = shipped_model(name, 23)
-            pipeline = _CorrectionPipeline(code, env, h0, v)
+            code, env, h = shipped_model(name, 23)
+            pipeline = _CorrectionPipeline(code, env, h)
             for t in (0.02, 0.2, 0.9):
-                reference = DilationReference(code, env, h0, v, t)
+                reference = DilationReference(code, env, h, t)
                 for _ in range(4):
                     raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                     psi = tuple(raw / np.linalg.norm(raw))
@@ -166,25 +162,24 @@ class TestFidelity:
         code = build_code("repetition-3")
         v = build_noncontact(env)
         s = 3.7
-        e1 = _CorrectionPipeline(code, env, None, v).error_direct(PSI, 0.8)
-        e2 = _CorrectionPipeline(code, env, None, s * v).error_direct(PSI, 0.8 / s)
+        e1 = _CorrectionPipeline(code, env, v).error_direct(PSI, 0.8)
+        e2 = _CorrectionPipeline(code, env, s * v).error_direct(PSI, 0.8 / s)
         assert e1 == pytest.approx(e2, abs=1e-12)
 
-    def test_free_hamiltonian_size_checked_before_the_sum(self):
-        # a 1 x 1 free term would broadcast onto every entry of V, and a wrong d_e would fail inside numpy
-        code = build_code("identity")
-        v = single_flip_hamiltonian([1.0])
-        with pytest.raises(ShapeError, match="free Hamiltonian"):
-            _CorrectionPipeline(code, trivial_environment(1), FreeHamiltonian(np.array([[0.5]]), ()), v)
-        env2, env3 = random_environment(1, 2, seed=3), random_environment(1, 3, seed=3)
-        with pytest.raises(ShapeError, match="free Hamiltonian"):
-            _CorrectionPipeline(code, env2, free_hamiltonian(env3), build_noncontact(env2))
+    def test_hamiltonian_shape_and_hermiticity_checked(self):
+        code, env = build_code("identity"), random_environment(1, 2, seed=3)
+        with pytest.raises(ShapeError, match=r"\(2, 2\) does not match env 2 x register 2"):
+            _CorrectionPipeline(code, env, np.zeros((2, 2)))
+        h = free_hamiltonian(env) + build_noncontact(env)
+        h[0, 1] += 1e-6
+        with pytest.raises(ValidationError, match="^joint Hamiltonian is not Hermitian"):
+            _CorrectionPipeline(code, env, h)
 
     def test_logical_pair_required(self):
         env = trivial_environment(1)
         code = build_code("identity")
         with pytest.raises(ShapeError):
-            _CorrectionPipeline(code, env, None, np.zeros((2, 2))).error_direct((1.0, 0.0, 0.0), 0.1)
+            _CorrectionPipeline(code, env, np.zeros((2, 2))).error_direct((1.0, 0.0, 0.0), 0.1)
 
 
 class TestCodeError:
@@ -192,8 +187,8 @@ class TestCodeError:
         env = random_environment(1, 2, seed=31)
         code = build_code("identity")
         v = build_noncontact(env)
-        sup = code_error(code, env, None, v, 0.4)
-        pipeline = _CorrectionPipeline(code, env, None, v)
+        sup = code_error(code, env, v, 0.4)
+        pipeline = _CorrectionPipeline(code, env, v)
         pole = pipeline.error_direct((1.0, 0.0), 0.4)
         generic = pipeline.error_direct(PSI, 0.4)
         assert sup.value + 1e-14 >= pole
@@ -204,9 +199,9 @@ class TestCodeError:
         # the exact supremum is at least every point of a 16 x 16 grid
         # evaluated through the dilation, up to their 1e-9 agreement
         for name, t in (("identity", 0.5), ("repetition-3", 0.3), ("five_qubit", 0.05)):
-            code, env, h0, v = shipped_model(name, 37)
-            sup = _CorrectionPipeline(code, env, h0, v).supremum(t)
-            reference = DilationReference(code, env, h0, v, t)
+            code, env, h = shipped_model(name, 37)
+            sup = _CorrectionPipeline(code, env, h).supremum(t)
+            reference = DilationReference(code, env, h, t)
             grid = [
                 reference(_bloch_pair(theta, phi))
                 for theta in np.linspace(0.0, math.pi, 16)
@@ -216,8 +211,8 @@ class TestCodeError:
             assert reference(_bloch_pair(sup.theta, sup.phi)) == pytest.approx(sup.value, rel=1e-9)
 
     def test_angles_in_range(self):
-        code, env, h0, v = shipped_model("five_qubit", 41)
-        pipeline = _CorrectionPipeline(code, env, h0, v)
+        code, env, h = shipped_model("five_qubit", 41)
+        pipeline = _CorrectionPipeline(code, env, h)
         for t in (1e-3, 0.1, 1.0):
             sup = pipeline.supremum(t)
             assert 0.0 <= sup.theta <= math.pi
@@ -227,7 +222,7 @@ class TestCodeError:
         # no coupling and no free term: the blocks are exactly the identity
         code = build_code("repetition-3")
         env = trivial_environment(3)
-        sup = _CorrectionPipeline(code, env, None, np.zeros((8, 8))).supremum(0.7)
+        sup = _CorrectionPipeline(code, env, np.zeros((8, 8))).supremum(0.7)
         assert (sup.value, sup.theta, sup.phi) == (0.0, 0.0, 0.0)
 
 
@@ -316,7 +311,7 @@ READOUT_MODELS = [(name, de) for name in SHIPPED_CODES + ("repetition-7",) for d
 def readout_model(name, de):
     code = build_code(name)
     env = random_environment(code.n, de, seed=31 + de)
-    return code, env, free_hamiltonian(env), build_noncontact(env)
+    return code, env, free_hamiltonian(env) + build_noncontact(env)
 
 
 class TestReadoutProduct:
@@ -352,7 +347,7 @@ def wide_model(seed):
     """five_qubit at d_e = 8: the joint dimension is 256, where short grids use the Taylor basis."""
     code = build_code("five_qubit")
     env = random_environment(code.n, 8, seed=seed)
-    return code, env, free_hamiltonian(env), build_noncontact(env)
+    return code, env, free_hamiltonian(env) + build_noncontact(env)
 
 
 def taylor_radius(pipeline):
@@ -605,6 +600,23 @@ class TestSphereMaximum:
         at_hard = float(_sphere_error(c, hard))
         assert abs(sup.value - at_hard) <= ARGMAX_TIE_ULPS * np.spacing(at_hard)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-17, -1e-17])
+    def test_even_error_reports_the_upper_hemisphere(self, scale):
+        # a twist at rounding level leaves E(r) = E(-r): the maximiser reported is the z >= 0 one, whatever its sign
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+        m = q @ np.diag([0.1, 0.3, 0.6]) @ q.T
+        bottom = q[:, 0] if q[2, 0] > 0.0 else -q[:, 0]
+        sup = _sphere_suprema(_covariance(m, scale * np.array([0.3, -0.5, 0.8]))[None])[0]
+        assert sup.theta <= math.pi / 2
+        assert np.max(np.abs(_bloch(sup) - bottom)) <= 1e-12
+
+    @pytest.mark.parametrize("axis, reported", [((0.6, -0.8, 0.0), (-0.6, 0.8, 0.0)), ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))])
+    def test_even_error_on_the_equator_takes_y_then_x_nonnegative(self, axis, reported):
+        for u in (np.array(axis), -np.array(axis)):
+            m = 0.5 * np.eye(3) - 0.4 * np.outer(u, u)
+            sup = _sphere_suprema(_covariance(m, np.zeros(3))[None])[0]
+            assert np.max(np.abs(_bloch(sup) - np.array(reported))) <= 1e-12, u
+
     def test_zero_matrix_and_zero_w(self):
         assert _sphere_suprema(np.zeros((1, 3, 3), complex)) == [CodeErrorResult(0.0, 0.0, 0.0)]
 
@@ -660,48 +672,31 @@ class TestLeadingCoefficient:
         # k = 0, sigma_z coupling, |+>: the coefficient is tr(rho_e h^2)
         env, h = dephasing_environment(rng, 3)
         code = build_code("identity")
-        spec = InteractionSpec("non_contact", env=env)
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        c = leading_coefficient(code, env, spec, psi_plus, 0)
+        c = leading_coefficient(code, env, psi_plus, 0)
         expected = np.trace(env.rho0.array @ h @ h).real
         assert c == pytest.approx(expected, rel=1e-10)
 
     def test_matches_short_time_curve(self, rng):
         env, _ = dephasing_environment(rng, 2)
         code = build_code("identity")
-        spec = InteractionSpec("non_contact", env=env)
         v = build_noncontact(env)
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        c = leading_coefficient(code, env, spec, psi_plus, 0)
+        c = leading_coefficient(code, env, psi_plus, 0)
         t = 1e-4
-        e = _CorrectionPipeline(code, env, None, v).error_direct(psi_plus, t)
+        e = _CorrectionPipeline(code, env, v).error_direct(psi_plus, t)
         assert e / t ** 2 == pytest.approx(c, rel=1e-6)
 
     def test_zero_coupling_gives_zero(self):
         env = random_environment(5, 2, coupling_bound=0.0, seed=5)
         code = build_code("five_qubit")
-        spec = InteractionSpec("non_contact", env=env)
-        assert leading_coefficient(code, env, spec, PSI, 1) == 0.0
-
-    def test_contact_rejected(self):
-        env = random_environment(5, 2, seed=5)
-        code = build_code("five_qubit")
-        spec = InteractionSpec("contact", terms=(ContactTerm(1.0, (1, 1, 0, 0, 0)),))
-        with pytest.raises(UnsupportedInteractionError):
-            leading_coefficient(code, env, spec, PSI, 1)
-
-    def test_interaction_on_another_environment_rejected(self):
-        code = build_code("five_qubit")
-        env_a, env_b = random_environment(5, 2, seed=5), random_environment(5, 2, seed=6)
-        with pytest.raises(ShapeError, match="environment"):
-            leading_coefficient(code, env_a, InteractionSpec("non_contact", env=env_b), PSI, 1)
+        assert leading_coefficient(code, env, PSI, 1) == 0.0
 
     def test_k_mismatch_rejected(self):
         env = random_environment(5, 2, seed=5)
         code = build_code("five_qubit")
-        spec = InteractionSpec("non_contact", env=env)
         with pytest.raises(ShapeError):
-            leading_coefficient(code, env, spec, PSI, 2)
+            leading_coefficient(code, env, PSI, 2)
 
 
 class TestBounds:
@@ -729,7 +724,7 @@ class TestPeriodicCorrection:
         env = random_environment(3, 2, coupling_bound=0.0, seed=43)
         code = build_code("repetition-3")
         v = build_noncontact(env)
-        decay = periodic_correction_decay(code, env, None, v, 0.1, 12, PSI)
+        decay = periodic_correction_decay(code, env, v, 0.1, 12, PSI)
         assert decay.rate == pytest.approx(0.0, abs=1e-12)
         assert all(f == pytest.approx(1.0, abs=1e-12) for _, _, f in decay.samples)
 
@@ -737,19 +732,19 @@ class TestPeriodicCorrection:
         env = random_environment(3, 2, seed=47)
         code = build_code("repetition-3")
         v = build_noncontact(env)
-        h0 = free_hamiltonian(env)
-        on = periodic_correction_decay(code, env, h0, v, 0.05, 20, PSI, apply_correction=True)
-        off = periodic_correction_decay(code, env, h0, v, 0.05, 20, PSI, apply_correction=False)
+        h = free_hamiltonian(env) + v
+        on = periodic_correction_decay(code, env, h, 0.05, 20, PSI, apply_correction=True)
+        off = periodic_correction_decay(code, env, h, 0.05, 20, PSI, apply_correction=False)
         assert on.rate < off.rate
 
     @pytest.mark.parametrize("name", SHIPPED_CODES)
     def test_matches_dense_reference(self, name):
         for seed in (61, 67):
-            code, env, h0, v = shipped_model(name, seed)
+            code, env, h = shipped_model(name, seed)
             for dt in (0.12, 0.03):
                 for corrected in (True, False):
-                    decay = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
-                    want = dense_periodic_reference(code, env, h0, v, dt, 40, PSI, corrected)
+                    decay = periodic_correction_decay(code, env, h, dt, 40, PSI, apply_correction=corrected)
+                    want = dense_periodic_reference(code, env, h, dt, 40, PSI, corrected)
                     got = [f for _, _, f in decay.samples]
                     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (seed, dt, corrected)
 
@@ -757,11 +752,11 @@ class TestPeriodicCorrection:
         # d_e = 3 is not a power of two, so a slip in the (environment, register) reshapes shows
         code = build_code("repetition-3")
         env = random_environment(code.n, 3, seed=71)
-        h0, v = free_hamiltonian(env), build_noncontact(env)
+        h = free_hamiltonian(env) + build_noncontact(env)
         for dt in (0.12, 0.03):
             for corrected in (True, False):
-                decay = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
-                want = dense_periodic_reference(code, env, h0, v, dt, 40, PSI, corrected)
+                decay = periodic_correction_decay(code, env, h, dt, 40, PSI, apply_correction=corrected)
+                want = dense_periodic_reference(code, env, h, dt, 40, PSI, corrected)
                 got = [f for _, _, f in decay.samples]
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (dt, corrected)
 
@@ -800,11 +795,11 @@ class TestPeriodicCorrection:
         # at d_e = 8, G has d_e^2 = 64 columns and goes through in four chunks of d = 16
         code = build_code("identity")
         env = random_environment(1, de, seed=61)
-        h0, v = free_hamiltonian(env), build_noncontact(env)
-        assert len(_CorrectionPipeline(code, env, h0, v).h) == 2 * de
+        h = free_hamiltonian(env) + build_noncontact(env)
+        assert len(_CorrectionPipeline(code, env, h).h) == 2 * de
         for corrected in (True, False):
-            decay = periodic_correction_decay(code, env, h0, v, 0.12, cycles, PSI, apply_correction=corrected)
-            want = dense_periodic_reference(code, env, h0, v, 0.12, cycles, PSI, corrected)
+            decay = periodic_correction_decay(code, env, h, 0.12, cycles, PSI, apply_correction=corrected)
+            want = dense_periodic_reference(code, env, h, 0.12, cycles, PSI, corrected)
             assert np.max(np.abs(np.subtract([f for _, _, f in decay.samples], want))) <= 1e-12, corrected
 
     @pytest.mark.parametrize("name", SHIPPED_CODES)
@@ -824,22 +819,21 @@ class TestPeriodicCorrection:
             _log_slopes(np.array([[1.0, 0.5, 0.25], [1.0, 0.0, 0.0]]))
 
     def test_reused_pipeline_matches_fresh_builds(self):
-        code, env, h0, v = shipped_model("five_qubit", 73)
-        pipeline = _CorrectionPipeline(code, env, h0, v)
+        code, env, h = shipped_model("five_qubit", 73)
+        pipeline = _CorrectionPipeline(code, env, h)
         for i in range(3):
             dt = 0.12 / 2 ** i
             for corrected in (True, False):
-                fresh = periodic_correction_decay(code, env, h0, v, dt, 40, PSI, apply_correction=corrected)
+                fresh = periodic_correction_decay(code, env, h, dt, 40, PSI, apply_correction=corrected)
                 assert pipeline.decay([dt], 40, PSI, apply_correction=corrected) == [fresh], (dt, corrected)
 
     def test_contact_matches_dense_reference(self):
         code = build_code("five_qubit")
         env = trivial_environment(code.n)
-        terms = (ContactTerm(0.9, (1, 1, 0, 0, 0)), ContactTerm(-0.4, (0, 0, 3, 0, 2)), ContactTerm(0.3, (0, 0, 0, 2, 0)))
-        v = interaction_matrix(InteractionSpec("contact", terms=terms))
+        v = contact_hamiltonian([(0.9, (1, 1, 0, 0, 0)), (-0.4, (0, 0, 3, 0, 2)), (0.3, (0, 0, 0, 2, 0))], code.n)
         for corrected in (True, False):
-            decay = periodic_correction_decay(code, env, None, v, 0.2, 40, PSI, apply_correction=corrected)
-            want = dense_periodic_reference(code, env, None, v, 0.2, 40, PSI, corrected)
+            decay = periodic_correction_decay(code, env, v, 0.2, 40, PSI, apply_correction=corrected)
+            want = dense_periodic_reference(code, env, v, 0.2, 40, PSI, corrected)
             assert np.max(np.abs(np.subtract([f for _, _, f in decay.samples], want))) <= 1e-12
 
     def test_unnormalised_state_rejected(self):
@@ -847,13 +841,13 @@ class TestPeriodicCorrection:
         code = build_code("repetition-3")
         v = build_noncontact(env)
         with pytest.raises(ValidationError):
-            periodic_correction_decay(code, env, None, v, 0.1, 12, (1.0, 1.0))
+            periodic_correction_decay(code, env, v, 0.1, 12, (1.0, 1.0))
 
     def test_sample_layout(self):
         env = random_environment(3, 2, seed=53)
         code = build_code("repetition-3")
         v = build_noncontact(env)
-        decay = periodic_correction_decay(code, env, None, v, 0.07, 10, PSI)
+        decay = periodic_correction_decay(code, env, v, 0.07, 10, PSI)
         assert decay.samples[0] == (0, 0.0, 1.0)
         assert len(decay.samples) == 11
         assert decay.samples[3][1] == pytest.approx(0.21)
@@ -863,10 +857,10 @@ class TestPeriodicCorrection:
         code = build_code("repetition-3")
         v = build_noncontact(env)
         with pytest.raises(ShapeError):
-            periodic_correction_decay(code, env, None, v, 0.1, 5, PSI)
+            periodic_correction_decay(code, env, v, 0.1, 5, PSI)
         for dt in (-0.1, math.inf, math.nan):
             with pytest.raises(ShapeError):
-                periodic_correction_decay(code, env, None, v, dt, 12, PSI)
+                periodic_correction_decay(code, env, v, dt, 12, PSI)
 
 
 def test_operator_norm_feeds_bound():

@@ -92,6 +92,15 @@ class TestScalingSweep:
         assert "sweep.svg" not in manifest.files
         assert not (tmp_path / "sweep.svg").exists()
 
+    def test_shipped_watchdog_argmax_in_the_upper_hemisphere(self, tmp_path):
+        # identity with beta = 0 has E(r) = E(-r): every row reports the z >= 0 maximiser, not a rounding pick
+        from decoq.scenario import load_scenario
+
+        run(load_scenario(str(SCENARIO_DIR / "watchdog_baseline.cfg")), out_dir=str(tmp_path), plots=False)
+        thetas = [float(line.split(",")[3]) for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(thetas) == 16
+        assert all(theta <= np.pi / 2 for theta in thetas)
+
     @pytest.mark.parametrize("kind", ["scaling_sweep", "bound_check"])
     def test_one_covariance_stack_and_one_search(self, tmp_path, monkeypatch, kind):
         calls = []
@@ -239,7 +248,7 @@ class TestSizingGuard:
         def built(*args, **kwargs):
             raise AssertionError("built before the sizing guard")
 
-        for name in ("build_code", "random_environment", "build_noncontact", "interaction_matrix"):
+        for name in ("build_code", "random_environment", "build_noncontact", "contact_hamiltonian"):
             monkeypatch.setattr(decoq.runner, name, built)
         with pytest.raises(SizingError, match="exceeds the cap"):
             s = Scenario(**{"code": "five_qubit", "env_dim": 8, "max_dim": 64, **fields})
@@ -514,12 +523,15 @@ class TestCli:
             "[scenario]\nkind = scaling_sweep\ncode = identity\nseed = -1\n",
             "[scenario]\nkind = scaling_sweep\ncode = identity\n[environment]\ncoupling_bound = -1\n",
             "[scenario]\nkind = periodic_correction\ncode = identity\n[environment]\nd_e = 1\n[correction]\nhalvings = 1100\n",
+            "[scenario]\nkind = scaling_sweep\ncode = identity\n[time_grid]\nstart = -0.01\nspacing = linear\n",
+            "[scenario]\nkind = bound_check\ncode = identity\n[time_grid]\nstart = -0.01\nspacing = linear\n",
         ],
         ids=[
             "repeated_key", "repeated_pair", "reversed_pair", "self_pair", "sweep_points_5", "intro_points_7",
             "contact_weight_inf", "contact_qubit_9", "contact_repeated_qubit", "contact_no_terms",
             "intro_five_qubit", "intro_three_omegas", "intro_pair_1_6", "bound_check_contact",
             "bound_check_zero_coupling", "negative_seed", "negative_coupling", "halvings_underflow",
+            "sweep_negative_start", "bound_check_negative_start",
         ],
     )
     def test_rejected_config_exit_2(self, tmp_path, capsys, text):

@@ -120,6 +120,14 @@ class TestTimeGrid:
             TimeGrid(0.1, 0.2, 0, "log")
         with pytest.raises(ConfigError):
             TimeGrid(0.1, 0.2, 5, "cubic")
+        with pytest.raises(ConfigError, match="start must be >= 0"):
+            TimeGrid(-0.01, 0.1, 5, "linear")
+
+    def test_negative_start_rejected(self):
+        text = "[scenario]\nkind = scaling_sweep\n[time_grid]\nstart = -0.01\nend = 0.1\nspacing = linear\n"
+        with pytest.raises(ConfigError, match="start must be >= 0"):
+            parse_scenario(text)
+        assert parse_scenario(text.replace("-0.01", "0.0")).time_grid.start == 0.0
 
     def test_grid_keys_override(self):
         text = "[scenario]\nkind = scaling_sweep\n[time_grid]\nstart = 0.001\npoints = 9\n"
@@ -273,7 +281,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def _time_grids(draw):
     spacing = draw(st.sampled_from(("linear", "log")))
-    low = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) if spacing == "log" else _finite
+    low = st.floats(min_value=0.0, exclude_min=spacing == "log", allow_infinity=False)
     start, end = draw(low), draw(low)
     assume(start != end)
     return TimeGrid(min(start, end), max(start, end), draw(st.integers(8, 10 ** 6)), spacing)
