@@ -2,8 +2,6 @@
 
 from .tensor import (
     DensityMatrix,
-    StateVector,
-    kron,
     operator_norm,
     partial_trace_array,
     trace_distance,
@@ -11,7 +9,6 @@ from .tensor import (
 from .pauli import (
     PAULIS,
     decompose,
-    embed,
     pauli_action,
     pauli_string,
     pauli_sum,
@@ -49,7 +46,6 @@ from .codes import (
 from .metrics import (
     CodeErrorResult,
     DecayResult,
-    FidelityCurve,
     PowerLawFit,
     code_error,
     error_bound,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration problems (including an output
 directory that cannot be created or written, and a nan or infinite number),
-3 sizing guard (environment x register dimension above max_dim), 4
-validation, fit or linear-algebra failures at run time.
+3 sizing guard (environment x register dimension above max_dim) or running
+out of memory, 4 validation, fit or linear-algebra failures at run time.
 
 CSV columns by file:
     sweep.csv                t, E, bound, argmax_theta, argmax_phi
@@ -87,6 +87,9 @@ def main(argv=None) -> int:
         return 2
     except SizingError as exc:
         print(f"sizing error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"sizing error: out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, ShapeError, FitError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

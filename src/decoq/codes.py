@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
-from .tensor import StateVector, _as_complex, kron
+from .tensor import _as_complex
 from .pauli import PauliIndexVector, _check_indices, anticommutation, pauli_action, pauli_string
 
 AMPLITUDE_ONLY = "amplitude_only"
@@ -134,15 +134,14 @@ class CodeSpec:
         return {bits: b @ b.conj().T for bits, b in zip(self.syndromes, self.syndrome_blocks)}
 
 
-def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> StateVector:
-    """Encoded register state alpha |0_L> + beta |1_L>."""
+def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> np.ndarray:
+    """Amplitudes of the encoded register state alpha |0_L> + beta |1_L>, normalized."""
     alpha, beta = complex(alpha), complex(beta)
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm_sq - 1.0) > tol.LOGICAL_NORM_TOL:
         raise ValidationError(f"|alpha|^2 + |beta|^2 = {norm_sq!r} deviates from 1")
     amps = code.encoder @ np.array([alpha, beta], dtype=complex)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(amps, (2,) * code.n)
+    return amps / np.linalg.norm(amps)
 
 
 def _errors_of_rank(n: int, rank: int, error_class: str) -> Iterator[PauliIndexVector]:
@@ -356,11 +355,11 @@ def recovery_unitary(code: CodeSpec) -> np.ndarray:
     write = np.zeros((dc * da, dc * da), dtype=complex)
     correct = np.zeros((dc * da, dc * da), dtype=complex)
     for bits, proj in code.syndrome_projectors.items():
-        write += kron(proj, pauli_string(bits) if bits else np.eye(1))  # X where a bit is set: |0...0> -> |bits>
+        write += np.kron(proj, pauli_string(bits) if bits else np.eye(1, dtype=complex))  # X where a bit is set: |0...0> -> |bits>
         idx = int("".join(str(b) for b in bits), 2) if bits else 0
         marker = np.zeros((da, da), dtype=complex)
         marker[idx, idx] = 1.0
-        correct += kron(pauli_string(code.syndrome_table[bits]), marker)
+        correct += np.kron(pauli_string(code.syndrome_table[bits]), marker)
     r = correct @ write
     defect = float(np.max(np.abs(r.conj().T @ r - np.eye(dc * da))))
     if defect > tol.UNITARY_TOL:

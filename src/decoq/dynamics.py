@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
-from .tensor import DensityMatrix, kron, require_hermitian
+from .tensor import DensityMatrix, require_hermitian
 from .pauli import pauli_sum
 
 
@@ -117,7 +117,7 @@ def random_environment(
 
 def free_hamiltonian(env: EnvironmentModel) -> np.ndarray:
     """The free part h_env (x) 1 on environment (x) register; the register has no free term."""
-    return kron(env.h_env, np.eye(2 ** env.n_qubits))
+    return np.kron(env.h_env, np.eye(2 ** env.n_qubits, dtype=complex))
 
 
 def coupling_terms(env: EnvironmentModel, qubits) -> list[tuple[np.ndarray, tuple[int, ...]]]:

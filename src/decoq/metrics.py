@@ -35,23 +35,6 @@ from .codes import CodeSpec, asymptotic_x0, encode_logical
 
 
 @dataclass(frozen=True)
-class FidelityCurve:
-    """Time-ordered (t, value) samples with values in [0, 1]."""
-
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pairs = tuple((float(t), float(v)) for t, v in self.samples)
-        object.__setattr__(self, "samples", pairs)
-        times = [t for t, _ in pairs]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValidationError("curve times must increase strictly")
-        for t, v in pairs:
-            if v < -tol.FIDELITY_RANGE_TOL or v > 1.0 + tol.FIDELITY_RANGE_TOL:
-                raise ValidationError(f"curve value {v!r} at t={t!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class PowerLawFit:
     """Least-squares line through (log t, log E) over the chosen window."""
 
@@ -67,7 +50,7 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class CodeErrorResult:
-    """Supremum of the error functional over the logical sphere, with its location."""
+    """Supremum of the error functional over the logical sphere, at theta in [0, pi] and phi in [0, 2 pi)."""
 
     value: float
     theta: float
@@ -243,12 +226,18 @@ def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
     r[zero] = (0.0, 0.0, 1.0)  # the pole: theta = phi = 0
     values = _checked_errors(np.where(use_hard, e[:, 1], e[:, 0]))
     return [
-        CodeErrorResult(value=v, theta=math.acos(min(max(z, -1.0), 1.0)), phi=math.atan2(y, x) % (2.0 * math.pi))
+        CodeErrorResult(value=v, theta=math.acos(min(max(z, -1.0), 1.0)), phi=_azimuth(x, y))
         for v, (x, y, z) in zip(values.tolist(), r.tolist())
     ]
 
 
-TAYLOR_MIN_DIM = 256  # joint dimension from which a short time grid skips the eigendecomposition
+def _azimuth(x: float, y: float) -> float:
+    """atan2(y, x) in [0, 2 pi): a y just below zero takes it to 2 pi after rounding, which is folded to 0."""
+    phi = math.atan2(y, x) % (2.0 * math.pi)
+    return 0.0 if phi == 2.0 * math.pi else phi
+
+
+TAYLOR_MIN_DIM = 256  # joint dimension from which times inside the Taylor window skip the eigendecomposition
 TAYLOR_MAX_TERMS = 30  # with t ||H - mu||_1 <= 1 the series stops by P_20; the cap guards other callers
 
 
@@ -321,32 +310,37 @@ class _CorrectionPipeline:
     def _evolve(self, x: np.ndarray, times, minus_one: bool = False) -> np.ndarray:
         """exp(-iHt) x at every t of ``times``, as (d, T, cols); ``_free_trace`` applies its own phases instead.
 
-        From d = TAYLOR_MIN_DIM on, and when max |t| ||H - mu||_1 <= 1 for
-        mu = tr H / d, x is propagated by a Taylor power basis with the fixed
-        step tau = 1 / ||H - mu||_1 (about fifteen products with H); otherwise
-        by the eigendecomposition, one product with the eigenvectors per t.
-        Either way a t's columns do not depend on the other times.  With
-        ``minus_one`` it is (exp(-iHt) - 1) x, with x never subtracted (expm1
-        phases, or the series from its first power), so a small change keeps its digits.
+        Each t chooses its own path.  From d = TAYLOR_MIN_DIM on, a t with
+        |t| ||H - mu||_1 <= 1 for mu = tr H / d is propagated by a Taylor power
+        basis with the fixed step tau = 1 / ||H - mu||_1 (about fifteen
+        products with H, built once for all such t); every other t, and every
+        t below that dimension, by the eigendecomposition, one product with
+        the eigenvectors per t.  So a t's columns do not depend on the other
+        times.  With ``minus_one`` it is (exp(-iHt) - 1) x, with x never
+        subtracted (expm1 phases, or the series from its first power), so a
+        small change keeps its digits.
         """
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
             raise ShapeError(f"propagation times must be finite, got {times.tolist()}")
         d = len(self.h)
+        out = np.empty((d, len(times), x.shape[1]), dtype=complex)
+        late = np.ones(len(times), dtype=bool)  # the times the eigenbasis propagates
         if d >= TAYLOR_MIN_DIM:
             mu = float(np.trace(self.h).real) / d
             shifted = self.h.copy()
             shifted.flat[::d + 1] -= mu
             norm = float(np.abs(shifted).sum(axis=0).max())
-            if float(np.abs(times).max(initial=0.0)) * norm <= 1.0:
+            late = np.abs(times) * norm > 1.0
+            if not late.all():
                 tau = 1.0 / norm if norm > 0.0 else 1.0
-                return _taylor_sums(_taylor_terms(shifted, x, tau), times, tau, mu, minus_one)
-        evals, evecs = self.eigenbasis()
-        coeffs = evecs.conj().T @ x
-        phase = np.expm1 if minus_one else np.exp
-        out = np.empty((d, len(times), x.shape[1]), dtype=complex)
-        for i, t in enumerate(times.tolist()):
-            out[:, i] = evecs @ (phase(-1j * evals * t)[:, None] * coeffs)
+                out[:, ~late] = _taylor_sums(_taylor_terms(shifted, x, tau), times[~late], tau, mu, minus_one)
+        if late.any():
+            evals, evecs = self.eigenbasis()
+            coeffs = evecs.conj().T @ x
+            phase = np.expm1 if minus_one else np.exp
+            for i, t in zip(np.flatnonzero(late).tolist(), times[late].tolist()):
+                out[:, i] = evecs @ (phase(-1j * evals * t)[:, None] * coeffs)
         return out
 
     def covariances(self, times) -> np.ndarray:
@@ -394,7 +388,7 @@ class _CorrectionPipeline:
         dts = [float(dt) for dt in dts]
         if not all(0.0 < dt < math.inf for dt in dts):
             raise ShapeError("cycle time must be positive and finite")
-        psi_bar = encode_logical(self.code, *_logical_amplitudes(psi_logical)).amplitudes
+        psi_bar = encode_logical(self.code, *_logical_amplitudes(psi_logical))
         psi_l = self.code.encoder.conj().T @ psi_bar
         if not dts:
             return []
@@ -477,16 +471,23 @@ def fit_power_law(
     floor: float = tol.FIT_FLOOR,
     min_samples: int = tol.FIT_MIN_SAMPLES,
 ) -> PowerLawFit:
-    """Fit E ~ c * t^m on the largest clean low-t window.
+    """Fit E ~ c * t^m to the (t, E) pairs of ``curve`` on the largest clean low-t window.
 
-    Samples at or below ``floor`` are discarded.  Windows are anchored at the
-    smallest usable time and grown as far as the max absolute residual of the
-    straight-line fit in log-log stays within ``residual_threshold``; if no
-    window anchored there qualifies, the anchor moves up.  Raises ``FitError``
-    with a actionable message when the data cannot support a fit.
+    The times must increase strictly and every E lie in [0, 1] up to
+    FIDELITY_RANGE_TOL, or ``ValidationError`` is raised.  Samples at or below
+    ``floor`` are discarded.  Windows are anchored at the smallest usable time
+    and grown as far as the max absolute residual of the straight-line fit in
+    log-log stays within ``residual_threshold``; if no window anchored there
+    qualifies, the anchor moves up.  Raises ``FitError`` with an actionable
+    message when the data cannot support a fit.
     """
-    pairs = curve.samples if isinstance(curve, FidelityCurve) else tuple(curve)
-    usable = [(float(t), float(e)) for t, e in pairs if float(e) > floor and float(t) > 0.0]
+    pairs = [(float(t), float(e)) for t, e in curve]
+    if not all(t2 > t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):  # a NaN time fails too
+        raise ValidationError("curve times must increase strictly")
+    for t, e in pairs:
+        if e < -tol.FIDELITY_RANGE_TOL or e > 1.0 + tol.FIDELITY_RANGE_TOL:
+            raise ValidationError(f"curve value {e!r} at t={t!r} outside [0, 1]")
+    usable = [(t, e) for t, e in pairs if e > floor and t > 0.0]
     if len(usable) < min_samples:
         raise FitError(
             f"only {len(usable)} samples above the floor {floor:g}, need {min_samples}; "

@@ -40,17 +40,6 @@ def _check_indices(indices) -> PauliIndexVector:
     return v
 
 
-def embed(mu: int, position: int, n_qubits: int) -> np.ndarray:
-    """Single-qubit Pauli ``mu`` acting on qubit ``position`` (1-based) of ``n_qubits``."""
-    if not 1 <= position <= n_qubits:
-        raise ShapeError(f"position {position} outside 1..{n_qubits}")
-    if mu not in (0, 1, 2, 3):
-        raise ShapeError(f"Pauli index {mu} outside 0..3")
-    left = np.eye(2 ** (position - 1), dtype=complex)
-    right = np.eye(2 ** (n_qubits - position), dtype=complex)
-    return np.kron(np.kron(left, PAULIS[mu]), right)
-
-
 def pauli_string(indices) -> np.ndarray:
     """Tensor product ``sigma_{v_1} (x) ... (x) sigma_{v_n}``."""
     v = _check_indices(indices)

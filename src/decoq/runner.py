@@ -31,7 +31,6 @@ from .dynamics import (
     trivial_environment,
 )
 from .metrics import (
-    FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
     _sphere_suprema,
@@ -165,7 +164,7 @@ class _Outputs:
 
 
 def _fit_rows(label: str, samples) -> list[tuple]:
-    fit = fit_power_law(FidelityCurve(tuple(samples)))
+    fit = fit_power_law(samples)
     return [(label, fit.exponent, fit.log_coefficient, fit.window[0], fit.window[1], fit.max_residual)]
 
 

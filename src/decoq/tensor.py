@@ -66,32 +66,6 @@ def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized pure state on a composite space.
-
-    ``dims`` lists the tensor factor dimensions, left factor first.
-    """
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        amps = _as_complex(self.amplitudes).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", _check_dims(self.dims, amps.size, "StateVector"))
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tol.NORM_TOL:
-            raise ValidationError(f"state vector norm {norm!r} deviates from 1 beyond {tol.NORM_TOL:.1e}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
-
-
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix with explicit tensor factor dimensions."""
 
@@ -115,16 +89,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.array.shape[0]
-
-
-def kron(*ops) -> np.ndarray:
-    """Kronecker product of one or more operators, leftmost factor first."""
-    if not ops:
-        raise ShapeError("kron needs at least one factor")
-    out = _as_complex(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, _as_complex(op))
-    return out
 
 
 def partial_trace_array(a: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -3,7 +3,6 @@
 # Stored operators and states.
 HERMITIAN_TOL = 1e-12       # max abs entry of M - M^dag
 TRACE_TOL = 1e-12           # |tr(rho) - 1|
-NORM_TOL = 1e-12            # | ||psi|| - 1 |
 EIGENVALUE_FLOOR = -1e-10   # smallest eigenvalue a density matrix may show
 
 # Gates on inputs to the heavier routines.

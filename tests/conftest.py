@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decoq import tolerances as tol
-from decoq.pauli import embed
+from decoq.pauli import pauli_string
 from decoq.tensor import require_hermitian
 
 
@@ -30,17 +30,17 @@ def random_density(rng, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_state(rng, d: int) -> np.ndarray:
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return psi / np.linalg.norm(psi)
-
-
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """Reference unitary ``exp(-i h t)`` for Hermitian ``h``, via eigendecomposition."""
     h = require_hermitian(h, tol.HERMITIAN_INPUT_TOL, "exponential input")
     evals, evecs = np.linalg.eigh(h)
     phases = np.exp(-1j * evals * float(t))
     return (evecs * phases) @ evecs.conj().T
+
+
+def one_letter(mu: int, position: int, n: int) -> tuple[int, ...]:
+    """Pauli index vector on ``n`` qubits with letter ``mu`` at the 1-based ``position`` and identity elsewhere."""
+    return tuple(mu if i == position else 0 for i in range(1, n + 1))
 
 
 def single_flip_product(omegas, t: float) -> np.ndarray:
@@ -52,7 +52,7 @@ def single_flip_product(omegas, t: float) -> np.ndarray:
     n = len(omegas)
     u = np.eye(2 ** n, dtype=complex)
     for l, w in enumerate(omegas, start=1):
-        u = u @ (np.cos(w * t) * np.eye(2 ** n) + 1j * np.sin(w * t) * embed(1, l, n))
+        u = u @ (np.cos(w * t) * np.eye(2 ** n) + 1j * np.sin(w * t) * pauli_string(one_letter(1, l, n)))
     return u
 
 
@@ -61,6 +61,6 @@ def pair_flip_product(pair_omegas, n_qubits: int, t: float) -> np.ndarray:
     n = int(n_qubits)
     u = np.eye(2 ** n, dtype=complex)
     for (k, l), w in pair_omegas.items():
-        gen = embed(1, k, n) @ embed(1, l, n)
+        gen = pauli_string(one_letter(1, k, n)) @ pauli_string(one_letter(1, l, n))
         u = u @ (np.cos(float(w) * t) * np.eye(2 ** n) + 1j * np.sin(float(w) * t) * gen)
     return u

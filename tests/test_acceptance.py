@@ -239,7 +239,7 @@ def test_criterion_08_recovery_equivalence(rng):
         for _ in range(draws):
             raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             raw = raw / np.linalg.norm(raw)
-            psi = encode_logical(code, raw[0], raw[1]).amplitudes
+            psi = encode_logical(code, raw[0], raw[1])
             err = errors[int(rng.integers(0, len(errors)))]
             corrupted = pauli_string(err) @ psi
             rho = np.outer(corrupted, corrupted.conj())

@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 from decoq.errors import ShapeError, ValidationError
-from decoq.tensor import DensityMatrix, StateVector, partial_trace_array, trace_distance
+from decoq.tensor import DensityMatrix, partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
 from decoq.dynamics import (
     build_noncontact,
@@ -109,7 +109,7 @@ def test_error_class_letters():
 def test_recovery_reverses_covered_errors(name):
     # up to the recorded correction's global phase the channel output is exact
     code = build_code(name)
-    psi = encode_logical(code, 0.6, 0.8j).amplitudes
+    psi = encode_logical(code, 0.6, 0.8j)
     target = np.outer(psi, psi.conj())
     channel = recovery_channel(code)
     worst = 0.0
@@ -140,7 +140,7 @@ def test_ancilla_records_syndrome():
     # after writing, the ancilla holds the syndrome bits as a basis state
     code = build_repetition_code(3)
     r = recovery_unitary(code)
-    psi = encode_logical(code, 1.0, 0.0).amplitudes
+    psi = encode_logical(code, 1.0, 0.0)
     flipped = pauli_string((0, 1, 0)) @ psi  # error on qubit 2
     joint = r @ np.kron(flipped, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
     anc = partial_trace_array(np.outer(joint, joint.conj()), (8, 4), (1,))
@@ -276,7 +276,6 @@ RECORDS_WITH_ARRAYS = {
     "CodeSpec": lambda: build_code("identity"),
     "EnvironmentModel": lambda: random_environment(1, 2, seed=1),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2, (2,)),
-    "StateVector": lambda: StateVector(np.array([1.0, 0.0]), (2,)),
     "KrausChannel": lambda: KrausChannel((np.eye(2),)),
 }
 
@@ -388,7 +387,7 @@ def test_recovery_without_dilation(name, rng):
     for _ in range(100):
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         raw = raw / np.linalg.norm(raw)
-        psi = encode_logical(code, raw[0], raw[1]).amplitudes
+        psi = encode_logical(code, raw[0], raw[1])
         corrupted = pauli_string(errors[int(rng.integers(0, len(errors)))]) @ psi
         logical = blocks_dag @ corrupted  # K_s corrupted = encoder logical[s]
         worst = max(worst, trace_distance(logical.T @ logical.conj(), np.outer(raw, raw.conj())))

@@ -3,8 +3,8 @@ import pytest
 
 from decoq import tolerances as tol
 from decoq.errors import ShapeError, ValidationError
-from decoq.tensor import DensityMatrix, kron, operator_norm, require_hermitian
-from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, embed, pauli_sum
+from decoq.tensor import DensityMatrix, operator_norm, require_hermitian
+from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, pauli_string, pauli_sum
 from decoq.dynamics import (
     EnvironmentModel,
     build_noncontact,
@@ -20,6 +20,7 @@ from decoq.dynamics import (
 
 from conftest import (
     expm_hermitian,
+    one_letter,
     pair_flip_product,
     random_density,
     random_hermitian,
@@ -147,7 +148,7 @@ class TestEnvironmentModel:
 class TestFreeHamiltonian:
     def test_default_qubit_terms_zero(self):
         env = random_environment(2, 2, seed=5)
-        assert free_hamiltonian(env).tobytes() == kron(env.h_env, np.eye(4)).tobytes()
+        assert free_hamiltonian(env).tobytes() == np.kron(env.h_env, np.eye(4, dtype=complex)).tobytes()
 
     def test_zero_terms_skipped_without_changing_values(self):
         # the register has no free term: h_env (x) 1 has the bytes of adding zero qubit terms
@@ -184,7 +185,7 @@ def embed_single_flip(omegas) -> np.ndarray:
     n = len(omegas)
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for l, w in enumerate(omegas, start=1):
-        h += float(w) * embed(1, l, n)
+        h += float(w) * pauli_string(one_letter(1, l, n))
     return h
 
 
@@ -192,7 +193,7 @@ def embed_pair_flip(pairs, n: int) -> np.ndarray:
     """Reference pair-flip drive: a sum of dense products of embedded sigma_x."""
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for (k, l), w in pairs.items():
-        h += float(w) * (embed(1, k, n) @ embed(1, l, n))
+        h += float(w) * (pauli_string(one_letter(1, k, n)) @ pauli_string(one_letter(1, l, n)))
     return h
 
 
@@ -247,18 +248,18 @@ def kron_noncontact(env: EnvironmentModel, qubits=None) -> np.ndarray:
     for l in range(n) if qubits is None else qubits:
         for mu, h in enumerate(env.couplings[l], start=1):
             if np.any(h):
-                v += kron(h, embed(mu, l + 1, n))
+                v += np.kron(h, pauli_string(one_letter(mu, l + 1, n)))
     return v
 
 
 def kron_free_matrix(env: EnvironmentModel) -> np.ndarray:
     """Reference free part: h_env (x) 1 plus one kron per qubit of a zero qubit term."""
     de, n = env.dim, env.n_qubits
-    out = kron(env.h_env, np.eye(2 ** n))
+    out = np.kron(env.h_env, np.eye(2 ** n, dtype=complex))
     zero = np.zeros((2, 2), dtype=complex)
     for l in range(1, n + 1):
         single = np.kron(np.kron(np.eye(2 ** (l - 1), dtype=complex), zero), np.eye(2 ** (n - l), dtype=complex))
-        out += kron(np.eye(de, dtype=complex), single)
+        out += np.kron(np.eye(de, dtype=complex), single)
     return out
 
 
@@ -300,7 +301,7 @@ class TestInteractions:
         explicit = np.zeros((8, 8), dtype=complex)
         for l, triple in enumerate(env.couplings, start=1):
             for mu, h in enumerate(triple, start=1):
-                explicit += kron(h, embed(mu, l, 2))
+                explicit += np.kron(h, pauli_string(one_letter(mu, l, 2)))
         assert np.allclose(v, explicit)
 
     def test_interaction_picture_stays_rank_one(self):
@@ -315,7 +316,7 @@ class TestInteractions:
 
     def test_contact_term_matrix(self):
         v = contact_hamiltonian([(0.9, (1, 1)), (-0.4, (3, 0))], 2)
-        assert np.allclose(v, 0.9 * kron(SIGMA_X, SIGMA_X) - 0.4 * kron(SIGMA_Z, np.eye(2)))
+        assert np.allclose(v, 0.9 * np.kron(SIGMA_X, SIGMA_X) - 0.4 * np.kron(SIGMA_Z, np.eye(2)))
 
     def test_contact_defaults_to_unit_environment(self):
         assert contact_hamiltonian([(1.0, (1, 3))], 2).shape == (4, 4)

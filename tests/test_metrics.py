@@ -20,7 +20,6 @@ from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_chan
 from decoq.metrics import (
     ARGMAX_TIE_ULPS,
     CodeErrorResult,
-    FidelityCurve,
     _bloch_pair,
     _CorrectionPipeline,
     _log_slopes,
@@ -59,7 +58,7 @@ class DilationReference:
 
     def __call__(self, psi_logical) -> float:
         de, dc, da = self.env.dim, self.code.register_dim, self.code.ancilla_dim
-        psi_bar = encode_logical(self.code, *psi_logical).amplitudes
+        psi_bar = encode_logical(self.code, *psi_logical)
         total = 0.0
         for wi, evec in zip(self.env_weights, self.env_vecs.T):
             if wi <= 1e-15:
@@ -76,7 +75,7 @@ class DilationReference:
 def dense_periodic_reference(code, env, h, dt, cycles, psi_logical, corrected):
     """Fidelity trace on the full joint density matrix: one ``exp(-i h dt)`` step per
     cycle, then every kron(1_env, K_s) of the recovery channel."""
-    psi_bar = encode_logical(code, *psi_logical).amplitudes
+    psi_bar = encode_logical(code, *psi_logical)
     eye_e = np.eye(env.dim)
     p_full = np.kron(eye_e, np.outer(psi_bar, psi_bar.conj()))
     rho = np.kron(env.rho0.array, np.outer(psi_bar, psi_bar.conj()))
@@ -114,12 +113,16 @@ def dephasing_environment(rng, de):
 
 class TestCurveTypes:
     def test_curve_rejects_disorder(self):
-        with pytest.raises(ValidationError):
-            FidelityCurve(((0.2, 0.5), (0.1, 0.6)))
+        with pytest.raises(ValidationError, match="^curve times must increase strictly$"):
+            fit_power_law([(0.2, 0.5), (0.1, 0.6)])
+        ts = np.geomspace(1e-2, 1e-1, 9).tolist()
+        with pytest.raises(ValidationError, match="^curve times must increase strictly$"):
+            # each neighbour comparison with the NaN is false, so a test of t2 <= t1 alone let the 0.05 through
+            fit_power_law([(t, 0.3 * t) for t in ts + [math.nan, 0.05]])
 
     def test_curve_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            FidelityCurve(((0.1, 1.5),))
+        with pytest.raises(ValidationError, match=r"^curve value 1\.5 at t=0\.1 outside \[0, 1\]$"):
+            fit_power_law([(0.1, 1.5)])
 
 
 class TestFidelity:
@@ -279,6 +282,13 @@ class TestRowsIndependentOfGrid:
         assert_rows_independent_of_grid(pipeline, list(WIDE_GRID), [1e-3, 5e-3, t_edge])
         assert 256 not in eigh_sizes
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 131])
+    def test_taylor_rows_beside_a_time_past_the_window(self, seed):
+        # 2 t_edge goes through the eigenbasis on its own; the rows inside the window keep the series
+        pipeline = _CorrectionPipeline(*wide_model(seed))
+        _, _, t_edge = taylor_radius(pipeline)
+        assert_rows_independent_of_grid(pipeline, list(WIDE_GRID), [2.0 * t_edge])
+
 
 def einsum_covariance(readout, vecs, env_dim):
     """C per time through one ``einsum`` over the register index: the reference for ``_pauli_covariance``."""
@@ -290,17 +300,27 @@ def einsum_covariance(readout, vecs, env_dim):
     return a @ a.conj().transpose(0, 2, 1)
 
 
-def einsum_recovery_steps(pipeline, dts):
-    """M_s per dt, each from its own ``einsum`` over the register index: the reference for ``_recovery_steps``."""
-    evals, evecs = pipeline.eigenbasis()
+def einsum_recovery_steps(pipeline, dts, propagate=None):
+    """M_s per dt, each propagated on its own by ``propagate(pipeline, lifted, dt)`` (default ``_evolve``
+    on that dt alone) and read out by its own ``einsum`` over the register index: the reference for
+    the readout of ``_recovery_steps``."""
     de, dc = pipeline.env_dim, pipeline.code.register_dim
     side, n_s = 2 * de, len(pipeline.readout)
-    lifted = evecs.conj().T @ np.kron(np.eye(de), pipeline.code.encoder)
+    lifted = np.kron(np.eye(de), pipeline.code.encoder)
     kraus = np.empty((len(dts), n_s * side, side), dtype=complex)
     for out, dt in zip(kraus, dts):
-        moved = evecs @ (np.exp(-1j * evals * dt)[:, None] * lifted)
+        moved = propagate(pipeline, lifted, dt) if propagate else pipeline._evolve(lifted, [dt])[:, 0]
         out[:] = np.einsum("sac,ecx->seax", pipeline.readout, moved.reshape(de, dc, side)).reshape(-1, side)
     return kraus
+
+
+def eigenbasis_recovery_steps(pipeline, dts):
+    """M_s per dt propagated by the eigendecomposition whatever the dimension and dt: the reference
+    the Taylor branch of ``_recovery_steps`` is held to."""
+    def propagate(pipeline, lifted, dt):
+        evals, evecs = pipeline.eigenbasis()
+        return evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.conj().T @ lifted))
+    return einsum_recovery_steps(pipeline, dts, propagate)
 
 
 # The codes the product replaced the einsum for.  On steane and shor the two differ in the last bit
@@ -426,6 +446,13 @@ class TestTaylorPropagation:
         fresh.decay([0.12], 10, PSI, apply_correction=False)
         fresh.decay([0.06], 10, PSI)
         assert eigh_sizes.count(256) == 2
+
+    @pytest.mark.parametrize("seed", [1, 131])
+    def test_decay_at_256_independent_of_a_dt_past_the_window(self, seed):
+        pipeline = _CorrectionPipeline(*wide_model(seed))
+        _, _, t_edge = taylor_radius(pipeline)
+        assert 0.01 < t_edge < 0.12
+        assert pipeline.decay([0.01], 10, PSI) == pipeline.decay([0.01, 0.12], 10, PSI)[:1]
 
     def test_series_cap_raises(self):
         pipeline = _CorrectionPipeline(*wide_model(1))
@@ -662,8 +689,9 @@ class TestFitPowerLaw:
         assert fit.window[0] == ts[1]
 
     def test_accepts_curve_object(self):
+        # the curve is any iterable of (t, E) pairs, here the rows of one (n, 2) array
         ts = np.geomspace(1e-2, 1e-1, 9)
-        curve = FidelityCurve(tuple((float(t), float(0.3 * t)) for t in ts))
+        curve = np.column_stack([ts, 0.3 * ts])
         assert fit_power_law(curve).exponent == pytest.approx(1.0, abs=1e-9)
 
 
@@ -780,7 +808,7 @@ class TestPeriodicCorrection:
         assert 256 not in eigh_sizes
         backwards = pipeline.decay(dts[::-1], 12, PSI)[::-1]
         assert together == [pipeline.decay([dt], 12, PSI)[0] for dt in dts] == backwards
-        monkeypatch.setattr(_CorrectionPipeline, "_recovery_steps", einsum_recovery_steps)
+        monkeypatch.setattr(_CorrectionPipeline, "_recovery_steps", eigenbasis_recovery_steps)
         for got, want in zip(together, pipeline.decay(dts, 12, PSI)):
             assert np.max(np.abs(np.subtract(got.samples, want.samples))) <= 1e-13
 

@@ -12,14 +12,13 @@ from decoq.pauli import (
     SIGMA_Z,
     anticommutation,
     decompose,
-    embed,
     pauli_action,
     pauli_string,
     pauli_sum,
     reconstruct,
 )
 
-from conftest import pair_flip_product, random_unitary, single_flip_product
+from conftest import one_letter, pair_flip_product, random_unitary, single_flip_product
 
 
 def error_rank(v) -> int:
@@ -107,16 +106,6 @@ def test_pauli_orthogonality():
         assert inner == pytest.approx(2.0 if a == b else 0.0, abs=1e-15)
 
 
-def test_embed_positions():
-    full = embed(3, 2, 3)
-    assert np.array_equal(full, np.kron(np.kron(np.eye(2), SIGMA_Z), np.eye(2)))
-    assert np.array_equal(embed(1, 1, 1), SIGMA_X)
-    with pytest.raises(ShapeError):
-        embed(1, 4, 3)
-    with pytest.raises(ShapeError):
-        embed(5, 1, 1)
-
-
 def test_pauli_string_matches_kron():
     assert np.array_equal(pauli_string((1, 0, 2)), np.kron(np.kron(SIGMA_X, np.eye(2)), SIGMA_Y))
     with pytest.raises(ShapeError):
@@ -183,11 +172,11 @@ class TestDecompose:
     def test_rank_one_products_stay_low_rank(self):
         # a product of k single-qubit factors involves at most k qubits
         n = 3
-        prod = embed(1, 1, n) @ embed(2, 1, n)  # same qubit twice: rank 1
+        prod = pauli_string(one_letter(1, 1, n)) @ pauli_string(one_letter(2, 1, n))  # same qubit twice: rank 1
         for v, comp in decompose(prod, 1, n).items():
             if np.any(comp):
                 assert error_rank(v) <= 1
-        prod2 = embed(1, 1, n) @ embed(3, 2, n)
+        prod2 = pauli_string(one_letter(1, 1, n)) @ pauli_string(one_letter(3, 2, n))
         for v, comp in decompose(prod2, 1, n).items():
             if np.any(comp):
                 assert error_rank(v) <= 2

@@ -101,6 +101,19 @@ class TestScalingSweep:
         assert len(thetas) == 16
         assert all(theta <= np.pi / 2 for theta in thetas)
 
+    def test_contact_sweep_argmax_phi_below_two_pi(self, tmp_path):
+        # the first row's maximiser lies on the equator with y of about -1e-17, whose atan2 mod 2 pi rounds to 2 pi
+        text = (
+            "[scenario]\nkind = scaling_sweep\ncode = five_qubit\nplots = false\n"
+            "[interaction]\nkind = contact\nterms = 0.9:x1 x2, -0.25:z3, 0.4:y2 z4 x5\n"
+            "[time_grid]\nstart = 0.01\nend = 0.3\npoints = 12\n"
+        )
+        run(parse_scenario(text), out_dir=str(tmp_path))
+        phis = [float(line.split(",")[4]) for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(phis) == 12
+        assert all(0.0 <= phi < 2.0 * np.pi for phi in phis), phis
+        assert phis[0] == 0.0
+
     @pytest.mark.parametrize("kind", ["scaling_sweep", "bound_check"])
     def test_one_covariance_stack_and_one_search(self, tmp_path, monkeypatch, kind):
         calls = []
@@ -457,6 +470,17 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "sizing error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a joint space under max_dim can still be too large to allocate; the stub stands in for that allocation
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+        monkeypatch.setattr(decoq.runner, "random_environment", exhausted)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[scenario]\nkind = bound_check\ncode = five_qubit\nmax_dim = 1000000000\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "sizing error: out of memory: Unable to allocate 2.18 TiB for an array\n"
 
     def test_fit_failure_exit_4(self, tmp_path, capsys):
         # enough points, but every error sits below the fit floor

@@ -5,35 +5,14 @@ import scipy.linalg
 from decoq.errors import ShapeError, ValidationError
 from decoq.tensor import (
     DensityMatrix,
-    StateVector,
     hermiticity_defect,
-    kron,
     operator_norm,
     partial_trace_array,
     require_hermitian,
     trace_distance,
 )
 
-from conftest import expm_hermitian, random_density, random_hermitian, random_state, random_unitary
-
-
-class TestStateVector:
-    def test_accepts_normalized(self):
-        psi = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        assert psi.dim == 4
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            StateVector(np.array([1.0, 1.0]), (2,))
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            StateVector(np.array([1.0, 0.0, 0.0, 0.0]), (2, 3))
-
-    def test_density_is_projector(self, rng):
-        psi = StateVector(random_state(rng, 6), (2, 3))
-        rho = psi.density()
-        assert np.allclose(rho.array @ rho.array, rho.array, atol=1e-12)
+from conftest import expm_hermitian, random_density, random_hermitian, random_unitary
 
 
 class TestDensityMatrix:
@@ -107,24 +86,6 @@ class TestHermiticityDefect:
     def test_non_square_rejected(self, shape):
         with pytest.raises(ShapeError, match="square"):
             hermiticity_defect(np.zeros(shape))
-
-
-class TestKron:
-    def test_matches_numpy(self, rng):
-        a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
-        assert np.array_equal(kron(a, b), np.kron(a, b))
-
-    def test_associative_three_factors(self, rng):
-        a, b, c = (random_hermitian(rng, d) for d in (2, 2, 3))
-        assert np.allclose(kron(a, b, c), np.kron(a, np.kron(b, c)))
-
-    def test_single_factor_identity(self, rng):
-        a = random_hermitian(rng, 3)
-        assert np.array_equal(kron(a), a)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            kron()
 
 
 class TestPartialTrace:
