@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 configuration problems (including an output
 directory that cannot be created or written, and a nan or infinite number),
-3 sizing guard (environment x register dimension above max_dim) or running
-out of memory, 4 validation, fit or linear-algebra failures at run time.
+3 sizing guard (environment x register dimension above max_dim, or a count
+over its budget in ``decoq.scenario``) or running out of memory, 4 validation,
+fit, linear-algebra or floating-point (overflow, invalid value) failures at
+run time.
 
 CSV columns by file:
     sweep.csv                t, E, bound, argmax_theta, argmax_phi
@@ -30,7 +32,7 @@ import numpy as np
 from .codes import asymptotic_x0
 from .errors import ConfigError, FitError, ShapeError, SizingError, ValidationError
 from .runner import BOUNDS_HEADER, bounds_rows, format_csv, run
-from .scenario import load_scenario
+from .scenario import Scenario, load_scenario
 
 
 def _cmd_run(args) -> int:
@@ -47,7 +49,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    sys.stdout.write(format_csv(BOUNDS_HEADER, bounds_rows(1, args.n_max, 0, args.k_max)))
+    table = Scenario(kind="bounds_table", n_max=args.n_max, k_max=args.k_max)  # validates and sizes the span
+    sys.stdout.write(format_csv(BOUNDS_HEADER, bounds_rows(table.n_min, table.n_max, table.k_min, table.k_max)))
     return 0
 
 
@@ -91,7 +94,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"sizing error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ShapeError, FitError, np.linalg.LinAlgError) as exc:
+    except (ValidationError, ShapeError, FitError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -73,7 +73,8 @@ class EnvironmentModel:
 
 def gibbs_weights(dim: int, beta: float) -> np.ndarray:
     """Normalized weights w_i proportional to exp(-beta * i); beta = 0 is maximally mixed."""
-    w = np.exp(-float(beta) * np.arange(dim, dtype=float))
+    with np.errstate(over="ignore"):  # -beta i past -1.8e308 is -inf, whose weight exp(-inf) = 0 is exact
+        w = np.exp(-float(beta) * np.arange(dim, dtype=float))
     return w / w.sum()
 
 

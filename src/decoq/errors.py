@@ -18,4 +18,4 @@ class ConfigError(ValueError):
 
 
 class SizingError(RuntimeError):
-    """A scenario asks for a joint space beyond the configured dimension cap."""
+    """A scenario asks for a joint space beyond the dimension cap, or a count beyond its sizing budget."""

@@ -546,22 +546,33 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical, k: i
     return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where that passes the largest float (where ``**`` raises ``OverflowError``)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def error_bound(t: float, k: int, v_norm: float) -> float:
-    """Rigorous error envelope t^(2k+2) ||V||^(2k+2) / ((k+1)!)^2."""
+    """Rigorous error envelope t^(2k+2) ||V||^(2k+2) / ((k+1)!)^2.
+
+    It is inf where (t ||V||)^(2k+2) passes the largest float; for every
+    k < 98 the envelope is then above 1, so it says nothing either way."""
     t, v_norm, k = float(t), float(v_norm), int(k)
     if t < 0 or v_norm < 0 or k < 0:
         raise ShapeError("need t >= 0, ||V|| >= 0, k >= 0")
-    return (t * v_norm) ** (2 * k + 2) / math.factorial(k + 1) ** 2
+    return _power(t * v_norm, 2 * k + 2) / math.factorial(k + 1) ** 2
 
 
 def stabilization_bound(t: float, coupling_bound: float, n: int, x0: float | None = None) -> float:
-    """Asymptotic envelope (t C e / x0)^(2 x0 n) for a length-n code at the rate edge."""
+    """Asymptotic envelope (t C e / x0)^(2 x0 n) for a length-n code at the rate edge; inf past the largest float."""
     t, c = float(t), float(coupling_bound)
     n = int(n)
     if t < 0 or c <= 0 or n < 1:
         raise ShapeError("need t >= 0, coupling bound > 0, n >= 1")
     x0 = asymptotic_x0() if x0 is None else float(x0)
-    return (t * c * math.e / x0) ** (2.0 * x0 * n)
+    return _power(t * c * math.e / x0, 2.0 * x0 * n)
 
 
 def threshold_time(coupling_bound: float, x0: float | None = None) -> float:

@@ -174,7 +174,7 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
     code, env, v, h = _materialize(scenario)
     pipeline = _CorrectionPipeline(code, env, h)
-    ts = scenario.time_grid.times().tolist()
+    ts = scenario.times().tolist()
     sups = _sphere_suprema(pipeline.covariances(ts))
     points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
     v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
@@ -232,7 +232,7 @@ def _run_intro(scenario: Scenario, out: _Outputs) -> None:
     code = build_code(scenario.code)
     env = trivial_environment(code.n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
-    ts = scenario.time_grid.times().tolist()
+    ts = scenario.times().tolist()
     pairs = {(k_pos, l_pos): w for k_pos, l_pos, w in scenario.pair_flip}
 
     curves = {}
@@ -320,14 +320,15 @@ def run(
     os.makedirs(scenario.out, exist_ok=True)
     out = _Outputs(scenario.out)
 
-    if scenario.kind in ("scaling_sweep", "bound_check"):
-        _run_scaling(scenario, out, check_bounds=scenario.kind == "bound_check")
-    elif scenario.kind == "intro_example":
-        _run_intro(scenario, out)
-    elif scenario.kind == "bounds_table":
-        _run_bounds(scenario, out)
-    else:  # periodic_correction, the last of the kinds Scenario accepts
-        _run_periodic(scenario, out)
+    with np.errstate(all="raise", under="ignore"):  # an overflow, NaN or division by zero raises FloatingPointError
+        if scenario.kind in ("scaling_sweep", "bound_check"):
+            _run_scaling(scenario, out, check_bounds=scenario.kind == "bound_check")
+        elif scenario.kind == "intro_example":
+            _run_intro(scenario, out)
+        elif scenario.kind == "bounds_table":
+            _run_bounds(scenario, out)
+        else:  # periodic_correction, the last of the kinds Scenario accepts
+            _run_periodic(scenario, out)
 
     manifest = RunManifest(
         scenario=serialize_scenario(scenario),

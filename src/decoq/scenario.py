@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,35 +20,15 @@ from .errors import ConfigError, SizingError
 
 KINDS = ("scaling_sweep", "intro_example", "bounds_table", "periodic_correction", "bound_check")
 CONTACT_KINDS = ("scaling_sweep", "bound_check", "periodic_correction")  # the kinds that build the declared interaction
+GRID_KINDS = ("scaling_sweep", "bound_check", "intro_example")  # the kinds that sample the [time_grid]
 _AXIS_LETTERS = {"x": 1, "y": 2, "z": 3}
 _AXIS_NAMES = {1: "x", 2: "y", 3: "z"}
 
-
-@dataclass(frozen=True)
-class TimeGrid:
-    start: float = 5e-4
-    end: float = 8e-3
-    points: int = 14
-    spacing: str = "log"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ConfigError(f"time grid ends must be finite, got {self.start!r} and {self.end!r}")
-        if self.spacing not in ("linear", "log"):
-            raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.points < 1:
-            raise ConfigError("time grid needs at least one point")
-        if self.start < 0:
-            raise ConfigError(f"time grid start must be >= 0, got {self.start!r}")
-        if not self.start < self.end:
-            raise ConfigError("time grid start must lie before end")
-        if self.spacing == "log" and self.start <= 0:
-            raise ConfigError("log spacing needs a positive start time")
-
-    def times(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.end, self.points)
-        return np.linspace(self.start, self.end, self.points)
+# Sizing budgets; a scenario over one exits 3 (SizingError) when it is loaded.
+BLOCK_BUDGET = 2 ** 22  # complex entries (64 MiB) of the (d, T, 2 d_e) block a grid, or the halved dts, propagate
+ROW_BUDGET = 2 ** 9  # time points: a fit tries up to points^2 / 2 windows, one least-squares line each
+SAMPLE_BUDGET = 2 ** 18  # (halvings + 1)(cycles + 1) fidelity samples, each a row of an on and an off CSV
+BOUNDS_BUDGET = 2 ** 28  # bounds-table binomial terms times n_max, which bounds the bits of each term
 
 
 @dataclass(frozen=True)
@@ -66,7 +46,10 @@ class Scenario:
     beta: float = 0.0
     interaction_kind: str = "non_contact"
     contact_terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...] = ()
-    time_grid: TimeGrid = TimeGrid()
+    t_start: float = 5e-4
+    t_end: float = 8e-3
+    t_points: int = 14
+    t_spacing: str = "log"
     state_theta: float = 1.2
     state_phi: float = 0.5
     single_flip_omegas: tuple[float, ...] = (0.9, 1.1, 0.75, 1.3, 0.85)
@@ -98,6 +81,16 @@ class Scenario:
             raise ConfigError("environment dimension must be at least 1")
         if self.max_dim < 2:
             raise ConfigError("dimension cap must allow at least one qubit")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ConfigError(f"time grid ends must be finite, got {self.t_start!r} and {self.t_end!r}")
+        if self.t_spacing not in ("linear", "log"):
+            raise ConfigError(f"spacing must be 'linear' or 'log', got {self.t_spacing!r}")
+        if self.t_start < 0:
+            raise ConfigError(f"time grid start must be >= 0, got {self.t_start!r}")
+        if not self.t_start < self.t_end:
+            raise ConfigError("time grid start must lie before end")
+        if self.t_spacing == "log" and self.t_start <= 0:
+            raise ConfigError("log spacing needs a positive start time")
         numbers = {
             "coupling_bound": (self.coupling_bound,),
             "beta": (self.beta,),
@@ -128,8 +121,6 @@ class Scenario:
             raise ConfigError("bounds table needs 1 <= n_min <= n_max")
         if not 0 <= self.k_min <= self.k_max:
             raise ConfigError("bounds table needs 0 <= k_min <= k_max")
-        if self.kind in ("scaling_sweep", "intro_example") and self.time_grid.points < tol.FIT_MIN_SAMPLES:
-            raise ConfigError(f"{self.kind} fits over at least {tol.FIT_MIN_SAMPLES} time points, got {self.time_grid.points}")
         unordered = [(min(k, l), max(k, l)) for k, l, _ in self.pair_flip]
         for pair in unordered:
             if pair[0] == pair[1] or unordered.count(pair) > 1:
@@ -156,14 +147,39 @@ class Scenario:
                     raise ConfigError(f"pair ({k_pos},{l_pos}) outside 1..{n}")
         if self.kind == "bound_check" and (self.interaction_kind != "non_contact" or self.coupling_bound <= 0):
             raise ConfigError("bound_check needs a non_contact interaction with a positive coupling bound")
-        if self.kind != "bounds_table":
-            env_dim = 1 if self.kind == "intro_example" or contact else self.env_dim
-            joint = env_dim * 2 ** n
-            if joint > self.max_dim:
-                raise SizingError(
-                    f"joint dimension {env_dim} x {2 ** n} (environment x register) = {joint} "
-                    f"exceeds the cap {self.max_dim}"
-                )
+        if self.t_points < 1:
+            raise ConfigError("time grid needs at least one point")
+        if self.kind in ("scaling_sweep", "intro_example") and self.t_points < tol.FIT_MIN_SAMPLES:
+            raise ConfigError(f"{self.kind} fits over at least {tol.FIT_MIN_SAMPLES} time points, got {self.t_points}")
+        # Sizing: each count is held to its budget here, before anything is built.
+        env_dim = 1 if self.kind == "intro_example" or contact else self.env_dim
+        joint = env_dim * 2 ** n
+        if self.kind != "bounds_table" and joint > self.max_dim:
+            raise SizingError(
+                f"joint dimension {env_dim} x {2 ** n} (environment x register) = {joint} "
+                f"exceeds the cap {self.max_dim}"
+            )
+        per_time = BLOCK_BUDGET // (joint * 2 * env_dim)  # times, or dts, whose (d, T, 2 d_e) block fits the budget
+        where = f"at joint dimension {joint} with {2 * env_dim} start columns"
+        if self.kind in GRID_KINDS and self.t_points > min(ROW_BUDGET, per_time):
+            raise SizingError(f"{self.t_points} time points exceed the cap {min(ROW_BUDGET, per_time)} {where}")
+        if self.kind == "periodic_correction" and self.halvings + 1 > per_time:
+            raise SizingError(f"{self.halvings + 1} correction intervals exceed the cap {per_time} {where}")
+        if self.kind == "periodic_correction" and (self.halvings + 1) * (self.cycles + 1) > SAMPLE_BUDGET:
+            raise SizingError(f"{self.halvings + 1} intervals x {self.cycles + 1} cycles exceed {SAMPLE_BUDGET} samples")
+        k_top = min(self.k_max, self.n_max)
+        terms = (self.n_max - self.n_min + 1) * max(0, k_top - self.k_min + 1) * (3 * k_top + 2)
+        if self.kind == "bounds_table" and terms * self.n_max > BOUNDS_BUDGET:
+            raise SizingError(
+                f"bounds table over n = {self.n_min}..{self.n_max}, k = {self.k_min}..{self.k_max} sums up to "
+                f"{terms} binomial terms, and terms x n_max exceeds {BOUNDS_BUDGET}"
+            )
+
+    def times(self) -> np.ndarray:
+        """The [time_grid] sample times: ``t_points`` from ``t_start`` to ``t_end``, log or linear."""
+        if self.t_spacing == "log":
+            return np.geomspace(self.t_start, self.t_end, self.t_points)
+        return np.linspace(self.t_start, self.t_end, self.t_points)
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -257,10 +273,10 @@ _SCHEMA = {
         "terms": ("contact_terms", "contact"),
     },
     "time_grid": {
-        "start": ("_tg_start", "float"),
-        "end": ("_tg_end", "float"),
-        "points": ("_tg_points", "int"),
-        "spacing": ("_tg_spacing", "str"),
+        "start": ("t_start", "float"),
+        "end": ("t_end", "float"),
+        "points": ("t_points", "int"),
+        "spacing": ("t_spacing", "str"),
     },
     "state_grid": {
         "n_theta": (None, "int"),
@@ -318,7 +334,6 @@ def parse_scenario(text: str) -> Scenario:
     section = None
     seen: dict[tuple[str, str], int] = {}
     fields: dict[str, object] = {}
-    grid_overrides: dict[str, object] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -340,17 +355,11 @@ def parse_scenario(text: str) -> Scenario:
         seen[section, key] = lineno
         field_name, tag = _SCHEMA[section][key]
         value = _PARSERS[tag](raw_value, f"line {lineno}, key {key!r}")
-        if field_name is None:
-            continue
-        if field_name.startswith("_tg_"):
-            grid_overrides[field_name[4:]] = value
-        else:
+        if field_name is not None:
             fields[field_name] = value
     if "kind" not in fields:
         raise ConfigError("scenario file does not set 'kind' in section [scenario]")
     try:
-        if grid_overrides:
-            fields["time_grid"] = replace(TimeGrid(), **grid_overrides)
         return Scenario(**fields)
     except ConfigError:
         raise
@@ -365,8 +374,7 @@ def serialize_scenario(s: Scenario) -> str:
         lines = [f"[{section}]"]
         for key, (name, tag) in keys.items():
             if name is not None:
-                value = getattr(s.time_grid, name[4:]) if name.startswith("_tg_") else getattr(s, name)
-                lines.append(f"{key} = {_FORMATTERS[tag](value)}")
+                lines.append(f"{key} = {_FORMATTERS[tag](getattr(s, name))}")
         if len(lines) > 1:  # a section of discarded keys, like [state_grid], is not written
             sections.append("\n".join(lines) + "\n")
     return "\n".join(sections)

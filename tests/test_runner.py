@@ -20,7 +20,7 @@ from decoq.codes import asymptotic_bound_gap
 from decoq.cli import main
 from decoq.errors import ShapeError, SizingError
 from decoq.runner import _cell, format_csv, run, verify_manifest
-from decoq.scenario import Scenario, TimeGrid, parse_scenario, serialize_scenario
+from decoq.scenario import Scenario, parse_scenario, serialize_scenario
 from decoq.svg import AxesSpec, emit_svg
 
 SWEEP = Scenario(
@@ -28,7 +28,7 @@ SWEEP = Scenario(
     code="identity",
     seed=42,
     env_dim=2,
-    time_grid=TimeGrid(0.004, 0.12, 10, "log"),
+    t_start=0.004, t_end=0.12, t_points=10, t_spacing="log",
 )
 
 BOUNDS = Scenario(kind="bounds_table", n_min=1, n_max=12, k_min=1, k_max=2, plots=False)
@@ -127,13 +127,13 @@ class TestScalingSweep:
         pipeline = decoq.metrics._CorrectionPipeline
         monkeypatch.setattr(pipeline, "covariances", counted("covariances", pipeline.covariances))
         monkeypatch.setattr(decoq.runner, "_sphere_suprema", counted("suprema", decoq.runner._sphere_suprema))
-        run(Scenario(kind=kind, code="identity", time_grid=TimeGrid(0.004, 0.12, 10), plots=False), out_dir=str(tmp_path))
+        run(Scenario(kind=kind, code="identity", t_start=0.004, t_end=0.12, t_points=10, plots=False), out_dir=str(tmp_path))
         assert calls == ["covariances", "suprema"]
 
 
 KINDS = {
     "scaling_sweep": (SWEEP, "sweep.csv"),
-    "bound_check": (Scenario(kind="bound_check", code="identity", time_grid=TimeGrid(0.004, 0.12, 10)), "bound_check.csv"),
+    "bound_check": (Scenario(kind="bound_check", code="identity", t_start=0.004, t_end=0.12, t_points=10), "bound_check.csv"),
     "intro_example": (Scenario(kind="intro_example", code="repetition-3", single_flip_omegas=(0.9, 1.1, 0.75),
                                pair_flip=((1, 2, 0.8), (2, 3, 0.65))), "pair_flip.csv"),
     "bounds_table": (BOUNDS, "bounds.csv"),
@@ -358,7 +358,7 @@ class TestIntroKind:
             return original(self, times)
 
         monkeypatch.setattr(pipeline, "covariances", counted)
-        s = Scenario(kind="intro_example", code="repetition-5", time_grid=TimeGrid(0.02, 0.2, 14), plots=False)
+        s = Scenario(kind="intro_example", code="repetition-5", t_start=0.02, t_end=0.2, t_points=14, plots=False)
         run(s, out_dir=str(tmp_path))
         assert calls == [14, 14]
 
@@ -371,7 +371,7 @@ class TestIntroKind:
             seen.append((code, self.readout))
 
         monkeypatch.setattr(decoq.metrics._CorrectionPipeline, "__init__", recorded)
-        s = Scenario(kind="intro_example", code="repetition-5", time_grid=TimeGrid(0.02, 0.2, 14), plots=False)
+        s = Scenario(kind="intro_example", code="repetition-5", t_start=0.02, t_end=0.2, t_points=14, plots=False)
         manifest = run(s, out_dir=str(tmp_path))
         assert set(manifest.files) == {"single_flip.csv", "pair_flip.csv", "fit_summary.csv"}
         (code, first), (other, second) = seen  # one pipeline per drive
@@ -383,7 +383,7 @@ class TestIntroKind:
         s = Scenario(
             kind="intro_example",
             code="repetition-7",
-            time_grid=TimeGrid(0.05, 0.3, 14),
+            t_start=0.05, t_end=0.3, t_points=14,
             single_flip_omegas=(0.9, 1.1, 0.75, 1.3, 0.85, 1.0, 0.95),
             plots=False,
         )
@@ -426,7 +426,7 @@ class TestSvg:
             kind="scaling_sweep",
             code="identity",
             env_dim=2,
-            time_grid=TimeGrid(0.0, 0.12, 13, "linear"),
+            t_start=0.0, t_end=0.12, t_points=13, t_spacing="linear",
         )
         manifest = run(s, out_dir=str(tmp_path))
         assert any("dropped" in w for w in manifest.warnings)
@@ -663,7 +663,7 @@ def test_seed_override_changes_data(tmp_path):
     "scenario",
     [
         SWEEP,
-        Scenario(kind="bound_check", code="five_qubit", env_dim=1, time_grid=TimeGrid(0.01, 0.1, 4)),
+        Scenario(kind="bound_check", code="five_qubit", env_dim=1, t_start=0.01, t_end=0.1, t_points=4),
         Scenario(kind="periodic_correction", code="repetition-3", cycles=12, halvings=1),
     ],
     ids=lambda s: s.kind,
@@ -694,9 +694,9 @@ def test_runtime_needs_numpy_only(tmp_path):
     script = (
         "import sys\n"
         "from decoq.runner import run\n"
-        "from decoq.scenario import Scenario, TimeGrid\n"
+        "from decoq.scenario import Scenario\n"
         "s = Scenario(kind='scaling_sweep', code='identity', plots=False,"
-        " time_grid=TimeGrid(0.004, 0.12, 10, 'log'))\n"
+        " t_start=0.004, t_end=0.12, t_points=10, t_spacing='log')\n"
         f"run(s, out_dir={str(tmp_path)!r})\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )

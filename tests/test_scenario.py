@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from decoq.errors import ConfigError
 from decoq.scenario import (
+    BLOCK_BUDGET,
     CODES,
     CONTACT_KINDS,
+    GRID_KINDS,
     KINDS,
+    ROW_BUDGET,
+    SAMPLE_BUDGET,
     Scenario,
-    TimeGrid,
     load_scenario,
     parse_scenario,
     serialize_scenario,
@@ -29,7 +32,7 @@ class TestParsing:
         assert (s.k_min, s.k_max) == (0, 3)
         assert s.seed == 42
         assert s.code == "five_qubit"
-        assert s.time_grid == TimeGrid()
+        assert (s.t_start, s.t_end, s.t_points, s.t_spacing) == (5e-4, 8e-3, 14, "log")
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n[scenario]\nkind = bounds_table  # trailing\n\n"
@@ -104,37 +107,37 @@ class TestParsing:
 
 class TestTimeGrid:
     def test_log_times(self):
-        grid = TimeGrid(1e-3, 1e-1, 5, "log")
-        assert np.allclose(grid.times(), np.geomspace(1e-3, 1e-1, 5))
+        s = Scenario(kind="bounds_table", t_start=1e-3, t_end=1e-1, t_points=5, t_spacing="log")
+        assert np.allclose(s.times(), np.geomspace(1e-3, 1e-1, 5))
 
     def test_linear_times(self):
-        grid = TimeGrid(0.0, 1.0, 6, "linear")
-        assert np.allclose(grid.times(), np.linspace(0.0, 1.0, 6))
+        s = Scenario(kind="bounds_table", t_start=0.0, t_end=1.0, t_points=6, t_spacing="linear")
+        assert np.allclose(s.times(), np.linspace(0.0, 1.0, 6))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            TimeGrid(0.2, 0.1, 5, "log")
-        with pytest.raises(ConfigError):
-            TimeGrid(0.0, 1.0, 5, "log")
-        with pytest.raises(ConfigError):
-            TimeGrid(0.1, 0.2, 0, "log")
-        with pytest.raises(ConfigError):
-            TimeGrid(0.1, 0.2, 5, "cubic")
+        with pytest.raises(ConfigError, match="start must lie before end"):
+            Scenario(kind="bounds_table", t_start=0.2, t_end=0.1, t_points=5)
+        with pytest.raises(ConfigError, match="positive start"):
+            Scenario(kind="bounds_table", t_start=0.0, t_end=1.0, t_points=5)
+        with pytest.raises(ConfigError, match="at least one point"):
+            Scenario(kind="bounds_table", t_start=0.1, t_end=0.2, t_points=0)
+        with pytest.raises(ConfigError, match="spacing must be"):
+            Scenario(kind="bounds_table", t_start=0.1, t_end=0.2, t_points=5, t_spacing="cubic")
         with pytest.raises(ConfigError, match="start must be >= 0"):
-            TimeGrid(-0.01, 0.1, 5, "linear")
+            Scenario(kind="bounds_table", t_start=-0.01, t_end=0.1, t_points=5, t_spacing="linear")
 
     def test_negative_start_rejected(self):
         text = "[scenario]\nkind = scaling_sweep\n[time_grid]\nstart = -0.01\nend = 0.1\nspacing = linear\n"
         with pytest.raises(ConfigError, match="start must be >= 0"):
             parse_scenario(text)
-        assert parse_scenario(text.replace("-0.01", "0.0")).time_grid.start == 0.0
+        assert parse_scenario(text.replace("-0.01", "0.0")).t_start == 0.0
 
     def test_grid_keys_override(self):
         text = "[scenario]\nkind = scaling_sweep\n[time_grid]\nstart = 0.001\npoints = 9\n"
         s = parse_scenario(text)
-        assert s.time_grid.start == 0.001
-        assert s.time_grid.points == 9
-        assert s.time_grid.end == TimeGrid().end
+        assert s.t_start == 0.001
+        assert s.t_points == 9
+        assert s.t_end == Scenario(kind="scaling_sweep").t_end
 
 
     def test_state_grid_accepted_and_ignored(self):
@@ -183,8 +186,8 @@ class TestTimeGrid:
         [(1e-3, math.inf, "log"), (math.nan, 1.0, "linear"), (-math.inf, 1.0, "linear"), (0.1, math.nan, "log")],
     )
     def test_non_finite_grid_ends(self, start, end, spacing):
-        with pytest.raises(ConfigError, match="finite"):
-            TimeGrid(start, end, 10, spacing)
+        with pytest.raises(ConfigError, match="time grid ends must be finite"):
+            Scenario(kind="scaling_sweep", t_start=start, t_end=end, t_points=10, t_spacing=spacing)
 
 
 def nontrivial_scenario() -> Scenario:
@@ -200,7 +203,7 @@ def nontrivial_scenario() -> Scenario:
         beta=1.25,
         interaction_kind="contact",
         contact_terms=((0.9, ((1, 1), (1, 2))), (1.1, ((2, 4),))),
-        time_grid=TimeGrid(1e-4, 0.25, 21, "linear"),
+        t_start=1e-4, t_end=0.25, t_points=21, t_spacing="linear",
         state_theta=0.31,
         state_phi=2.9,
         single_flip_omegas=(1.0, 2.0, 3.0, 4.0, 5.0),
@@ -279,12 +282,13 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _time_grids(draw):
+def _time_grids(draw, max_points):
     spacing = draw(st.sampled_from(("linear", "log")))
     low = st.floats(min_value=0.0, exclude_min=spacing == "log", allow_infinity=False)
     start, end = draw(low), draw(low)
     assume(start != end)
-    return TimeGrid(min(start, end), max(start, end), draw(st.integers(8, 10 ** 6)), spacing)
+    points = draw(st.integers(8, max_points))
+    return dict(t_start=min(start, end), t_end=max(start, end), t_points=points, t_spacing=spacing)
 
 
 @st.composite
@@ -295,19 +299,20 @@ def _pair_flips(draw, n):
 
 
 @st.composite
-def _ordered(draw, low):
-    a, b = draw(st.integers(low, 10 ** 6)), draw(st.integers(low, 10 ** 6))
+def _ordered(draw, low, high):
+    a, b = draw(st.integers(low, high)), draw(st.integers(low, high))
     return min(a, b), max(a, b)
 
 
 @st.composite
 def _scenarios(draw):
     """Scenarios that ``Scenario`` accepts.  Where a kind checks a value against the code's
-    length n (contact positions, flip drives, the sizing cap), or dt against the halvings,
-    only valid values are drawn."""
-    n_min, n_max = draw(_ordered(1))
-    k_min, k_max = draw(_ordered(0))
+    length n (contact positions, flip drives, the sizing cap), dt against the halvings, or a
+    count against its sizing budget, only valid values are drawn."""
     kind = draw(st.sampled_from(KINDS))
+    span = 40 if kind == "bounds_table" else 10 ** 6  # a table over n, k <= 40 stays inside BOUNDS_BUDGET
+    n_min, n_max = draw(_ordered(1, span))
+    k_min, k_max = draw(_ordered(0, span))
     intro = kind == "intro_example"
     code = draw(st.sampled_from([c for c in CODES if c.startswith("repetition") or not intro]))
     n = CODES[code][0]
@@ -317,9 +322,13 @@ def _scenarios(draw):
         factors = st.lists(st.tuples(st.integers(1, 3), st.integers(1, n)), min_size=1, max_size=4, unique_by=lambda f: f[1])
     else:
         factors = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), min_size=1, max_size=4)
-    env_dim = draw(st.integers(1, 10 ** 3))
-    joint = 2 if kind == "bounds_table" else max(2, (1 if intro or contact else env_dim) * 2 ** n)
+    env_dim = draw(st.integers(1, 10 ** 3 if kind == "bounds_table" else 8))  # d_e <= 8 keeps every budget >= 60
+    env = 1 if intro or contact else env_dim
+    joint = 2 if kind == "bounds_table" else max(2, env * 2 ** n)
+    block = 2 * env * env * 2 ** n
     halvings = draw(st.integers(0, 60))
+    max_points = min(ROW_BUDGET, BLOCK_BUDGET // block) if kind in GRID_KINDS else 10 ** 6
+    max_cycles = SAMPLE_BUDGET // (halvings + 1) - 1 if kind == "periodic_correction" else 10 ** 6
     return Scenario(
         kind=kind,
         code=code,
@@ -332,13 +341,13 @@ def _scenarios(draw):
         beta=draw(_finite),
         interaction_kind=interaction_kind,
         contact_terms=tuple(draw(st.lists(st.tuples(_finite, factors.map(tuple)), min_size=int(contact), max_size=4))),
-        time_grid=draw(_time_grids()),
+        **draw(_time_grids(max_points)),
         state_theta=draw(_finite),
         state_phi=draw(_finite),
         single_flip_omegas=tuple(draw(st.lists(_finite, min_size=n if intro else 0, max_size=n if intro else 6))),
         pair_flip=draw(_pair_flips(n if intro else 9)),
         dt=draw(st.floats(min_value=math.ldexp(sys.float_info.min, halvings), allow_infinity=False)),
-        cycles=draw(st.integers(10, 10 ** 6)),
+        cycles=draw(st.integers(10, max_cycles)),
         halvings=halvings,
         n_min=n_min,
         n_max=n_max,
