@@ -28,7 +28,6 @@ from .dynamics import (
 from .codes import (
     BoundsRow,
     CodeSpec,
-    KrausChannel,
     asymptotic_bound_gap,
     asymptotic_x0,
     build_code,

@@ -1,11 +1,12 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 configuration problems (including an output
-directory that cannot be created or written, and a nan or infinite number),
-3 sizing guard (environment x register dimension above max_dim, or a count
-over its budget in ``decoq.scenario``) or running out of memory, 4 validation,
-fit, linear-algebra or floating-point (overflow, invalid value) failures at
-run time.
+Exit codes: 0 success, 2 configuration problems (including a file that is
+not UTF-8 text, an output directory that is empty or cannot be created or
+written, and a nan or infinite number), 3 sizing guard (environment x
+register dimension above max_dim, or a count over its budget in
+``decoq.scenario``) or running out of memory, 4 validation, fit,
+linear-algebra or floating-point (overflow, invalid value) failures at run
+time.
 
 CSV columns by file:
     sweep.csv                t, E, bound, argmax_theta, argmax_phi
@@ -37,7 +38,7 @@ from .scenario import Scenario, load_scenario
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    out_dir = args.out or scenario.out
+    out_dir = scenario.out if args.out is None else args.out
     try:
         manifest = run(scenario, out_dir=args.out, seed=args.seed, plots=False if args.no_svg else None)
     except OSError as exc:

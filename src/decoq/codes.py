@@ -2,12 +2,12 @@
 
 A code is stored as its stabilizer generators, an isometric encoder for one
 logical qubit and a decoder table holding the Pauli correction C_s, a
-minimum-weight coset leader, for each syndrome s.  Recovery follows from the
-syndrome-basis unitary W, whose columns C_s |j_L> are built by Pauli index
-arithmetic: the projector onto syndrome space s is W_s W_s^dag, and the Kraus
-operator of the recovery is C_s W_s W_s^dag = encoder W_s^dag.  The dense
-projectors, the Kraus channel and the unitary on register (x) ancilla that
-writes the syndrome into a fresh ancilla are derived on demand, for checks.
+minimum-weight coset leader, for each syndrome s.  Recovery is held in one
+array, the readout W_s^dag per syndrome, where W_s = C_s encoder spans
+syndrome space s; the recovery's Kraus operator is K_s = C_s W_s W_s^dag =
+encoder W_s^dag.  The dense Kraus stack and the unitary on register (x)
+ancilla that writes the syndrome into a fresh ancilla are built from it on
+demand, for checks.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ class CodeSpec:
     correction.  ``k_corr`` is the number of simultaneous single-qubit errors
     of the covered class that the code corrects.  Validation builds the
     unitary W with columns C_s |j_L> over the sorted syndromes s and
-    j = 0, 1, checks W^dag W = 1 and keeps only ``readout``:
-    encoder^dag K_s = W_s^dag for each recovery Kraus operator
-    K_s = encoder W_s^dag, stacked as (syndrome, 2, 2^n), i.e. W^dag reshaped.
-    K_s lands in the span of the encoder, which every generator fixes, so
-    these blocks are the whole logical readout.  ``syndrome_basis`` and
-    ``syndrome_blocks`` are derived from it; conjugation is exact, so W comes
-    back to the bit.  Equality is identity, as for any record holding arrays.
+    j = 0, 1, checks W^dag W = 1 and keeps only ``readout``, W^dag stacked
+    as (syndrome, 2, 2^n): block s is W_s^dag = encoder^dag K_s for the
+    recovery Kraus operator K_s = encoder W_s^dag.  K_s lands in the span of
+    the encoder, which every generator fixes, so these blocks are the whole
+    logical readout.  Equality is identity, as for any record holding arrays.
     """
 
     name: str
@@ -115,23 +113,8 @@ class CodeSpec:
 
     @property
     def syndromes(self) -> tuple[tuple[int, ...], ...]:
-        """Syndromes in the column order of ``syndrome_basis``."""
+        """Syndromes in the block order of ``readout``."""
         return tuple(sorted(self.syndrome_table))
-
-    @property
-    def syndrome_basis(self) -> np.ndarray:
-        """W, the (2^n, 2^n) unitary with columns C_s |j_L>: the conjugate transpose of ``readout``, built on every access."""
-        return self.readout.reshape(self.register_dim, -1).conj().T
-
-    @property
-    def syndrome_blocks(self) -> np.ndarray:
-        """W_s = C_s encoder per syndrome, stacked as (syndrome, 2^n, 2), built from ``readout`` on every access."""
-        return self.readout.conj().transpose(0, 2, 1)
-
-    @property
-    def syndrome_projectors(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Dense projector W_s W_s^dag onto each syndrome space, built on every access."""
-        return {bits: b @ b.conj().T for bits, b in zip(self.syndromes, self.syndrome_blocks)}
 
 
 def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> np.ndarray:
@@ -304,44 +287,12 @@ def build_code(name: str) -> CodeSpec:
         raise ShapeError(f"unknown code {name!r}; known: {sorted(CODES)}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Completely positive trace-preserving map given by explicit Kraus operators."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(_as_complex(k) for k in self.operators)
-        if not ops:
-            raise ShapeError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for k in ops:
-            if k.shape != (d, d):
-                raise ShapeError("Kraus operators must share one square shape")
-            total += k.conj().T @ k
-        if np.max(np.abs(total - np.eye(d))) > tol.CHANNEL_TOL:
-            raise ValidationError("Kraus operators do not sum to the identity")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = _as_complex(rho)
-        out = np.zeros_like(rho)
-        for k in self.operators:
-            out += k @ rho @ k.conj().T
-        return out
-
-
-def recovery_channel(code: CodeSpec) -> KrausChannel:
-    """Projective syndrome measurement followed by the tabulated correction.
+def recovery_channel(code: CodeSpec) -> np.ndarray:
+    """Kraus operators of projective syndrome measurement followed by the tabulated correction, as (syndrome, 2^n, 2^n).
 
     K_s = C_s W_s W_s^dag = encoder W_s^dag, because C_s W_s = C_s^2 encoder = encoder.
     """
-    return KrausChannel(tuple(code.encoder @ b.conj().T for b in code.syndrome_blocks))
+    return code.encoder @ code.readout
 
 
 def recovery_unitary(code: CodeSpec) -> np.ndarray:
@@ -354,7 +305,8 @@ def recovery_unitary(code: CodeSpec) -> np.ndarray:
     dc, da = code.register_dim, code.ancilla_dim
     write = np.zeros((dc * da, dc * da), dtype=complex)
     correct = np.zeros((dc * da, dc * da), dtype=complex)
-    for bits, proj in code.syndrome_projectors.items():
+    for bits, block in zip(code.syndromes, code.readout):
+        proj = block.conj().T @ block  # W_s W_s^dag, the projector onto syndrome space s
         write += np.kron(proj, pauli_string(bits) if bits else np.eye(1, dtype=complex))  # X where a bit is set: |0...0> -> |bits>
         idx = int("".join(str(b) for b in bits), 2) if bits else 0
         marker = np.zeros((da, da), dtype=complex)

@@ -75,6 +75,8 @@ class Scenario:
             raise ConfigError(f"unknown code {self.code!r}; known: {tuple(CODES)}")
         if self.interaction_kind not in ("non_contact", "contact"):
             raise ConfigError(f"interaction kind must be non_contact or contact, got {self.interaction_kind!r}")
+        if not self.out:
+            raise ConfigError("[scenario] out, the output directory (also set by --out), must not be empty")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.env_dim < 1:
@@ -384,5 +386,5 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_scenario(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text fails in read()
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None

@@ -244,7 +244,7 @@ def test_criterion_08_recovery_equivalence(rng):
             corrupted = pauli_string(err) @ psi
             rho = np.outer(corrupted, corrupted.conj())
             via_unitary = partial_trace_array(r @ np.kron(rho, anc) @ r.conj().T, (dc, da), (0,))
-            worst = max(worst, trace_distance(via_unitary, channel.apply(rho)))
+            worst = max(worst, trace_distance(via_unitary, sum(k @ rho @ k.conj().T for k in channel)))
             count += 1
     ok = worst <= 1e-10 and count == 100
     report(

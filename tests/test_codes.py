@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 
 from decoq.errors import ShapeError, ValidationError
+from decoq.tolerances import CHANNEL_TOL
 from decoq.tensor import DensityMatrix, partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
 from decoq.dynamics import (
@@ -21,7 +22,6 @@ from decoq.codes import (
     CODES,
     FULL_PAULI,
     CodeSpec,
-    KrausChannel,
     _apply,
     _sphere_sum,
     asymptotic_bound_gap,
@@ -46,6 +46,18 @@ ALL_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
 DENSE_REFERENCE_CODES = ("identity", "repetition-3", "repetition-5", "repetition-7", "five_qubit")
 # codes whose recovery dilation, 2^n x 2^(n-1), is too large to build
 UNDILATED_CODES = ("steane", "shor", "repetition-9")
+# codes whose Kraus stack, (2^(n-1), 2^n, 2^n), fits in memory: at n = 9 it takes a GiB
+KRAUS_CODES = tuple(name for name, (n, _) in CODES.items() if n <= 7)
+
+
+def syndrome_space_projectors(code) -> dict:
+    """The dense projector W_s W_s^dag onto each syndrome space, built from the readout block W_s^dag."""
+    return {bits: block.conj().T @ block for bits, block in zip(code.syndromes, code.readout)}
+
+
+def apply_kraus(kraus, rho):
+    """sum_s K_s rho K_s^dag over a stack of Kraus operators."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
 
 
 def strings_commute(v, w) -> bool:
@@ -63,13 +75,13 @@ def test_encoder_isometry(name):
 @pytest.mark.parametrize("name", ALL_CODES)
 def test_projectors_resolve_identity(name):
     code = build_code(name)
-    total = sum(code.syndrome_projectors.values())
+    total = sum(syndrome_space_projectors(code).values())
     assert np.max(np.abs(total - np.eye(code.register_dim))) < 1e-12
 
 
 def test_projectors_mutually_orthogonal():
     code = build_five_qubit_code()
-    projs = list(code.syndrome_projectors.values())
+    projs = list(syndrome_space_projectors(code).values())
     assert len(projs) == 16
     for i, p in enumerate(projs):
         assert np.max(np.abs(p @ p - p)) < 1e-12
@@ -111,12 +123,12 @@ def test_recovery_reverses_covered_errors(name):
     code = build_code(name)
     psi = encode_logical(code, 0.6, 0.8j)
     target = np.outer(psi, psi.conj())
-    channel = recovery_channel(code)
+    kraus = recovery_channel(code)
     worst = 0.0
     for err in covered_errors(code):
         e = pauli_string(err)
         corrupted = e @ target @ e.conj().T
-        worst = max(worst, float(np.max(np.abs(channel.apply(corrupted) - target))))
+        worst = max(worst, float(np.max(np.abs(apply_kraus(kraus, corrupted) - target))))
     assert worst < 1e-12
 
 
@@ -127,13 +139,23 @@ def test_unitary_recovery_matches_channel(name, rng):
     dc, da = code.register_dim, code.ancilla_dim
     anc = np.zeros((da, da), dtype=complex)
     anc[0, 0] = 1.0
-    channel = recovery_channel(code)
+    kraus = recovery_channel(code)
     for _ in range(5):
         rho = random_density(rng, dc)
         via_unitary = partial_trace_array(
             r @ np.kron(rho, anc) @ r.conj().T, (dc, da), (0,)
         )
-        assert trace_distance(via_unitary, channel.apply(rho)) < 1e-12
+        assert trace_distance(via_unitary, apply_kraus(kraus, rho)) < 1e-12
+
+
+@pytest.mark.parametrize("name", KRAUS_CODES)
+def test_recovery_channel_is_complete(name):
+    code = build_code(name)
+    kraus = recovery_channel(code)
+    dc = code.register_dim
+    assert kraus.shape == (dc // 2, dc, dc)
+    total = sum(k.conj().T @ k for k in kraus)
+    assert np.max(np.abs(total - np.eye(dc))) <= CHANNEL_TOL
 
 
 def test_ancilla_records_syndrome():
@@ -234,12 +256,12 @@ def test_stabilizer_core_matches_dense_reference(name):
     encoder, table, projectors = dense_reference(name)
     assert np.array_equal(code.encoder, encoder)
     assert code.syndrome_table == table
-    derived = code.syndrome_projectors
+    derived = syndrome_space_projectors(code)
     assert list(derived) == sorted(projectors)
     assert all(np.array_equal(derived[bits], projectors[bits]) for bits in projectors)
     kraus = [pauli_string(table[bits]) @ projectors[bits] for bits in sorted(table)]
     assert np.array_equal(code.readout, np.stack([encoder.conj().T @ k for k in kraus]))
-    assert all(np.array_equal(a, b) for a, b in zip(recovery_channel(code).operators, kraus))
+    assert np.array_equal(recovery_channel(code), np.stack(kraus))
 
 
 def test_registry_lengths_match_built_codes():
@@ -250,13 +272,14 @@ def test_registry_lengths_match_built_codes():
 @pytest.mark.parametrize("name", CODES)
 def test_syndrome_basis_is_unitary_and_generators_fix_code_space(name):
     code = build_code(name)
-    w = code.syndrome_basis
-    assert w.shape == (code.register_dim, code.register_dim)
-    assert np.max(np.abs(w.conj().T @ w - np.eye(code.register_dim))) < 1e-12
+    dc = code.register_dim
+    assert code.readout.shape == (dc // 2, 2, dc)
+    w = code.readout.reshape(dc, dc).conj().T  # the readout is W^dag, one 2 x 2^n block W_s^dag per syndrome
+    assert np.max(np.abs(w.conj().T @ w - np.eye(dc))) < 1e-12
     for g in code.generators:
         assert np.max(np.abs(pauli_string(g) @ code.encoder - code.encoder)) < 1e-12
-    for bits, block in zip(code.syndromes, code.syndrome_blocks):
-        assert np.array_equal(block, pauli_string(code.syndrome_table[bits]) @ code.encoder)
+    for bits, block in zip(code.syndromes, code.readout):
+        assert np.array_equal(block.conj().T, pauli_string(code.syndrome_table[bits]) @ code.encoder)
 
 
 @pytest.mark.parametrize("name", CODES)
@@ -265,9 +288,9 @@ def test_readout_is_the_one_register_array_held(name):
     dc = code.register_dim
     corrections = [code.syndrome_table[bits] for bits in code.syndromes]
     w = _apply(corrections, code.encoder).transpose(1, 0, 2).reshape(dc, dc)  # the W whose W^dag W the build checks
-    assert np.ascontiguousarray(code.syndrome_basis).tobytes() == w.tobytes()
-    blocks = w.reshape(dc, -1, 2).transpose(1, 0, 2)
-    assert np.ascontiguousarray(code.syndrome_blocks).tobytes() == np.ascontiguousarray(blocks).tobytes()
+    assert np.ascontiguousarray(code.readout.reshape(dc, dc).conj().T).tobytes() == w.tobytes()
+    blocks = w.reshape(dc, -1, 2).transpose(1, 0, 2)  # W_s = C_s encoder
+    assert code.readout.conj().transpose(0, 2, 1).tobytes() == np.ascontiguousarray(blocks).tobytes()
     held = {key: value.shape for key, value in vars(code).items() if isinstance(value, np.ndarray)}
     assert held == {"encoder": (dc, 2), "readout": (len(corrections), 2, dc)}
 
@@ -276,7 +299,6 @@ RECORDS_WITH_ARRAYS = {
     "CodeSpec": lambda: build_code("identity"),
     "EnvironmentModel": lambda: random_environment(1, 2, seed=1),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2, (2,)),
-    "KrausChannel": lambda: KrausChannel((np.eye(2),)),
 }
 
 
@@ -382,14 +404,13 @@ def test_recovery_without_dilation(name, rng):
     code = build_code(name)
     errors = list(covered_errors(code))
     gens = [pauli_string(g) for g in code.generators]
-    blocks_dag = code.syndrome_blocks.conj().transpose(0, 2, 1)
     worst = 0.0
     for _ in range(100):
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         raw = raw / np.linalg.norm(raw)
         psi = encode_logical(code, raw[0], raw[1])
         corrupted = pauli_string(errors[int(rng.integers(0, len(errors)))]) @ psi
-        logical = blocks_dag @ corrupted  # K_s corrupted = encoder logical[s]
+        logical = code.readout @ corrupted  # K_s corrupted = encoder logical[s]
         worst = max(worst, trace_distance(logical.T @ logical.conj(), np.outer(raw, raw.conj())))
         bits = tuple(int(np.vdot(corrupted, g @ corrupted).real < 0.0) for g in gens)
         fixed = pauli_string(code.syndrome_table[bits]) @ corrupted
@@ -427,14 +448,6 @@ def test_encode_logical_norm_gate():
     code = build_identity_code()
     with pytest.raises(ValidationError):
         encode_logical(code, 1.0, 1.0)
-
-
-def test_kraus_channel_validation(rng):
-    with pytest.raises(ValidationError):
-        KrausChannel((np.eye(2) * 0.5,))
-    channel = KrausChannel((np.eye(2),))
-    rho = random_density(rng, 2)
-    assert np.array_equal(channel.apply(rho), rho)
 
 
 class TestBoundsArithmetic:

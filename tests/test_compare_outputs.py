@@ -3,7 +3,9 @@ import pathlib
 import subprocess
 import sys
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+SNAPSHOT = ROOT / "scripts" / "snapshot_outputs.py"
 
 CSV = "t,E,ok\n1.0000000000000000e-03,2.0000000000000000e-06,true\n2.0000000000000000e-03,3.2000000000000000e-05,true\n"
 
@@ -51,3 +53,13 @@ def test_file_in_one_tree_only(tmp_path):
     (new / "sweep" / "rates.csv").write_text("dt,rate\n")
     status, lines = compare(old, new)
     assert status == 1 and "sweep/rates.csv: only in NEW" in lines
+
+
+def test_two_snapshots_compare_identical(tmp_path):
+    for side in ("old", "new"):
+        done = subprocess.run([sys.executable, str(SNAPSHOT), str(tmp_path / side)], capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+    status, lines = compare(tmp_path / "old", tmp_path / "new")
+    assert status == 0
+    shipped = {path.stem for path in (ROOT / "scenarios").glob("*.cfg")}
+    assert {line.split("/")[0] for line in lines} == shipped | {"sweep", "wide_env", "periodic"}

@@ -90,6 +90,28 @@ def test_counts_over_budget_raise_before_anything_is_built(fields):
         Scenario(**fields)
 
 
+def test_non_utf8_scenario_file_ends_in_one_line(tmp_path, capsys):
+    path = tmp_path / "s.cfg"
+    path.write_bytes(SHIPPED["bounds_table"].encode("utf-8") + b"# \xff\xfe\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--no-svg"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [(with_value(SHIPPED["bounds_table"], "scenario", "out", ""), []), (SHIPPED["bounds_table"], ["--out", ""])],
+    ids=["file", "flag"],
+)
+def test_empty_output_directory_ends_in_one_line(tmp_path, capsys, text, flags):
+    path = tmp_path / "s.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--no-svg", *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: [scenario] out, the output directory (also set by --out), must not be empty"]
+
+
 def test_budgets_admit_their_edges():
     Scenario(kind="scaling_sweep", code="identity", t_points=ROW_BUDGET)
     Scenario(kind="periodic_correction", cycles=SAMPLE_BUDGET // 3 - 1, halvings=2)

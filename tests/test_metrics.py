@@ -80,7 +80,7 @@ def dense_periodic_reference(code, env, h, dt, cycles, psi_logical, corrected):
     p_full = np.kron(eye_e, np.outer(psi_bar, psi_bar.conj()))
     rho = np.kron(env.rho0.array, np.outer(psi_bar, psi_bar.conj()))
     u = expm_hermitian(h, dt)
-    kraus = [np.kron(eye_e, k) for k in recovery_channel(code).operators]
+    kraus = [np.kron(eye_e, k) for k in recovery_channel(code)]
     fidelities = [1.0]
     for _ in range(cycles):
         rho = u @ rho @ u.conj().T

@@ -333,7 +333,7 @@ def _scenarios(draw):
         kind=kind,
         code=code,
         seed=draw(st.integers(0, 2 ** 70)),
-        out=draw(st.text(alphabet="abcXYZ019/._-", max_size=12)),
+        out=draw(st.text(alphabet="abcXYZ019/._-", min_size=1, max_size=12)),  # an empty out is rejected
         plots=draw(st.booleans()),
         max_dim=draw(st.integers(joint, 10 ** 9)),
         env_dim=env_dim,
