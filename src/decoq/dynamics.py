@@ -7,14 +7,14 @@ The central object is a non-contact interaction
 one environment operator per qubit per Pauli axis and no multi-qubit terms.
 The joint Hamiltonian is H = h_env (x) 1 + V, a plain matrix; the register
 has no free term.  Contact interactions (products of Paulis on several
-qubits) and the flip drives are register-only Pauli sums, so that
+qubits), the flip drives among them, are register-only Pauli sums, so that
 counterexamples can be driven through the same machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,24 +145,3 @@ def contact_hamiltonian(terms: Sequence[tuple[float, Sequence[int]]], n_qubits: 
     Each v_k holds one Pauli letter per qubit, so strings of another length raise ``ShapeError``."""
     v = pauli_sum([(float(w), tuple(string)) for w, string in terms], 1, n_qubits)
     return require_hermitian(v, tol.HERMITIAN_TOL, "contact interaction")
-
-
-def single_flip_hamiltonian(omegas: Sequence[float]) -> np.ndarray:
-    """Independent flip drive sum_l omega_l sigma_x^l on a bare register."""
-    omegas = [float(w) for w in omegas]
-    n = len(omegas)
-    if n < 1:
-        raise ShapeError("need at least one frequency")
-    return pauli_sum([(w, tuple(int(i == l) for i in range(n))) for l, w in enumerate(omegas)], 1, n)
-
-
-def pair_flip_hamiltonian(pair_omegas: Mapping[tuple[int, int], float], n_qubits: int) -> np.ndarray:
-    """Correlated flip drive sum over pairs omega_kl sigma_x^k sigma_x^l."""
-    n = int(n_qubits)
-    for k, l in pair_omegas:
-        if k == l:
-            raise ShapeError(f"pair ({k},{l}) must couple two distinct qubits")
-        if not (1 <= k <= n and 1 <= l <= n):
-            raise ShapeError(f"pair ({k},{l}) outside 1..{n}")
-    terms = [(float(w), tuple(int(i in (k, l)) for i in range(1, n + 1))) for (k, l), w in pair_omegas.items()]
-    return pauli_sum(terms, 1, n)

@@ -14,7 +14,7 @@ and with the 3 x 3 Hermitian C = sum a a^dag the error on the Bloch sphere is
     E(r) = tr C - r^T (Re C) r + w.r,    w = 2 (Im C_yz, Im C_zx, Im C_xy).
 
 Nothing is subtracted from one, so errors far below machine epsilon of one
-keep their digits, and the supremum over |r| = 1 is found exactly.
+keep their digits, and the maximum over |r| = 1 is found exactly.
 """
 
 from __future__ import annotations
@@ -282,12 +282,11 @@ class _CorrectionPipeline:
     recovery channel.  ``covariances`` propagates only those 2 m vectors to
     every t of a grid and reduces them to the (T, 3, 3) stack of the Pauli
     covariance C of the module docstring, from which ``_sphere_suprema`` and
-    ``_state_error`` read E; ``supremum`` and ``error_direct`` are their
-    one-row views.  ``decay`` runs periodic recovery for a list of intervals
-    dt in one call.  ``covariances`` and the corrected ``decay`` propagate
-    columns through ``_evolve``; the uncorrected ``decay`` (``_free_trace``)
-    applies exp(-i lam t) itself, in the eigenbasis.  The eigendecomposition
-    of H is computed on first use and at most once.
+    ``_state_error`` read E.  ``decay`` runs periodic recovery for a list of
+    intervals dt in one call.  ``covariances`` and the corrected ``decay``
+    propagate columns through ``_evolve``; the uncorrected ``decay``
+    (``_free_trace``) applies exp(-i lam t) itself, in the eigenbasis.  The
+    eigendecomposition of H is computed on first use and at most once.
     """
 
     def __init__(self, code: CodeSpec, env: EnvironmentModel, h: np.ndarray):
@@ -350,14 +349,6 @@ class _CorrectionPipeline:
         traceless part, so dropping X changes C only by that of rounding, while
         the traceless parts, O(t^(k+1)), are no longer differences of O(1) entries."""
         return _pauli_covariance(self.readout, self._evolve(self.start, times, minus_one=True), self.env_dim)
-
-    def error_direct(self, psi_logical, t: float) -> float:
-        """Error of one encoded state at time t: one row of the grid."""
-        return float(_state_error(self.covariances([t]), psi_logical)[0])
-
-    def supremum(self, t: float) -> CodeErrorResult:
-        """Exact maximum of the error over the logical Bloch sphere at time t, with its angles: one row of the grid."""
-        return _sphere_suprema(self.covariances([t]))[0]
 
     def decay(self, dts, cycles: int, psi_logical, apply_correction: bool = True) -> list[DecayResult]:
         """Fidelity under stroboscopic recovery every dt, one ``DecayResult`` per dt of ``dts``.
@@ -460,9 +451,11 @@ def _log_slopes(fs: np.ndarray) -> np.ndarray:
     return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
 
 
-def code_error(code: CodeSpec, env: EnvironmentModel, h: np.ndarray, t: float) -> CodeErrorResult:
-    """Supremum of the error over the encoded logical sphere under the joint Hamiltonian ``h``, exact up to rounding."""
-    return _CorrectionPipeline(code, env, h).supremum(t)
+def code_error(code: CodeSpec, env: EnvironmentModel, h: np.ndarray, times) -> list[CodeErrorResult]:
+    """Supremum of the error over the encoded logical sphere under the joint Hamiltonian ``h``, exact up to rounding.
+
+    One result per t of ``times``, from one pipeline; each row is a function of its own t alone."""
+    return _sphere_suprema(_CorrectionPipeline(code, env, h).covariances(times))
 
 
 def fit_power_law(

@@ -25,9 +25,7 @@ from .dynamics import (
     build_noncontact,
     contact_hamiltonian,
     free_hamiltonian,
-    pair_flip_hamiltonian,
     random_environment,
-    single_flip_hamiltonian,
     trivial_environment,
 )
 from .metrics import (
@@ -230,17 +228,18 @@ def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
 
 def _run_intro(scenario: Scenario, out: _Outputs) -> None:
     code = build_code(scenario.code)
-    env = trivial_environment(code.n)
+    n = code.n
+    env = trivial_environment(n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     ts = scenario.times().tolist()
-    pairs = {(k_pos, l_pos): w for k_pos, l_pos, w in scenario.pair_flip}
+    drives = {  # sum_l omega_l sigma_x^l and sum over pairs omega_kl sigma_x^k sigma_x^l, as contact terms
+        "single_flip": [(w, [int(i == l) for i in range(n)]) for l, w in enumerate(scenario.single_flip_omegas)],
+        "pair_flip": [(w, [int(i in (k, l)) for i in range(1, n + 1)]) for k, l, w in scenario.pair_flip],
+    }
 
     curves = {}
-    for label, h in (
-        ("single_flip", single_flip_hamiltonian(scenario.single_flip_omegas)),
-        ("pair_flip", pair_flip_hamiltonian(pairs, code.n)),
-    ):
-        pipeline = _CorrectionPipeline(code, env, h)
+    for label, terms in drives.items():
+        pipeline = _CorrectionPipeline(code, env, contact_hamiltonian(terms, n))
         curves[label] = list(zip(ts, _state_error(pipeline.covariances(ts), psi).tolist()))
         out.csv(f"{label}.csv", ["t", "E"], curves[label])
     fit_rows = _fit_rows("single_flip", curves["single_flip"]) + _fit_rows("pair_flip", curves["pair_flip"])

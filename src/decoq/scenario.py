@@ -255,7 +255,7 @@ def _parse_contact_terms(raw: str, where: str) -> tuple[tuple[float, tuple[tuple
 
 # section -> key -> (scenario field, parser tag); a field of None parses the
 # value and discards it, which keeps files with a [state_grid] loading although
-# the supremum over the logical sphere needs no grid.
+# the maximum over the logical sphere needs no grid.
 _SCHEMA = {
     "scenario": {
         "kind": ("kind", "str"),
@@ -384,7 +384,7 @@ def serialize_scenario(s: Scenario) -> str:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark, as some editors save, is dropped
             return parse_scenario(fh.read())
     except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text fails in read()
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None

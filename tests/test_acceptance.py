@@ -19,10 +19,9 @@ import pytest
 from decoq.pauli import decompose, pauli_string, reconstruct
 from decoq.dynamics import (
     build_noncontact,
+    contact_hamiltonian,
     free_hamiltonian,
-    pair_flip_hamiltonian,
     random_environment,
-    single_flip_hamiltonian,
     trivial_environment,
 )
 from decoq.codes import (
@@ -39,6 +38,7 @@ from decoq.codes import (
 )
 from decoq.metrics import (
     _CorrectionPipeline,
+    _state_error,
     error_bound,
     fit_power_law,
     leading_coefficient,
@@ -70,7 +70,7 @@ def exponent_law_data():
         env = random_environment(5, 2, coupling_bound=1.0, seed=seed)
         v = build_noncontact(env)
         pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env) + v)
-        curve = tuple((float(t), pipeline.error_direct(PSI, float(t))) for t in ts)
+        curve = tuple(zip(ts.tolist(), _state_error(pipeline.covariances(ts), PSI).tolist()))
         fit = fit_power_law(curve)
         c13 = leading_coefficient(code, env, PSI, 1)
         data[seed] = {"curve": curve, "fit": fit, "c13": c13, "v_norm": operator_norm(v)}
@@ -147,7 +147,7 @@ def test_criterion_04_watchdog_baseline():
     h = free_hamiltonian(env) + build_noncontact(env)
     pipeline = _CorrectionPipeline(code, env, h)
     ts = np.geomspace(0.004, 0.12, 16)
-    curve = tuple((float(t), pipeline.error_direct(PSI, float(t))) for t in ts)
+    curve = tuple(zip(ts.tolist(), _state_error(pipeline.covariances(ts), PSI).tolist()))
     fit = fit_power_law(curve)
     elapsed = time.monotonic() - started
     ok = abs(fit.exponent - 2.0) <= 0.05 and elapsed < 30.0
@@ -179,13 +179,13 @@ def test_criterion_06_intro_example():
     env = trivial_environment(5)
     psi = (math.cos(0.6), complex(math.cos(0.5), math.sin(0.5)) * math.sin(0.6))
     ts = np.geomspace(0.02, 0.2, 14)
-    h_single = single_flip_hamiltonian((0.9, 1.1, 0.75, 1.3, 0.85))
+    h_single = contact_hamiltonian([(w, [int(i == l) for i in range(5)]) for l, w in enumerate((0.9, 1.1, 0.75, 1.3, 0.85))], 5)
     pairs = {(1, 2): 0.8, (3, 4): 1.05, (2, 3): 0.65, (4, 5): 0.95, (1, 3): 0.7}
-    h_pair = pair_flip_hamiltonian(pairs, 5)
+    h_pair = contact_hamiltonian([(w, [int(i in pair) for i in range(1, 6)]) for pair, w in pairs.items()], 5)
     fits = {}
     for label, h in (("single", h_single), ("pair", h_pair)):
         pipeline = _CorrectionPipeline(code, env, h)
-        curve = tuple((float(t), pipeline.error_direct(psi, float(t))) for t in ts)
+        curve = tuple(zip(ts.tolist(), _state_error(pipeline.covariances(ts), psi).tolist()))
         fits[label] = fit_power_law(curve)
     elapsed = time.monotonic() - started
     ok = (

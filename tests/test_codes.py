@@ -11,9 +11,9 @@ from decoq.tensor import DensityMatrix, partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
 from decoq.dynamics import (
     build_noncontact,
+    contact_hamiltonian,
     free_hamiltonian,
     random_environment,
-    single_flip_hamiltonian,
     trivial_environment,
 )
 from decoq.metrics import _CorrectionPipeline, _sphere_suprema, _state_error, fit_power_law
@@ -431,7 +431,8 @@ def test_steane_exponent_four():
 def test_repetition_nine_single_flip_exponent():
     # k = 4: the single-flip error starts at t^10
     code = build_code("repetition-9")
-    h = single_flip_hamiltonian((0.9, 1.1, 0.75, 1.3, 0.85, 1.0, 0.95, 1.2, 0.8))
+    omegas = (0.9, 1.1, 0.75, 1.3, 0.85, 1.0, 0.95, 1.2, 0.8)
+    h = contact_hamiltonian([(w, [int(i == l) for i in range(9)]) for l, w in enumerate(omegas)], 9)
     pipeline = _CorrectionPipeline(code, trivial_environment(code.n), h)
     ts = np.geomspace(0.04, 0.16, 14).tolist()
     errors = _state_error(pipeline.covariances(ts), (0.6, 0.8j))

@@ -7,6 +7,7 @@ with hostile values put in through ``decoq run``.
 
 import contextlib
 import io
+import json
 import math
 import pathlib
 import tempfile
@@ -97,6 +98,20 @@ def test_non_utf8_scenario_file_ends_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"config error: cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path, capsys):
+    written = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_bytes(prefix + SHIPPED["bounds_table"].encode("utf-8"))
+        out = tmp_path / name
+        assert main(["run", str(path), "--out", str(out), "--no-svg"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        outputs = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        written.append((outputs, manifest["files"], manifest["warnings"]))
+    assert written[0] == written[1]
+    assert written[0][0]
 
 
 @pytest.mark.parametrize(

@@ -130,9 +130,9 @@ class TestFidelity:
         env = random_environment(5, 2, coupling_bound=0.0, seed=4)
         code = build_code("five_qubit")
         v = build_noncontact(env)
-        e = _CorrectionPipeline(code, env, free_hamiltonian(env) + v).error_direct(PSI, 2.0)
+        e = _state_error(_CorrectionPipeline(code, env, free_hamiltonian(env) + v).covariances([2.0]), PSI)[0]
         assert 1.0 - e == pytest.approx(1.0, abs=1e-12)
-        e = _CorrectionPipeline(code, env, v).error_direct(PSI, 2.0)
+        e = _state_error(_CorrectionPipeline(code, env, v).covariances([2.0]), PSI)[0]
         assert e == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_dephasing_analytic(self, rng):
@@ -144,20 +144,21 @@ class TestFidelity:
         t = 0.7
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         expected = 0.5 + np.trace(env.rho0.array @ scipy.linalg.expm(-2j * h * t)).real / 2.0
-        e = _CorrectionPipeline(code, env, v).error_direct(psi_plus, t)
+        e = _state_error(_CorrectionPipeline(code, env, v).covariances([t]), psi_plus)[0]
         assert 1.0 - e == pytest.approx(expected, abs=1e-12)
 
     def test_matches_dilation_reference(self, rng):
         for name in SHIPPED_CODES:
             code, env, h = shipped_model(name, 23)
             pipeline = _CorrectionPipeline(code, env, h)
-            for t in (0.02, 0.2, 0.9):
+            ts = (0.02, 0.2, 0.9)
+            for t, c in zip(ts, pipeline.covariances(ts)):
                 reference = DilationReference(code, env, h, t)
                 for _ in range(4):
                     raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                     psi = tuple(raw / np.linalg.norm(raw))
                     want = reference(psi)
-                    assert pipeline.error_direct(psi, t) == pytest.approx(want, rel=1e-9), (name, t)
+                    assert _state_error(c[None], psi)[0] == pytest.approx(want, rel=1e-9), (name, t)
 
     def test_energy_scale_equivariance(self):
         # exp(-i (sV) (t/s)) = exp(-i V t): rescaling energy and time cancels
@@ -165,8 +166,8 @@ class TestFidelity:
         code = build_code("repetition-3")
         v = build_noncontact(env)
         s = 3.7
-        e1 = _CorrectionPipeline(code, env, v).error_direct(PSI, 0.8)
-        e2 = _CorrectionPipeline(code, env, s * v).error_direct(PSI, 0.8 / s)
+        e1 = _state_error(_CorrectionPipeline(code, env, v).covariances([0.8]), PSI)[0]
+        e2 = _state_error(_CorrectionPipeline(code, env, s * v).covariances([0.8 / s]), PSI)[0]
         assert e1 == pytest.approx(e2, abs=1e-12)
 
     def test_hamiltonian_shape_and_hermiticity_checked(self):
@@ -182,7 +183,7 @@ class TestFidelity:
         env = trivial_environment(1)
         code = build_code("identity")
         with pytest.raises(ShapeError):
-            _CorrectionPipeline(code, env, np.zeros((2, 2))).error_direct((1.0, 0.0, 0.0), 0.1)
+            _state_error(_CorrectionPipeline(code, env, np.zeros((2, 2))).covariances([0.1]), (1.0, 0.0, 0.0))
 
 
 class TestCodeError:
@@ -190,10 +191,10 @@ class TestCodeError:
         env = random_environment(1, 2, seed=31)
         code = build_code("identity")
         v = build_noncontact(env)
-        sup = code_error(code, env, v, 0.4)
-        pipeline = _CorrectionPipeline(code, env, v)
-        pole = pipeline.error_direct((1.0, 0.0), 0.4)
-        generic = pipeline.error_direct(PSI, 0.4)
+        (sup,) = code_error(code, env, v, [0.4])
+        cs = _CorrectionPipeline(code, env, v).covariances([0.4])
+        pole = _state_error(cs, (1.0, 0.0))[0]
+        generic = _state_error(cs, PSI)[0]
         assert sup.value + 1e-14 >= pole
         assert sup.value + 1e-14 >= generic
         assert float(sup) == sup.value
@@ -203,7 +204,7 @@ class TestCodeError:
         # evaluated through the dilation, up to their 1e-9 agreement
         for name, t in (("identity", 0.5), ("repetition-3", 0.3), ("five_qubit", 0.05)):
             code, env, h = shipped_model(name, 37)
-            sup = _CorrectionPipeline(code, env, h).supremum(t)
+            (sup,) = code_error(code, env, h, [t])
             reference = DilationReference(code, env, h, t)
             grid = [
                 reference(_bloch_pair(theta, phi))
@@ -215,9 +216,7 @@ class TestCodeError:
 
     def test_angles_in_range(self):
         code, env, h = shipped_model("five_qubit", 41)
-        pipeline = _CorrectionPipeline(code, env, h)
-        for t in (1e-3, 0.1, 1.0):
-            sup = pipeline.supremum(t)
+        for sup in code_error(code, env, h, (1e-3, 0.1, 1.0)):
             assert 0.0 <= sup.theta <= math.pi
             assert 0.0 <= sup.phi < 2.0 * math.pi
 
@@ -225,7 +224,7 @@ class TestCodeError:
         # no coupling and no free term: the blocks are exactly the identity
         code = build_code("repetition-3")
         env = trivial_environment(3)
-        sup = _CorrectionPipeline(code, env, np.zeros((8, 8))).supremum(0.7)
+        (sup,) = code_error(code, env, np.zeros((8, 8)), [0.7])
         assert (sup.value, sup.theta, sup.phi) == (0.0, 0.0, 0.0)
 
 
@@ -246,9 +245,10 @@ class TestGridShape:
         for t, c, sup, e in zip(ts, cs, sups, errors):
             moved = propagated(pipeline, t, np.expm1)[:, None, :]
             assert np.array_equal(_pauli_covariance(pipeline.readout, moved, pipeline.env_dim)[0], c)
-            assert np.array_equal(pipeline.covariances([t])[0], c)
-            assert pipeline.supremum(t) == sup
-            assert pipeline.error_direct(PSI, t) == e
+            one = pipeline.covariances([t])
+            assert np.array_equal(one[0], c)
+            assert _sphere_suprema(one) == [sup]
+            assert _state_error(one, PSI)[0] == e
 
 
 def assert_rows_independent_of_grid(pipeline, ts, extra):
@@ -257,10 +257,11 @@ def assert_rows_independent_of_grid(pipeline, ts, extra):
     grown = sorted(ts + extra)
     rows = dict(zip(grown, pipeline.covariances(grown)))
     for t, c, sup, e in zip(ts, cs, _sphere_suprema(cs), _state_error(cs, PSI)):
-        assert pipeline.covariances([t])[0].tobytes() == c.tobytes(), t
+        one = pipeline.covariances([t])
+        assert one[0].tobytes() == c.tobytes(), t
         assert rows[t].tobytes() == c.tobytes(), t
-        assert pipeline.supremum(t) == sup
-        assert pipeline.error_direct(PSI, t) == e
+        assert _sphere_suprema(one) == [sup]
+        assert _state_error(one, PSI)[0] == e
 
 
 class TestRowsIndependentOfGrid:
@@ -430,7 +431,7 @@ class TestTaylorPropagation:
     def test_short_grid_at_256_skips_eigh(self, eigh_sizes):
         pipeline = _CorrectionPipeline(*wide_model(1))
         pipeline.covariances(WIDE_GRID)
-        pipeline.supremum(WIDE_GRID[-1])
+        pipeline.covariances(WIDE_GRID[-1:])
         assert eigh_sizes.count(256) == 0
 
     def test_long_grid_and_decay_at_256_use_one_eigh(self, eigh_sizes):
@@ -712,7 +713,7 @@ class TestLeadingCoefficient:
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         c = leading_coefficient(code, env, psi_plus, 0)
         t = 1e-4
-        e = _CorrectionPipeline(code, env, v).error_direct(psi_plus, t)
+        e = _state_error(_CorrectionPipeline(code, env, v).covariances([t]), psi_plus)[0]
         assert e / t ** 2 == pytest.approx(c, rel=1e-6)
 
     def test_zero_coupling_gives_zero(self):

@@ -87,6 +87,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_scenario("[scenario]\nkind\n")
 
+    def test_pair_flip_rejects_degenerate(self):
+        text = "[scenario]\nkind = intro_example\ncode = repetition-5\n[pair_flip]\npairs = "
+        with pytest.raises(ConfigError, match="pair flip 2-2 must join two distinct qubits"):
+            parse_scenario(text + "2-2:1.0\n")
+        with pytest.raises(ConfigError, match=r"pair \(1,6\) outside 1\.\.5"):
+            parse_scenario(text + "1-6:1.0\n")
+
     def test_pairs_are_sorted(self):
         text = (
             "[scenario]\nkind = intro_example\ncode = repetition-5\n"
