@@ -1,13 +1,13 @@
 """Error-correcting codes: stabilizer generators, decoder tables, recovery, and bounds.
 
-A code is stored as its stabilizer generators, an isometric encoder for one
-logical qubit and a decoder table holding the Pauli correction C_s, a
-minimum-weight coset leader, for each syndrome s.  Recovery is held in one
-array, the readout W_s^dag per syndrome, where W_s = C_s encoder spans
-syndrome space s; the recovery's Kraus operator is K_s = C_s W_s W_s^dag =
-encoder W_s^dag.  The dense Kraus stack and the unitary on register (x)
-ancilla that writes the syndrome into a fresh ancilla are built from it on
-demand, for checks.
+A code is defined by its stabilizer generators, from which it derives an
+isometric encoder for one logical qubit and a decoder table holding the Pauli
+correction C_s, a minimum-weight coset leader, for each syndrome s.  Recovery
+is held in one array, the readout W_s^dag per syndrome, where W_s = C_s
+encoder spans syndrome space s; the recovery's Kraus operator is
+K_s = C_s W_s W_s^dag = encoder W_s^dag.  The dense Kraus stack and the
+unitary on register (x) ancilla that writes the syndrome into a fresh ancilla
+are built from it on demand, for checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from . import tolerances as tol
-from .tensor import _as_complex
 from .pauli import PauliIndexVector, _check_indices, anticommutation, pauli_action, pauli_string
 
 AMPLITUDE_ONLY = "amplitude_only"
@@ -43,73 +42,61 @@ def _syndromes(errors, generators, n: int) -> np.ndarray:
 class CodeSpec:
     """One logical qubit protected on ``n`` register qubits by n - 1 stabilizer generators.
 
-    ``generators`` are commuting Pauli index vectors that fix both encoder
-    columns.  ``syndrome_table`` maps each syndrome (bit i is 1 where the
-    error anticommutes with generator i) to the Pauli index vector of its
-    correction.  ``k_corr`` is the number of simultaneous single-qubit errors
-    of the covered class that the code corrects.  Validation builds the
-    unitary W with columns C_s |j_L> over the sorted syndromes s and
-    j = 0, 1, checks W^dag W = 1 and keeps only ``readout``, W^dag stacked
-    as (syndrome, 2, 2^n): block s is W_s^dag = encoder^dag K_s for the
-    recovery Kraus operator K_s = encoder W_s^dag.  K_s lands in the span of
-    the encoder, which every generator fixes, so these blocks are the whole
+    ``generators`` are commuting Pauli index vectors; ``k_corr`` is the number
+    of simultaneous single-qubit errors of ``error_class`` that the code
+    corrects.  Everything else is derived from them.  ``encoder`` holds
+    Pi |0...0> and Pi |1...1>, normalized, with Pi the code-space projector.
+    ``syndrome_table`` maps each syndrome (bit i is 1 where the error
+    anticommutes with generator i) to a minimum-weight coset leader, checked
+    to correct every error of rank <= k_corr.  The build then forms the
+    unitary W with columns C_s |j_L> over the sorted syndromes s and j = 0, 1,
+    checks W^dag W = 1 and keeps ``readout``, W^dag stacked as
+    (syndrome, 2, 2^n): block s is W_s^dag = encoder^dag K_s for the recovery
+    Kraus operator K_s = encoder W_s^dag.  K_s lands in the span of the
+    encoder, which every generator fixes, so these blocks are the whole
     logical readout.  Equality is identity, as for any record holding arrays.
     """
 
     name: str
     n: int
+    generators: tuple[PauliIndexVector, ...]
     k_corr: int
     error_class: str
-    generators: tuple[PauliIndexVector, ...]
-    encoder: np.ndarray
-    syndrome_table: dict[tuple[int, ...], PauliIndexVector]
+    encoder: np.ndarray = field(init=False, repr=False)
+    syndrome_table: dict[tuple[int, ...], PauliIndexVector] = field(init=False, repr=False)
     readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        n, gens = self.n, tuple(_check_indices(g) for g in self.generators)
+        if n < 1 or len(gens) != n - 1 or any(len(g) != n for g in gens):
+            raise ShapeError(f"a code on n >= 1 qubits needs n - 1 generators of n letters, got n = {n} and {len(gens)}")
         if self.error_class not in (AMPLITUDE_ONLY, FULL_PAULI):
             raise ShapeError(f"unknown error class {self.error_class!r}")
-        dc = 2 ** self.n
-        gens = tuple(_check_indices(g) for g in self.generators)
-        if any(len(g) != self.n for g in gens):
-            raise ShapeError(f"every generator must address {self.n} qubits")
-        object.__setattr__(self, "generators", gens)
-        enc = _as_complex(self.encoder)
-        if enc.shape != (dc, 2):
-            raise ShapeError(f"encoder must be {dc} x 2, got {enc.shape}")
-        gram = enc.conj().T @ enc
-        if np.max(np.abs(gram - np.eye(2))) > tol.HERMITIAN_TOL:
+        enc = _code_space_basis(gens, n)
+        if np.max(np.abs(enc.conj().T @ enc - np.eye(2))) > tol.HERMITIAN_TOL:
             raise ValidationError("encoder columns are not orthonormal")
-        object.__setattr__(self, "encoder", enc)
         if gens:
             defects = np.max(np.abs(_apply(gens, enc) - enc), axis=(1, 2))
             worst = int(np.argmax(defects))
             if defects[worst] > tol.CHANNEL_TOL:
                 raise ValidationError(f"generator {gens[worst]} does not fix the encoder, defect {defects[worst]:.3e}")
-        if 2 * len(self.syndrome_table) != dc:
-            raise ShapeError(f"{len(self.syndrome_table)} syndromes do not fill a {dc}-dimensional register")
-        if any(len(bits) != len(gens) for bits in self.syndrome_table):
-            raise ShapeError(f"every syndrome must have {len(gens)} bits")
-        corrections = [self.syndrome_table[bits] for bits in self.syndromes]
-        for bits, corr, found in zip(self.syndromes, corrections, _syndromes(corrections, gens, self.n).tolist()):
-            if tuple(found) != bits:
-                raise ValidationError(f"correction {corr} has syndrome {tuple(found)}, not {bits}")
-        w = _apply(corrections, enc).transpose(1, 0, 2).reshape(dc, dc)
+        table = _decoder_table(gens, n, self.k_corr, self.error_class, enc)
+        dc = 2 ** n
+        w = _apply([table[bits] for bits in sorted(table)], enc).transpose(1, 0, 2).reshape(dc, dc)
         defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dc))))
         if defect > tol.CHANNEL_TOL:
             raise ValidationError(f"syndrome spaces are not orthonormal, ||W^dag W - 1||_max = {defect:.3e}")
-        object.__setattr__(self, "readout", np.ascontiguousarray(w.conj().T).reshape(-1, 2, dc))
+        readout = np.ascontiguousarray(w.conj().T).reshape(-1, 2, dc)
+        for name, value in (("generators", gens), ("encoder", enc), ("syndrome_table", table), ("readout", readout)):
+            object.__setattr__(self, name, value)
 
     @property
     def register_dim(self) -> int:
         return 2 ** self.n
 
     @property
-    def ancilla_count(self) -> int:
-        return len(self.generators)
-
-    @property
     def ancilla_dim(self) -> int:
-        return 2 ** self.ancilla_count
+        return 2 ** len(self.generators)
 
     @property
     def syndromes(self) -> tuple[tuple[int, ...], ...]:
@@ -185,29 +172,9 @@ def _decoder_table(generators, n: int, k_corr: int, error_class: str, encoder: n
     return table
 
 
-def build_stabilizer_code(name: str, n: int, generators, k_corr: int, error_class: str) -> CodeSpec:
-    """One logical qubit on ``n`` qubits from its n - 1 commuting stabilizer generators.
-
-    The encoder columns are Pi |0...0> and Pi |1...1>, normalized, with Pi the
-    code-space projector; the decoder table holds a minimum-weight coset
-    leader per syndrome, checked to correct every error of rank <= k_corr.
-    """
-    gens = tuple(_check_indices(g) for g in generators)
-    encoder = _code_space_basis(gens, n)
-    return CodeSpec(
-        name=name,
-        n=n,
-        k_corr=k_corr,
-        error_class=error_class,
-        generators=gens,
-        encoder=encoder,
-        syndrome_table=_decoder_table(gens, n, k_corr, error_class, encoder),
-    )
-
-
 def build_identity_code() -> CodeSpec:
     """Trivial single-qubit code: no generators, one empty syndrome, no correction."""
-    return build_stabilizer_code("identity", 1, (), 0, FULL_PAULI)
+    return CodeSpec("identity", 1, (), 0, FULL_PAULI)
 
 
 def build_repetition_code(n: int) -> CodeSpec:
@@ -220,7 +187,7 @@ def build_repetition_code(n: int) -> CodeSpec:
     if n < 3 or n % 2 == 0:
         raise ShapeError(f"repetition code needs odd n >= 3, got {n}")
     gens = [tuple(3 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)]
-    return build_stabilizer_code(f"repetition-{n}", n, gens, (n - 1) // 2, AMPLITUDE_ONLY)
+    return CodeSpec(f"repetition-{n}", n, gens, (n - 1) // 2, AMPLITUDE_ONLY)
 
 
 # Stabilizer generators of the five-qubit code, as Pauli index vectors
@@ -239,7 +206,7 @@ def build_five_qubit_code() -> CodeSpec:
     The sixteen syndrome subspaces (code space plus one per single-qubit
     Pauli) are mutually orthogonal and fill the register exactly.
     """
-    return build_stabilizer_code("five_qubit", 5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI)
+    return CodeSpec("five_qubit", 5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI)
 
 
 # Rows of the parity-check matrix of the Hamming [7,4] code, qubit 1 first.
@@ -249,7 +216,7 @@ _HAMMING_ROWS = ((0, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0
 def build_steane_code() -> CodeSpec:
     """Steane [[7,1,3]] code: one X check and one Z check per Hamming [7,4] parity row."""
     gens = [tuple(letter * bit for bit in row) for letter in (1, 3) for row in _HAMMING_ROWS]
-    return build_stabilizer_code("steane", 7, gens, 1, FULL_PAULI)
+    return CodeSpec("steane", 7, gens, 1, FULL_PAULI)
 
 
 def build_shor_code() -> CodeSpec:
@@ -262,7 +229,7 @@ def build_shor_code() -> CodeSpec:
     pairs = ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9))
     gens = [tuple(3 if q in pair else 0 for q in range(1, 10)) for pair in pairs]
     gens += [tuple(1 if lo <= q <= lo + 5 else 0 for q in range(1, 10)) for lo in (1, 4)]
-    return build_stabilizer_code("shor", 9, gens, 1, FULL_PAULI)
+    return CodeSpec("shor", 9, gens, 1, FULL_PAULI)
 
 
 # Scenario identifier -> (register length n, builder).  The length lets a

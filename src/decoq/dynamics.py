@@ -26,28 +26,25 @@ from .pauli import pauli_sum
 
 @dataclass(frozen=True, eq=False)
 class EnvironmentModel:
-    """Environment Hilbert space, initial state and per-qubit couplings.
+    """Environment initial state, free Hamiltonian and per-qubit couplings.
 
-    ``couplings`` is given as n triples of d_e x d_e matrices (or one array)
-    and stored as one complex (n, 3, d_e, d_e) array: ``couplings[l]`` holds
-    the three Hermitian environment operators paired with sigma_x, sigma_y,
-    sigma_z on qubit ``l + 1``.  The largest operator norm among them is the
-    recorded coupling bound.
+    The environment dimension d_e is read off ``rho0``.  ``couplings`` is
+    given as n triples of d_e x d_e matrices (or one array) and stored as one
+    complex (n, 3, d_e, d_e) array: ``couplings[l]`` holds the three
+    Hermitian environment operators paired with sigma_x, sigma_y, sigma_z on
+    qubit ``l + 1``.  The largest operator norm among them is the recorded
+    coupling bound.
     """
 
-    dim: int
     rho0: DensityMatrix
     h_env: np.ndarray
     couplings: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeError("environment dimension must be at least 1")
-        if self.rho0.dim != self.dim:
-            raise ShapeError(f"rho0 dimension {self.rho0.dim} does not match d_e = {self.dim}")
-        object.__setattr__(
-            self, "h_env", require_hermitian(self.h_env, tol.HERMITIAN_TOL, "environment Hamiltonian")
-        )
+        h_env = require_hermitian(self.h_env, tol.HERMITIAN_TOL, "environment Hamiltonian")
+        if len(h_env) != self.dim:
+            raise ShapeError(f"environment Hamiltonian is {len(h_env)} x {len(h_env)}, rho0 is {self.dim} x {self.dim}")
+        object.__setattr__(self, "h_env", h_env)
         for l, triple in enumerate(self.couplings):
             if len(triple) != 3:
                 raise ShapeError(f"qubit {l + 1} needs exactly three coupling operators")
@@ -59,6 +56,10 @@ class EnvironmentModel:
         for l, mu in np.argwhere(~(defects <= tol.HERMITIAN_TOL))[:1]:  # the first offender in (l, mu) order, NaN too
             require_hermitian(stack[l, mu], tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
         object.__setattr__(self, "couplings", stack)
+
+    @property
+    def dim(self) -> int:
+        return self.rho0.dim
 
     @property
     def n_qubits(self) -> int:
@@ -80,8 +81,8 @@ def gibbs_weights(dim: int, beta: float) -> np.ndarray:
 
 def trivial_environment(n_qubits: int) -> EnvironmentModel:
     """One-dimensional environment with zero couplings, for register-only models."""
-    rho = DensityMatrix(np.eye(1, dtype=complex), (1,))
-    return EnvironmentModel(1, rho, np.zeros((1, 1), dtype=complex), np.zeros((n_qubits, 3, 1, 1), dtype=complex))
+    rho = DensityMatrix(np.eye(1, dtype=complex))
+    return EnvironmentModel(rho, np.zeros((1, 1), dtype=complex), np.zeros((n_qubits, 3, 1, 1), dtype=complex))
 
 
 def random_environment(
@@ -111,9 +112,9 @@ def random_environment(
     scale = np.divide(coupling_bound, norms, out=np.zeros_like(norms), where=norms > 0.0)
     h *= scale[:, :, None, None]
     h[scale == 0.0] = 0.0  # exact +0 entries, as a zero matrix has, not the signed zeros of h * 0
-    rho0 = DensityMatrix(np.diag(gibbs_weights(env_dim, beta)).astype(complex), (env_dim,))
+    rho0 = DensityMatrix(np.diag(gibbs_weights(env_dim, beta)).astype(complex))
     h_env = np.diag(np.arange(env_dim, dtype=float)).astype(complex)
-    return EnvironmentModel(env_dim, rho0, h_env, h)
+    return EnvironmentModel(rho0, h_env, h)
 
 
 def free_hamiltonian(env: EnvironmentModel) -> np.ndarray:

@@ -56,9 +56,6 @@ class CodeErrorResult:
     theta: float
     phi: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class DecayResult:
@@ -458,21 +455,17 @@ def code_error(code: CodeSpec, env: EnvironmentModel, h: np.ndarray, times) -> l
     return _sphere_suprema(_CorrectionPipeline(code, env, h).covariances(times))
 
 
-def fit_power_law(
-    curve,
-    residual_threshold: float = tol.FIT_RESIDUAL_DEFAULT,
-    floor: float = tol.FIT_FLOOR,
-    min_samples: int = tol.FIT_MIN_SAMPLES,
-) -> PowerLawFit:
+def fit_power_law(curve) -> PowerLawFit:
     """Fit E ~ c * t^m to the (t, E) pairs of ``curve`` on the largest clean low-t window.
 
     The times must increase strictly and every E lie in [0, 1] up to
     FIDELITY_RANGE_TOL, or ``ValidationError`` is raised.  Samples at or below
-    ``floor`` are discarded.  Windows are anchored at the smallest usable time
-    and grown as far as the max absolute residual of the straight-line fit in
-    log-log stays within ``residual_threshold``; if no window anchored there
-    qualifies, the anchor moves up.  Raises ``FitError`` with an actionable
-    message when the data cannot support a fit.
+    FIT_FLOOR are discarded.  Windows of at least FIT_MIN_SAMPLES samples are
+    anchored at the smallest usable time and grown as far as the max absolute
+    residual of the straight-line fit in log-log stays within
+    FIT_RESIDUAL_DEFAULT; if no window anchored there qualifies, the anchor
+    moves up.  Raises ``FitError`` with an actionable message when the data
+    cannot support a fit.
     """
     pairs = [(float(t), float(e)) for t, e in curve]
     if not all(t2 > t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):  # a NaN time fails too
@@ -480,20 +473,20 @@ def fit_power_law(
     for t, e in pairs:
         if e < -tol.FIDELITY_RANGE_TOL or e > 1.0 + tol.FIDELITY_RANGE_TOL:
             raise ValidationError(f"curve value {e!r} at t={t!r} outside [0, 1]")
-    usable = [(t, e) for t, e in pairs if e > floor and t > 0.0]
-    if len(usable) < min_samples:
+    usable = [(t, e) for t, e in pairs if e > tol.FIT_FLOOR and t > 0.0]
+    if len(usable) < tol.FIT_MIN_SAMPLES:
         raise FitError(
-            f"only {len(usable)} samples above the floor {floor:g}, need {min_samples}; "
+            f"only {len(usable)} samples above the floor {tol.FIT_FLOOR:g}, need {tol.FIT_MIN_SAMPLES}; "
             "extend the sweep toward larger times where the error is resolvable"
         )
     log_t = np.log([t for t, _ in usable])
     log_e = np.log([e for _, e in usable])
-    for start in range(0, len(usable) - min_samples + 1):
-        for end in range(len(usable), start + min_samples - 1, -1):
+    for start in range(0, len(usable) - tol.FIT_MIN_SAMPLES + 1):
+        for end in range(len(usable), start + tol.FIT_MIN_SAMPLES - 1, -1):
             x, y = log_t[start:end], log_e[start:end]
             slope, intercept = np.polyfit(x, y, 1)
             residual = float(np.max(np.abs(y - (slope * x + intercept))))
-            if residual <= residual_threshold:
+            if residual <= tol.FIT_RESIDUAL_DEFAULT:
                 return PowerLawFit(
                     exponent=float(slope),
                     log_coefficient=float(intercept),
@@ -501,8 +494,8 @@ def fit_power_law(
                     max_residual=residual,
                 )
     raise FitError(
-        f"no window of {min_samples}+ samples fits a line within residual "
-        f"{residual_threshold:g}; sample deeper into the small-t regime"
+        f"no window of {tol.FIT_MIN_SAMPLES}+ samples fits a line within residual "
+        f"{tol.FIT_RESIDUAL_DEFAULT:g}; sample deeper into the small-t regime"
     )
 
 

@@ -31,8 +31,8 @@ from .dynamics import (
 from .metrics import (
     _bloch_pair,
     _CorrectionPipeline,
-    _sphere_suprema,
     _state_error,
+    code_error,
     error_bound,
     fit_power_law,
     stabilization_bound,
@@ -171,9 +171,8 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 
 def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
     code, env, v, h = _materialize(scenario)
-    pipeline = _CorrectionPipeline(code, env, h)
     ts = scenario.times().tolist()
-    sups = _sphere_suprema(pipeline.covariances(ts))
+    sups = code_error(code, env, h, ts)
     points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
     v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
     k = code.k_corr

@@ -1,9 +1,9 @@
 """Dense complex tensor-product linear algebra.
 
 Everything in this package lives on small composite Hilbert spaces, so all
-operators are plain dense ``numpy`` arrays.  Composite structure is carried
-explicitly as a tuple of factor dimensions; the helpers here validate it
-instead of guessing.
+operators are plain dense ``numpy`` arrays.  Where a helper needs composite
+structure (``partial_trace_array``), it takes the factor dimensions
+explicitly and validates them instead of guessing.
 """
 
 from __future__ import annotations
@@ -67,17 +67,15 @@ def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix with explicit tensor factor dimensions."""
+    """Validated density matrix: square, Hermitian, unit trace, no eigenvalue below the floor."""
 
     array: np.ndarray
-    dims: tuple[int, ...]
 
     def __post_init__(self):
         a = _as_complex(self.array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {a.shape}")
         object.__setattr__(self, "array", a)
-        object.__setattr__(self, "dims", _check_dims(self.dims, a.shape[0], "DensityMatrix"))
         require_hermitian(a, tol.HERMITIAN_TOL, "density matrix")
         trace = complex(np.trace(a))
         if abs(trace - 1.0) > tol.TRACE_TOL:

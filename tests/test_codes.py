@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from decoq.tolerances import CHANNEL_TOL
 from decoq.tensor import DensityMatrix, partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
 from decoq.dynamics import (
+    EnvironmentModel,
     build_noncontact,
     contact_hamiltonian,
     free_hamiltonian,
@@ -30,7 +32,6 @@ from decoq.codes import (
     build_five_qubit_code,
     build_identity_code,
     build_repetition_code,
-    build_stabilizer_code,
     covered_errors,
     encode_logical,
     hamming_gv_check,
@@ -298,7 +299,7 @@ def test_readout_is_the_one_register_array_held(name):
 RECORDS_WITH_ARRAYS = {
     "CodeSpec": lambda: build_code("identity"),
     "EnvironmentModel": lambda: random_environment(1, 2, seed=1),
-    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2, (2,)),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
 }
 
 
@@ -310,51 +311,39 @@ def test_equality_of_records_holding_arrays_is_identity(make):
     assert len({a, b, a}) == 2
 
 
+@pytest.mark.parametrize("record, inputs", [
+    (CodeSpec, ("name", "n", "generators", "k_corr", "error_class")),
+    (EnvironmentModel, ("rho0", "h_env", "couplings")),
+    (DensityMatrix, ("array",)),
+], ids=["CodeSpec", "EnvironmentModel", "DensityMatrix"])
+def test_records_take_only_their_defining_inputs(record, inputs):
+    # everything else a record holds is derived in __post_init__
+    assert tuple(f.name for f in dataclasses.fields(record) if f.init) == inputs
+
+
 def test_repetition_seven_registered():
     code = build_code("repetition-7")
-    assert (code.n, code.k_corr, code.ancilla_count) == (7, 3, 6)
+    assert (code.n, code.k_corr, code.ancilla_dim) == (7, 3, 2 ** 6)
     assert all(sum(corr) <= 3 for corr in code.syndrome_table.values())
-
-
-def _fields(code):
-    return dict(
-        name=code.name,
-        n=code.n,
-        k_corr=code.k_corr,
-        error_class=code.error_class,
-        generators=code.generators,
-        encoder=code.encoder,
-        syndrome_table=dict(code.syndrome_table),
-    )
-
-
-def test_rejects_correction_with_wrong_syndrome():
-    fields = _fields(build_repetition_code(3))
-    table = fields["syndrome_table"]
-    table[(1, 0)], table[(0, 1)] = table[(0, 1)], table[(1, 0)]
-    with pytest.raises(ValidationError, match="has syndrome"):
-        CodeSpec(**fields)
 
 
 def test_rejects_two_leaders_on_one_syndrome():
     # under full Pauli noise the bit-flip checks cannot tell z1 from no error
     with pytest.raises(ValidationError, match="syndrome collision"):
-        build_stabilizer_code("bad", 3, [(3, 3, 0), (0, 3, 3)], 1, FULL_PAULI)
+        CodeSpec("bad", 3, [(3, 3, 0), (0, 3, 3)], 1, FULL_PAULI)
 
 
-def test_rejects_encoder_a_generator_does_not_fix():
-    fields = _fields(build_repetition_code(3))
-    encoder = np.zeros((8, 2), dtype=complex)
-    encoder[0, 0] = encoder[1, 1] = 1.0  # |000>, |001>: z2 z3 flips the sign of the second
-    with pytest.raises(ValidationError, match="does not fix the encoder"):
-        CodeSpec(**dict(fields, encoder=encoder))
-
-
-def test_rejects_incomplete_syndrome_table():
-    fields = _fields(build_repetition_code(3))
-    del fields["syndrome_table"][(1, 1)]
-    with pytest.raises(ShapeError):
-        CodeSpec(**fields)
+@pytest.mark.parametrize("n, generators, k_corr, error_class, error, message", [
+    (3, [(3, 3, 0)], 1, FULL_PAULI, ShapeError, r"^a code on n >= 1 qubits needs n - 1 generators of n letters, got n = 3 and 1$"),
+    (-1, [], 0, FULL_PAULI, ShapeError, r"got n = -1 and 0$"),
+    (3, [(0, 0, 1), (0, 0, 2)], 0, FULL_PAULI, ValidationError, r"^generator \(0, 0, 2\) does not fix the encoder"),
+    (2, [(3, 0)], 0, FULL_PAULI, ValidationError, "annihilate"),
+    (2, [(1, 1)], 0, FULL_PAULI, ValidationError, "^encoder columns are not orthonormal$"),
+    (3, [(1, 1, 0), (0, 1, 1)], 0, AMPLITUDE_ONLY, ValidationError, "^errors of class amplitude_only reach only 1 of 4 syndromes$"),
+], ids=["too-few-generators", "negative-n", "y-does-not-fix", "z-annihilates", "xx-not-orthonormal", "x-checks-blind-to-x"])
+def test_rejects_bad_generator_sets(n, generators, k_corr, error_class, error, message):
+    with pytest.raises(error, match=message):
+        CodeSpec("bad", n, generators, k_corr, error_class)
 
 
 def test_degenerate_leaders_accepted():

@@ -1,11 +1,15 @@
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
 SNAPSHOT = ROOT / "scripts" / "snapshot_outputs.py"
+BYTES_AGAINST = ROOT / "scripts" / "bytes_against.py"
 
 CSV = "t,E,ok\n1.0000000000000000e-03,2.0000000000000000e-06,true\n2.0000000000000000e-03,3.2000000000000000e-05,true\n"
 
@@ -63,3 +67,17 @@ def test_two_snapshots_compare_identical(tmp_path):
     assert status == 0
     shipped = {path.stem for path in (ROOT / "scenarios").glob("*.cfg")}
     assert {line.split("/")[0] for line in lines} == shipped | {"sweep", "wide_env", "periodic"}
+
+
+
+def test_bytes_against_needs_one_revision():
+    done = subprocess.run([sys.executable, str(BYTES_AGAINST)], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: python scripts/bytes_against.py REV")
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists() or not shutil.which("git"), reason="needs a git checkout")
+def test_bytes_against_unknown_revision_exits_2():
+    done = subprocess.run([sys.executable, str(BYTES_AGAINST), "no-such-revision"], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("cannot archive 'no-such-revision': ")

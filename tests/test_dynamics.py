@@ -30,8 +30,8 @@ def dephasing_environment(rng, de: int) -> tuple[EnvironmentModel, np.ndarray]:
     """Single qubit coupled through sigma_z only; returns (env, h)."""
     h = random_hermitian(rng, de)
     zero = np.zeros((de, de), dtype=complex)
-    rho = DensityMatrix(random_density(rng, de), (de,))
-    env = EnvironmentModel(de, rho, zero, ((zero, zero, h),))
+    rho = DensityMatrix(random_density(rng, de))
+    env = EnvironmentModel(rho, zero, ((zero, zero, h),))
     return env, h
 
 
@@ -39,17 +39,17 @@ class TestEnvironmentModel:
     def test_rejects_nonhermitian_coupling(self, rng):
         de = 2
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        rho = DensityMatrix(np.eye(de) / de, (de,))
+        rho = DensityMatrix(np.eye(de) / de)
         zero = np.zeros((de, de))
         with pytest.raises(ValidationError):
-            EnvironmentModel(de, rho, zero, ((zero, zero, bad),))
+            EnvironmentModel(rho, zero, ((zero, zero, bad),))
 
     def test_rejects_nan_coupling(self):
         zero = np.zeros((2, 2))
-        rho = DensityMatrix(np.eye(2) / 2, (2,))
+        rho = DensityMatrix(np.eye(2) / 2)
         bad = np.diag([0.0, np.nan])
         with pytest.raises(ValidationError, match=r"^coupling h\[2\]\[1\] is not Hermitian: max \|M - M\^dag\| = nan"):
-            EnvironmentModel(2, rho, zero, ((zero, zero, zero), (bad, zero, zero)))
+            EnvironmentModel(rho, zero, ((zero, zero, zero), (bad, zero, zero)))
 
     @pytest.mark.parametrize("offenders", [[(0, 0)], [(1, 2)], [(2, 1), (0, 2)], [(1, 0), (1, 1), (2, 2)]])
     def test_stacked_check_names_the_first_offender(self, rng, offenders):
@@ -57,9 +57,9 @@ class TestEnvironmentModel:
         couplings = [[random_hermitian(rng, de) for _ in range(3)] for _ in range(3)]
         for k, (l, mu) in enumerate(offenders):
             couplings[l][mu] = couplings[l][mu] + np.diag([0.0, 2e-12 * (k + 1) * 1j, 0.0])
-        rho = DensityMatrix(np.eye(de) / de, (de,))
+        rho = DensityMatrix(np.eye(de) / de)
         with pytest.raises(ValidationError) as stacked:
-            EnvironmentModel(de, rho, np.zeros((de, de)), tuple(map(tuple, couplings)))
+            EnvironmentModel(rho, np.zeros((de, de)), tuple(map(tuple, couplings)))
         with pytest.raises(ValidationError) as looped:
             for l, triple in enumerate(couplings):  # the per-coupling check the stack replaced
                 for mu, h in enumerate(triple):
@@ -67,17 +67,23 @@ class TestEnvironmentModel:
         assert str(stacked.value) == str(looped.value)
         assert "h[%d][%d]" % tuple(x + 1 for x in min(offenders)) in str(stacked.value)
 
+    def test_environment_hamiltonian_of_the_wrong_size_rejected(self):
+        # d_e is read off rho0; an h_env of another size would fail later in free_hamiltonian + V
+        zero = np.zeros((2, 2))
+        with pytest.raises(ShapeError, match=r"^environment Hamiltonian is 3 x 3, rho0 is 2 x 2$"):
+            EnvironmentModel(DensityMatrix(np.eye(2) / 2), np.zeros((3, 3)), ((zero, zero, np.eye(2)),))
+
     @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,), (1, 1)])
     def test_coupling_of_the_wrong_shape_rejected(self, shape):
         zero = np.zeros((2, 2))
-        rho = DensityMatrix(np.eye(2) / 2, (2,))
+        rho = DensityMatrix(np.eye(2) / 2)
         couplings = ((zero, zero, zero), (zero, np.zeros(shape), zero))
         with pytest.raises(ShapeError, match=r"^coupling h\[2\]\[2\] must be 2 x 2, got shape "):
-            EnvironmentModel(2, rho, zero, couplings)
+            EnvironmentModel(rho, zero, couplings)
 
     def test_couplings_stored_complex(self):
         zero = np.zeros((2, 2), dtype=np.int64)
-        env = EnvironmentModel(2, DensityMatrix(np.eye(2) / 2, (2,)), zero, ((zero, np.eye(2), zero),))
+        env = EnvironmentModel(DensityMatrix(np.eye(2) / 2), zero, ((zero, np.eye(2), zero),))
         assert all(h.dtype == complex and h.shape == (2, 2) for triple in env.couplings for h in triple)
         assert env.couplings[0][1].tolist() == np.eye(2).tolist()
 
@@ -85,7 +91,7 @@ class TestEnvironmentModel:
     def test_couplings_held_as_one_array(self, n, de):
         drawn = random_environment(n, de, seed=3)
         nested = tuple(tuple(np.array(h) for h in triple) for triple in drawn.couplings)
-        rebuilt = EnvironmentModel(de, drawn.rho0, drawn.h_env, nested)
+        rebuilt = EnvironmentModel(drawn.rho0, drawn.h_env, nested)
         for env in (drawn, rebuilt, trivial_environment(n)):
             assert isinstance(env.couplings, np.ndarray)
             assert env.couplings.dtype == complex
@@ -275,7 +281,7 @@ def with_zero_couplings(env: EnvironmentModel, zero_at) -> EnvironmentModel:
         tuple(zero if (l, mu) in zero_at else h for mu, h in enumerate(triple))
         for l, triple in enumerate(env.couplings)
     )
-    return EnvironmentModel(env.dim, env.rho0, env.h_env, couplings)
+    return EnvironmentModel(env.rho0, env.h_env, couplings)
 
 
 class TestInteractions:

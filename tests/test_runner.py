@@ -126,7 +126,7 @@ class TestScalingSweep:
 
         pipeline = decoq.metrics._CorrectionPipeline
         monkeypatch.setattr(pipeline, "covariances", counted("covariances", pipeline.covariances))
-        monkeypatch.setattr(decoq.runner, "_sphere_suprema", counted("suprema", decoq.runner._sphere_suprema))
+        monkeypatch.setattr(decoq.metrics, "_sphere_suprema", counted("suprema", decoq.metrics._sphere_suprema))
         run(Scenario(kind=kind, code="identity", t_start=0.004, t_end=0.12, t_points=10, plots=False), out_dir=str(tmp_path))
         assert calls == ["covariances", "suprema"]
 

@@ -18,20 +18,25 @@ from conftest import expm_hermitian, random_density, random_hermitian, random_un
 class TestDensityMatrix:
     def test_rejects_trace(self):
         with pytest.raises(ValidationError):
-            DensityMatrix(np.eye(2), (2,))
+            DensityMatrix(np.eye(2))
+
+    def test_rejects_empty(self):
+        # a zero-dimensional state has trace 0, so no environment of dimension 0 can be built
+        with pytest.raises(ValidationError, match="trace 0j deviates from 1"):
+            DensityMatrix(np.zeros((0, 0)))
 
     def test_rejects_nonhermitian(self):
         a = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValidationError):
-            DensityMatrix(a, (2,))
+            DensityMatrix(a)
 
     def test_rejects_negative(self):
         a = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValidationError):
-            DensityMatrix(a, (2,))
+            DensityMatrix(a)
 
     def test_accepts_mixed(self, rng):
-        DensityMatrix(random_density(rng, 4), (2, 2))
+        DensityMatrix(random_density(rng, 4))
 
 
 def test_require_hermitian_reports_defect():
