@@ -25,6 +25,7 @@ from .pauli import PauliIndexVector, _check_indices, anticommutation, pauli_acti
 
 AMPLITUDE_ONLY = "amplitude_only"
 FULL_PAULI = "full_pauli"
+_CLASS_LETTERS = {AMPLITUDE_ONLY: (1,), FULL_PAULI: (1, 2, 3)}  # the Pauli letters of each error class
 
 
 def _apply(strings, x: np.ndarray) -> np.ndarray:
@@ -116,7 +117,7 @@ def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> np.ndarray:
 
 def _errors_of_rank(n: int, rank: int, error_class: str) -> Iterator[PauliIndexVector]:
     """Pauli index vectors of the error class with exactly ``rank`` non-identity letters."""
-    letters = (1,) if error_class == AMPLITUDE_ONLY else (1, 2, 3)
+    letters = _CLASS_LETTERS[error_class]
     for positions in itertools.combinations(range(n), rank):
         for word in itertools.product(letters, repeat=rank):
             v = [0] * n
@@ -128,6 +129,18 @@ def _errors_of_rank(n: int, rank: int, error_class: str) -> Iterator[PauliIndexV
 def covered_errors(code: CodeSpec) -> Iterator[PauliIndexVector]:
     """All Pauli index vectors of the covered class with rank <= k_corr, identity included, in lexicographic order."""
     return iter(sorted(v for r in range(code.k_corr + 1) for v in _errors_of_rank(code.n, r, code.error_class)))
+
+
+def interaction_order(code: CodeSpec, strings) -> int:
+    """The order q of an interaction with Pauli ``strings``: every product of j <= q of its terms is corrected.
+
+    A product of j strings of weight <= w has weight <= j w, and each class's
+    letters (x alone, or all three) are closed under products: so q = k_corr // w
+    if every letter lies in the code's class, and 0 otherwise."""
+    letters = {mu for string in strings for mu in string} - {0}
+    if not letters <= set(_CLASS_LETTERS[code.error_class]):
+        return 0
+    return code.k_corr // max(sum(mu != 0 for mu in string) for string in strings)
 
 
 def _code_space_basis(generators, n: int) -> np.ndarray:

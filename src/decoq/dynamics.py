@@ -74,8 +74,10 @@ class EnvironmentModel:
 
 def gibbs_weights(dim: int, beta: float) -> np.ndarray:
     """Normalized weights w_i proportional to exp(-beta * i); beta = 0 is maximally mixed."""
-    with np.errstate(over="ignore"):  # -beta i past -1.8e308 is -inf, whose weight exp(-inf) = 0 is exact
-        w = np.exp(-float(beta) * np.arange(dim, dtype=float))
+    beta = float(beta)
+    ladder = np.arange(dim, dtype=float) - (0 if beta >= 0 else dim - 1)  # i - i_ref, i_ref the heaviest level: none overflows
+    with np.errstate(over="ignore"):  # an exponent past -1.8e308 is -inf, whose weight exp(-inf) = 0 is exact
+        w = np.exp(-beta * ladder)
     return w / w.sum()
 
 
@@ -122,20 +124,15 @@ def free_hamiltonian(env: EnvironmentModel) -> np.ndarray:
     return np.kron(env.h_env, np.eye(2 ** env.n_qubits, dtype=complex))
 
 
-def coupling_terms(env: EnvironmentModel, qubits) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The ``pauli_sum`` terms (h^l_mu, sigma^l_mu) of the 0-based ``qubits``, in (l, mu) order."""
-    n = env.n_qubits
-    return [
-        (h, tuple(mu if i == l else 0 for i in range(n)))
-        for l in qubits
-        for mu, h in enumerate(env.couplings[l], start=1)
-    ]
+def noncontact_strings(n_qubits: int) -> list[tuple[int, ...]]:
+    """The Pauli strings sigma^l_mu of the non-contact coupling on ``n_qubits``, in the (l, mu) order of its couplings."""
+    return [tuple(mu if i == l else 0 for i in range(n_qubits)) for l in range(n_qubits) for mu in (1, 2, 3)]
 
 
 def build_noncontact(env: EnvironmentModel) -> np.ndarray:
-    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register."""
-    n = env.n_qubits
-    v = pauli_sum(coupling_terms(env, range(n)), env.dim, n)
+    """Assemble V = sum_l sum_mu h^l_mu (x) sigma^l_mu on environment (x) register, one ``pauli_sum`` term per (l, mu)."""
+    n, de = env.n_qubits, env.dim
+    v = pauli_sum(list(zip(env.couplings.reshape(-1, de, de), noncontact_strings(n))), de, n)
     require_hermitian(v, tol.HERMITIAN_TOL, "non-contact interaction")
     return v
 

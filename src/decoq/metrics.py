@@ -19,7 +19,6 @@ keep their digits, and the maximum over |r| = 1 is found exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,9 +28,8 @@ import numpy as np
 from .errors import FitError, ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
-from .dynamics import EnvironmentModel, coupling_terms
-from .pauli import pauli_sum
-from .codes import CodeSpec, asymptotic_x0, encode_logical
+from .dynamics import EnvironmentModel, build_noncontact, noncontact_strings
+from .codes import CodeSpec, asymptotic_x0, encode_logical, interaction_order
 
 
 @dataclass(frozen=True)
@@ -500,35 +498,27 @@ def fit_power_law(curve) -> PowerLawFit:
 
 
 def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical, k: int) -> float:
-    """Coefficient of t^(2k+2) in the short-time error of a k-correcting code.
+    """Coefficient of t^(2k+2) in the short-time error, for k the order q of the non-contact V of ``env`` on the code.
 
-    Only chains of k+1 interaction factors on pairwise distinct qubits
-    survive recovery and the complement projector, so the coefficient is
+    A product of at most q terms of V reads out with no traceless part, so of
+    the order-(q+1) Taylor term of U(t) X only V^(q+1) X counts (the other
+    products hold an h_env factor), and the coefficient is
 
-        sum_s || (1 - P_psi) K_s W (|env_i> (x) |psi_bar>) ||^2 / ((k+1)!)^2
+        sum_s || (1 - P_psi) K_s V^(q+1) (|env_i> (x) |psi_bar>) ||^2 / ((q+1)!)^2
 
-    summed over the environment eigenvectors, with W the sum of ordered
-    products V^{l_1} ... V^{l_{k+1}} over distinct index tuples.  W is applied
-    to the same start vectors as the time evolution and reduced by the same
-    sphere quadratic.  The interaction is the non-contact coupling of ``env``.
-    """
+    over the environment eigenvectors: q + 1 products with V of the start
+    vectors, reduced by the sphere quadratic.  A k other than q raises ``ShapeError``."""
     k = int(k)
-    if k != code.k_corr:
-        raise ShapeError(f"k = {k} does not match the code's correction strength {code.k_corr}")
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
+    q = interaction_order(code, noncontact_strings(code.n))
+    if k != q:
+        raise ShapeError(f"k = {k} does not match the order q = {q} of the non-contact coupling on {code.name}")
 
-    d = env.dim * code.register_dim
-    per_qubit = [pauli_sum(coupling_terms(env, [l]), env.dim, code.n) for l in range(code.n)]
-
-    w_total = np.zeros((d, d), dtype=complex)
-    for tup in itertools.permutations(range(code.n), k + 1):
-        prod = per_qubit[tup[0]]
-        for idx in tup[1:]:
-            prod = prod @ per_qubit[idx]
-        w_total += prod
-
-    c = _pauli_covariance(code.readout, (w_total @ _start_vectors(code, env))[:, None, :], env.dim)
+    v, x = build_noncontact(env), _start_vectors(code, env)
+    for _ in range(k + 1):
+        x = v @ x
+    c = _pauli_covariance(code.readout, x[:, None, :], env.dim)
     return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
 
 
@@ -541,7 +531,7 @@ def _power(base: float, exponent: float) -> float:
 
 
 def error_bound(t: float, k: int, v_norm: float) -> float:
-    """Rigorous error envelope t^(2k+2) ||V||^(2k+2) / ((k+1)!)^2.
+    """Rigorous error envelope t^(2k+2) ||V||^(2k+2) / ((k+1)!)^2 for an interaction V of order k.
 
     It is inf where (t ||V||)^(2k+2) passes the largest float; for every
     k < 98 the envelope is then above 1, so it says nothing either way."""

@@ -20,11 +20,12 @@ import numpy as np
 from . import __version__
 from .errors import ShapeError, ValidationError
 from .scenario import Scenario, serialize_scenario
-from .codes import asymptotic_x0, build_code, hamming_gv_check
+from .codes import asymptotic_x0, build_code, hamming_gv_check, interaction_order
 from .dynamics import (
     build_noncontact,
     contact_hamiltonian,
     free_hamiltonian,
+    noncontact_strings,
     random_environment,
     trivial_environment,
 )
@@ -101,21 +102,20 @@ def _sha256(path: str) -> str:
 
 
 def _materialize(scenario: Scenario):
-    """Build the code, the environment, the interaction V and the joint Hamiltonian H = h_env (x) 1 + V."""
+    """Build the code, the environment, the interaction V, the joint Hamiltonian H = h_env (x) 1 + V and V's order q."""
     code = build_code(scenario.code)
     if scenario.interaction_kind == "contact":
         env = trivial_environment(code.n)
-        terms = []
-        for omega, factors in scenario.contact_terms:
-            string = [0] * code.n
+        strings = [[0] * code.n for _ in scenario.contact_terms]
+        for string, (_, factors) in zip(strings, scenario.contact_terms):
             for axis, pos in factors:
                 string[pos - 1] = axis
-            terms.append((omega, string))
-        v = contact_hamiltonian(terms, code.n)
+        v = contact_hamiltonian([(omega, s) for (omega, _), s in zip(scenario.contact_terms, strings)], code.n)
     else:
         env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, scenario.seed)
         v = build_noncontact(env)
-    return code, env, v, free_hamiltonian(env) + v
+        strings = noncontact_strings(code.n)
+    return code, env, v, free_hamiltonian(env) + v, interaction_order(code, strings)
 
 
 def _overwrite(path: str, data: bytes) -> None:
@@ -170,12 +170,11 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 
 
 def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
-    code, env, v, h = _materialize(scenario)
+    code, env, v, h, q = _materialize(scenario)
     ts = scenario.times().tolist()
     sups = code_error(code, env, h, ts)
     points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
     v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
-    k = code.k_corr
 
     if check_bounds:
         coupling = env.coupling_bound
@@ -183,7 +182,7 @@ def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
         rows = []
         violations = 0
         for t, e, _, _ in points:
-            rigorous = error_bound(t, k, v_norm)
+            rigorous = error_bound(t, q, v_norm)
             asymptotic = stabilization_bound(t, coupling, code.n, x0)
             ok = (rigorous > 1.0) or (e <= rigorous + BOUND_SLACK)
             violations += 0 if ok else 1
@@ -207,7 +206,7 @@ def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
             raise ValidationError(f"{violations} sweep points exceed the rigorous error envelope")
         return
 
-    sweep_rows = [(t, e, error_bound(t, k, v_norm), theta, phi) for t, e, theta, phi in points]
+    sweep_rows = [(t, e, error_bound(t, q, v_norm), theta, phi) for t, e, theta, phi in points]
     out.csv("sweep.csv", ["t", "E", "bound", "argmax_theta", "argmax_phi"], sweep_rows)
     out.csv(
         "fit_summary.csv",
@@ -270,7 +269,7 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
 
 
 def _run_periodic(scenario: Scenario, out: _Outputs) -> None:
-    code, env, _, h = _materialize(scenario)
+    code, env, _, h, _ = _materialize(scenario)
     pipeline = _CorrectionPipeline(code, env, h)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     dts = [math.ldexp(scenario.dt, -i) for i in range(scenario.halvings + 1)]

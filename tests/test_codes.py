@@ -15,6 +15,7 @@ from decoq.dynamics import (
     build_noncontact,
     contact_hamiltonian,
     free_hamiltonian,
+    noncontact_strings,
     random_environment,
     trivial_environment,
 )
@@ -35,12 +36,13 @@ from decoq.codes import (
     covered_errors,
     encode_logical,
     hamming_gv_check,
+    interaction_order,
     min_code_length,
     recovery_channel,
     recovery_unitary,
 )
 
-from conftest import random_density
+from conftest import one_letter, random_density
 
 ALL_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
 # codes with a hand-built dense reference below; the dense projectors of a nine-qubit code would take a GiB
@@ -116,6 +118,45 @@ def test_error_class_letters():
     assert all(set(v) <= {0, 1} for v in covered_errors(rep))
     five = build_five_qubit_code()
     assert five.error_class == FULL_PAULI
+
+
+# Order q of each registered code under the non-contact coupling (x, y and z on every qubit), under single
+# flips x_l and under neighbour pair flips x_l x_(l+1), which a one-qubit code has none of
+INTERACTION_ORDERS = {
+    "identity": (0, 0, None),
+    "repetition-3": (0, 1, 0),
+    "repetition-5": (0, 2, 1),
+    "repetition-7": (0, 3, 1),
+    "repetition-9": (0, 4, 2),
+    "five_qubit": (1, 1, 0),
+    "steane": (1, 1, 0),
+    "shor": (1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_interaction_order_of_registered_codes(name):
+    code = build_code(name)
+    n = code.n
+    singles = [one_letter(1, l, n) for l in range(1, n + 1)]
+    pairs = [tuple(int(i in (l, l + 1)) for i in range(1, n + 1)) for l in range(1, n)]
+    got = (
+        interaction_order(code, noncontact_strings(n)),
+        interaction_order(code, singles),
+        interaction_order(code, pairs) if pairs else None,
+    )
+    assert got == INTERACTION_ORDERS[name]
+
+
+@pytest.mark.parametrize("name, strings, q", [
+    ("repetition-5", [(3, 0, 0, 0, 0)], 0),  # a phase flip passes the code
+    ("repetition-5", [(1, 0, 0, 0, 0), (0, 1, 1, 1, 0)], 0),  # weight 3 > k_corr
+    ("repetition-5", [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)], 2),  # an identity term changes nothing
+    ("five_qubit", [(2, 0, 0, 0, 0), (0, 0, 3, 0, 0)], 1),
+    ("five_qubit", [(1, 1, 0, 0, 0), (0, 0, 3, 0, 0)], 0),
+])
+def test_interaction_order_rule(name, strings, q):
+    assert interaction_order(build_code(name), strings) == q
 
 
 @pytest.mark.parametrize("name", ALL_CODES)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import decoq.metrics
 from decoq.errors import FitError, ShapeError, ValidationError
 from decoq.tensor import DensityMatrix, operator_norm
+from decoq.pauli import pauli_string
 from decoq.dynamics import (
     EnvironmentModel,
     build_noncontact,
@@ -21,11 +23,13 @@ from decoq.metrics import (
     ARGMAX_TIE_ULPS,
     CodeErrorResult,
     _bloch_pair,
+    _bloch_vector,
     _CorrectionPipeline,
     _log_slopes,
     _pauli_covariance,
     _sphere_error,
     _sphere_suprema,
+    _start_vectors,
     _state_error,
     _taylor_sums,
     _taylor_terms,
@@ -38,7 +42,7 @@ from decoq.metrics import (
     threshold_time,
 )
 
-from conftest import expm_hermitian, random_density, random_hermitian
+from conftest import expm_hermitian, one_letter, random_density, random_hermitian
 
 PSI = (0.6, 0.8j)
 SHIPPED_CODES = ("identity", "repetition-3", "repetition-5", "five_qubit")
@@ -695,7 +699,57 @@ class TestFitPowerLaw:
         assert fit_power_law(curve).exponent == pytest.approx(1.0, abs=1e-9)
 
 
+def permutation_coefficient(code, env, psi_logical, k):
+    """Oracle for ``leading_coefficient``: W summed over the ordered products V^{l_1} ... V^{l_{k+1}} of the dense
+    per-qubit couplings V^l on pairwise distinct qubits, n! / (n - k - 1)! of them, applied to the start vectors
+    and read out by the same sphere quadratic."""
+    n = code.n
+    per_qubit = [
+        sum(np.kron(h, pauli_string(one_letter(mu, l, n))) for mu, h in enumerate(env.couplings[l - 1], start=1))
+        for l in range(1, n + 1)
+    ]
+    d = env.dim * code.register_dim
+    w = np.zeros((d, d), dtype=complex)
+    for tup in itertools.permutations(range(n), k + 1):
+        prod = per_qubit[tup[0]]
+        for l in tup[1:]:
+            prod = prod @ per_qubit[l]
+        w += prod
+    c = _pauli_covariance(code.readout, (w @ _start_vectors(code, env))[:, None, :], env.dim)
+    return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
+
+
 class TestLeadingCoefficient:
+    @pytest.mark.parametrize("name, de, k", [
+        ("identity", 2, 0),
+        ("five_qubit", 1, 1),
+        ("five_qubit", 2, 1),
+        ("five_qubit", 3, 1),
+        ("steane", 1, 1),
+        ("steane", 2, 1),
+        ("shor", 1, 1),
+        ("repetition-3", 2, 0),
+    ])
+    def test_chain_matches_permutation_oracle(self, name, de, k):
+        # V^(k+1) differs from W by the products that repeat a qubit, which have weight <= k and no traceless readout
+        code = build_code(name)
+        env = random_environment(code.n, de, beta=0.3, seed=7)
+        want = permutation_coefficient(code, env, PSI, k)
+        assert want > 1.0
+        assert leading_coefficient(code, env, PSI, k) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_repetition_takes_the_order_of_the_coupling(self):
+        # y and z pass a repetition code, so the non-contact coupling has order 0 there and E falls as t^2
+        code = build_code("repetition-3")
+        env = random_environment(3, 2, seed=42)
+        with pytest.raises(ShapeError, match="order q = 0"):
+            leading_coefficient(code, env, PSI, 1)
+        c = leading_coefficient(code, env, PSI, 0)
+        t = 1e-5
+        e = _state_error(_CorrectionPipeline(code, env, free_hamiltonian(env) + build_noncontact(env)).covariances([t]), PSI)[0]
+        assert c == pytest.approx(2.3567955, rel=1e-7)
+        assert e / t ** 2 == pytest.approx(c, rel=1e-6)
+
     def test_dephasing_matches_second_moment(self, rng):
         # k = 0, sigma_z coupling, |+>: the coefficient is tr(rho_e h^2)
         env, h = dephasing_environment(rng, 3)

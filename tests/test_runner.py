@@ -16,6 +16,8 @@ import decoq.cli
 import decoq.metrics
 import decoq.runner
 from decoq.codes import asymptotic_bound_gap
+from decoq.dynamics import build_noncontact, random_environment
+from decoq.metrics import error_bound
 
 from decoq.cli import main
 from decoq.errors import ShapeError, SizingError
@@ -129,6 +131,40 @@ class TestScalingSweep:
         monkeypatch.setattr(decoq.metrics, "_sphere_suprema", counted("suprema", decoq.metrics._sphere_suprema))
         run(Scenario(kind=kind, code="identity", t_start=0.004, t_end=0.12, t_points=10, plots=False), out_dir=str(tmp_path))
         assert calls == ["covariances", "suprema"]
+
+
+def csv_columns(path, *names):
+    """The named columns of a runner CSV, as floats."""
+    header, *lines = path.read_text().splitlines()
+    index = [header.split(",").index(name) for name in names]
+    return [[float(line.split(",")[i]) for i in index] for line in lines]
+
+
+class TestInteractionOrder:
+    def test_repetition_bound_check_uses_order_zero(self, tmp_path, capsys):
+        # y and z pass a repetition code, so E falls as t^2 and the envelope is (t ||V||)^2
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text((SCENARIO_DIR / "bound_check.cfg").read_text().replace("code = five_qubit", "code = repetition-3"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        v_norm = float(np.max(np.abs(np.linalg.eigvalsh(build_noncontact(random_environment(3, 2, seed=42))))))
+        rows = csv_columns(tmp_path / "out" / "bound_check.csv", "t", "E", "bound")
+        assert len(rows) == 14
+        for t, e, bound in rows:
+            assert bound == error_bound(t, 0, v_norm)
+            assert e <= bound
+
+    def test_pair_flip_contact_sweep_stays_under_its_bound(self, tmp_path):
+        # weight-2 x terms on repetition-5 (k_corr = 2) have order 1: E falls as t^4, under (t ||V||)^4 / 4
+        text = (
+            "[scenario]\nkind = scaling_sweep\ncode = repetition-5\nplots = false\n"
+            "[interaction]\nkind = contact\nterms = 0.8:x1 x2, 0.7:x1 x3, 0.65:x2 x3, 1.05:x3 x4, 0.95:x4 x5\n"
+            "[time_grid]\nstart = 5e-4\nend = 8e-3\npoints = 14\n"
+        )
+        run(parse_scenario(text), out_dir=str(tmp_path))
+        rows = csv_columns(tmp_path / "sweep.csv", "E", "bound")
+        assert len(rows) == 14
+        assert all(e <= bound for e, bound in rows), max(e / bound for e, bound in rows)
 
 
 KINDS = {
@@ -481,6 +517,14 @@ class TestCli:
         cfg.write_text("[scenario]\nkind = bound_check\ncode = five_qubit\nmax_dim = 1000000000\n", encoding="utf-8")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == "sizing error: out of memory: Unable to allocate 2.18 TiB for an array\n"
+
+    def test_negative_beta_runs(self, tmp_path, capsys):
+        # exp(1000 i) overflowed the Gibbs weights, whose normalization then divided inf by inf
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text((SCENARIO_DIR / "exponent_law.cfg").read_text().replace("d_e = 2", "d_e = 2\nbeta = -1000"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "beta = -1000" in (tmp_path / "out" / "manifest.json").read_text()
+        capsys.readouterr()
 
     def test_fit_failure_exit_4(self, tmp_path, capsys):
         # enough points, but every error sits below the fit floor
