@@ -137,6 +137,8 @@ def interaction_order(code: CodeSpec, strings) -> int:
     A product of j strings of weight <= w has weight <= j w, and each class's
     letters (x alone, or all three) are closed under products: so q = k_corr // w
     if every letter lies in the code's class, and 0 otherwise."""
+    if not strings:
+        raise ShapeError("an interaction needs at least one Pauli string")
     letters = {mu for string in strings for mu in string} - {0}
     if not letters <= set(_CLASS_LETTERS[code.error_class]):
         return 0
@@ -185,24 +187,6 @@ def _decoder_table(generators, n: int, k_corr: int, error_class: str, encoder: n
     return table
 
 
-def build_identity_code() -> CodeSpec:
-    """Trivial single-qubit code: no generators, one empty syndrome, no correction."""
-    return CodeSpec("identity", 1, (), 0, FULL_PAULI)
-
-
-def build_repetition_code(n: int) -> CodeSpec:
-    """Majority-vote bit-flip code on ``n`` qubits (``n`` odd, >= 3).
-
-    The generators are the n-1 neighbour parities Z_i Z_(i+1).  Corrects up
-    to (n-1)/2 amplitude errors; phase errors pass through.
-    """
-    n = int(n)
-    if n < 3 or n % 2 == 0:
-        raise ShapeError(f"repetition code needs odd n >= 3, got {n}")
-    gens = [tuple(3 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)]
-    return CodeSpec(f"repetition-{n}", n, gens, (n - 1) // 2, AMPLITUDE_ONLY)
-
-
 # Stabilizer generators of the five-qubit code, as Pauli index vectors
 # (0 = identity, 1 = x, 2 = y, 3 = z).
 _FIVE_QUBIT_GENERATORS = (
@@ -212,59 +196,34 @@ _FIVE_QUBIT_GENERATORS = (
     (3, 1, 0, 1, 3),
 )
 
-
-def build_five_qubit_code() -> CodeSpec:
-    """Perfect five-qubit code correcting one arbitrary single-qubit error.
-
-    The sixteen syndrome subspaces (code space plus one per single-qubit
-    Pauli) are mutually orthogonal and fill the register exactly.
-    """
-    return CodeSpec("five_qubit", 5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI)
-
-
 # Rows of the parity-check matrix of the Hamming [7,4] code, qubit 1 first.
 _HAMMING_ROWS = ((0, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0, 1))
 
 
-def build_steane_code() -> CodeSpec:
-    """Steane [[7,1,3]] code: one X check and one Z check per Hamming [7,4] parity row."""
-    gens = [tuple(letter * bit for bit in row) for letter in (1, 3) for row in _HAMMING_ROWS]
-    return CodeSpec("steane", 7, gens, 1, FULL_PAULI)
-
-
-def build_shor_code() -> CodeSpec:
-    """Shor [[9,1,3]] code: Z_i Z_(i+1) within each block of three, X on qubits 1-6 and 4-9.
-
-    The code is degenerate (Z errors in one block share a syndrome and act
-    alike), and its encoder columns Pi |0...0> and Pi |1...1> are the
-    textbook |+_L> and |-_L>.
-    """
-    pairs = ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9))
-    gens = [tuple(3 if q in pair else 0 for q in range(1, 10)) for pair in pairs]
-    gens += [tuple(1 if lo <= q <= lo + 5 else 0 for q in range(1, 10)) for lo in (1, 4)]
-    return CodeSpec("shor", 9, gens, 1, FULL_PAULI)
-
-
-# Scenario identifier -> (register length n, builder).  The length lets a
-# scenario be checked and sized without building its code.
+# Scenario identifier -> (n, generators, k_corr, error_class): the inputs ``CodeSpec`` derives the code from.
 CODES = {
-    "identity": (1, build_identity_code),
-    "repetition-3": (3, lambda: build_repetition_code(3)),
-    "repetition-5": (5, lambda: build_repetition_code(5)),
-    "repetition-7": (7, lambda: build_repetition_code(7)),
-    "repetition-9": (9, lambda: build_repetition_code(9)),
-    "five_qubit": (5, build_five_qubit_code),
-    "steane": (7, build_steane_code),
-    "shor": (9, build_shor_code),
+    "identity": (1, (), 0, FULL_PAULI),  # no generators, one empty syndrome, no correction
+    # majority vote: the neighbour parities Z_i Z_(i+1) correct (n-1)/2 amplitude errors; phase errors pass
+    **{
+        f"repetition-{n}": (n, tuple(tuple(3 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)), (n - 1) // 2, AMPLITUDE_ONLY)
+        for n in (3, 5, 7, 9)
+    },
+    # perfect: the 16 syndrome spaces, the code space and one per single-qubit Pauli, fill the register
+    "five_qubit": (5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI),
+    # Steane [[7,1,3]]: one X check and one Z check per Hamming [7,4] parity row
+    "steane": (7, tuple(tuple(letter * bit for bit in row) for letter in (1, 3) for row in _HAMMING_ROWS), 1, FULL_PAULI),
+    # Shor [[9,1,3]]: Z_i Z_(i+1) within each block of three, X on qubits 1-6 and 4-9.  Degenerate (Z errors in
+    # one block share a syndrome and act alike); the encoder columns are the textbook |+_L> and |-_L>.
+    "shor": (9, tuple(tuple(3 if q in pair else 0 for q in range(1, 10)) for pair in ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)))
+             + tuple(tuple(1 if lo <= q <= lo + 5 else 0 for q in range(1, 10)) for lo in (1, 4)), 1, FULL_PAULI),
 }
 
 
 def build_code(name: str) -> CodeSpec:
-    """Look up a code by its scenario identifier."""
-    try:
-        return CODES[name][1]()
-    except KeyError:
-        raise ShapeError(f"unknown code {name!r}; known: {sorted(CODES)}") from None
+    """Build the code registered under a scenario identifier."""
+    if name not in CODES:
+        raise ShapeError(f"unknown code {name!r}; known: {sorted(CODES)}")
+    return CodeSpec(name, *CODES[name])
 
 
 def recovery_channel(code: CodeSpec) -> np.ndarray:

@@ -32,8 +32,9 @@ class EnvironmentModel:
     given as n triples of d_e x d_e matrices (or one array) and stored as one
     complex (n, 3, d_e, d_e) array: ``couplings[l]`` holds the three
     Hermitian environment operators paired with sigma_x, sigma_y, sigma_z on
-    qubit ``l + 1``.  The largest operator norm among them is the recorded
-    coupling bound.
+    qubit ``l + 1``.  Each matrix is checked Hermitian within HERMITIAN_TOL
+    and its Hermitian part (h + h^dag) / 2 is stored.  The largest operator
+    norm among the couplings is the recorded coupling bound.
     """
 
     rho0: DensityMatrix
@@ -44,7 +45,6 @@ class EnvironmentModel:
         h_env = require_hermitian(self.h_env, tol.HERMITIAN_TOL, "environment Hamiltonian")
         if len(h_env) != self.dim:
             raise ShapeError(f"environment Hamiltonian is {len(h_env)} x {len(h_env)}, rho0 is {self.dim} x {self.dim}")
-        object.__setattr__(self, "h_env", h_env)
         for l, triple in enumerate(self.couplings):
             if len(triple) != 3:
                 raise ShapeError(f"qubit {l + 1} needs exactly three coupling operators")
@@ -55,7 +55,9 @@ class EnvironmentModel:
         defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))  # (n, 3), one Hermiticity check
         for l, mu in np.argwhere(~(defects <= tol.HERMITIAN_TOL))[:1]:  # the first offender in (l, mu) order, NaN too
             require_hermitian(stack[l, mu], tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
-        object.__setattr__(self, "couplings", stack)
+        # the Hermitian parts, exact on Hermitian input: defects within tolerance one at a time would add up in V
+        object.__setattr__(self, "h_env", (h_env + h_env.conj().T) / 2.0)
+        object.__setattr__(self, "couplings", (stack + stack.conj().swapaxes(-1, -2)) / 2.0)
 
     @property
     def dim(self) -> int:

@@ -152,7 +152,7 @@ def _sphere_error(cs: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _checked_errors(e: np.ndarray) -> np.ndarray:
-    bad = (e < -tol.FIDELITY_RANGE_TOL) | (e > 1.0 + tol.FIDELITY_RANGE_TOL)
+    bad = ~((e >= -tol.FIDELITY_RANGE_TOL) & (e <= 1.0 + tol.FIDELITY_RANGE_TOL))  # NaN is bad too
     if bad.any():
         raise ValidationError(f"error value {float(e[bad][0])!r} outside [0, 1]")
     return np.clip(e, 0.0, 1.0)
@@ -469,7 +469,7 @@ def fit_power_law(curve) -> PowerLawFit:
     if not all(t2 > t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):  # a NaN time fails too
         raise ValidationError("curve times must increase strictly")
     for t, e in pairs:
-        if e < -tol.FIDELITY_RANGE_TOL or e > 1.0 + tol.FIDELITY_RANGE_TOL:
+        if not -tol.FIDELITY_RANGE_TOL <= e <= 1.0 + tol.FIDELITY_RANGE_TOL:  # NaN fails too
             raise ValidationError(f"curve value {e!r} at t={t!r} outside [0, 1]")
     usable = [(t, e) for t, e in pairs if e > tol.FIT_FLOOR and t > 0.0]
     if len(usable) < tol.FIT_MIN_SAMPLES:
@@ -536,7 +536,7 @@ def error_bound(t: float, k: int, v_norm: float) -> float:
     It is inf where (t ||V||)^(2k+2) passes the largest float; for every
     k < 98 the envelope is then above 1, so it says nothing either way."""
     t, v_norm, k = float(t), float(v_norm), int(k)
-    if t < 0 or v_norm < 0 or k < 0:
+    if not (t >= 0 and v_norm >= 0 and k >= 0):  # NaN fails too
         raise ShapeError("need t >= 0, ||V|| >= 0, k >= 0")
     return _power(t * v_norm, 2 * k + 2) / math.factorial(k + 1) ** 2
 
@@ -545,7 +545,7 @@ def stabilization_bound(t: float, coupling_bound: float, n: int, x0: float | Non
     """Asymptotic envelope (t C e / x0)^(2 x0 n) for a length-n code at the rate edge; inf past the largest float."""
     t, c = float(t), float(coupling_bound)
     n = int(n)
-    if t < 0 or c <= 0 or n < 1:
+    if not (t >= 0 and c > 0 and n >= 1):  # NaN fails too
         raise ShapeError("need t >= 0, coupling bound > 0, n >= 1")
     x0 = asymptotic_x0() if x0 is None else float(x0)
     return _power(t * c * math.e / x0, 2.0 * x0 * n)
@@ -554,7 +554,7 @@ def stabilization_bound(t: float, coupling_bound: float, n: int, x0: float | Non
 def threshold_time(coupling_bound: float, x0: float | None = None) -> float:
     """Time below which the stabilization envelope shrinks with code length."""
     c = float(coupling_bound)
-    if c <= 0:
+    if not c > 0:  # NaN fails too
         raise ShapeError("coupling bound must be positive")
     x0 = asymptotic_x0() if x0 is None else float(x0)
     return x0 / (c * math.e)

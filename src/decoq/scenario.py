@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .codes import CODES
+from .codes import AMPLITUDE_ONLY, CODES
 from .errors import ConfigError, SizingError
 
 KINDS = ("scaling_sweep", "intro_example", "bounds_table", "periodic_correction", "bound_check")
@@ -127,7 +127,7 @@ class Scenario:
         for pair in unordered:
             if pair[0] == pair[1] or unordered.count(pair) > 1:
                 raise ConfigError(f"pair flip {pair[0]}-{pair[1]} must join two distinct qubits and appear once")
-        n = CODES[self.code][0]  # the register length, read without building the code
+        n, _, _, error_class = CODES[self.code]  # read off the code's row, without building it
         contact = self.kind in CONTACT_KINDS and self.interaction_kind == "contact"
         if contact:
             if not self.contact_terms:
@@ -140,7 +140,7 @@ class Scenario:
                     if positions.count(pos) > 1:
                         raise ConfigError(f"contact term repeats qubit {pos}")
         if self.kind == "intro_example":
-            if not self.code.startswith("repetition"):
+            if error_class != AMPLITUDE_ONLY:
                 raise ConfigError("the flip-drive benchmark runs on a repetition code")
             if len(self.single_flip_omegas) != n:
                 raise ConfigError(f"single-flip drive needs {n} frequencies, got {len(self.single_flip_omegas)}")
@@ -253,7 +253,7 @@ def _parse_contact_terms(raw: str, where: str) -> tuple[tuple[float, tuple[tuple
     return tuple(terms)
 
 
-# section -> key -> (scenario field, parser tag); a field of None parses the
+# section -> key -> (scenario field, tag in _TAGS); a field of None parses the
 # value and discards it, which keeps files with a [state_grid] loading although
 # the maximum over the logical sphere needs no grid.
 _SCHEMA = {
@@ -307,27 +307,17 @@ _SCHEMA = {
     },
 }
 
-_PARSERS = {
-    "str": lambda raw, where: raw,
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _parse_bool,
-    "floats": _parse_float_list,
-    "pairs": _parse_pairs,
-    "contact": _parse_contact_terms,
-}
-
-# parser tag -> the text that its parser reads back as the same value
-_FORMATTERS = {
-    "str": str,
-    "int": str,
-    "float": repr,
-    "bool": lambda value: "true" if value else "false",
-    "floats": lambda values: ", ".join(map(repr, values)),
-    "pairs": lambda pairs: ", ".join(f"{k}-{l}:{w!r}" for k, l, w in pairs),
-    "contact": lambda terms: ", ".join(
+# value tag -> (parse, format): ``format`` writes the text that ``parse`` reads back as the same value
+_TAGS = {
+    "str": (lambda raw, where: raw, str),
+    "int": (_parse_int, str),
+    "float": (_parse_float, repr),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "floats": (_parse_float_list, lambda values: ", ".join(map(repr, values))),
+    "pairs": (_parse_pairs, lambda pairs: ", ".join(f"{k}-{l}:{w!r}" for k, l, w in pairs)),
+    "contact": (_parse_contact_terms, lambda terms: ", ".join(
         f"{omega!r}:" + " ".join(f"{_AXIS_NAMES[axis]}{pos}" for axis, pos in factors) for omega, factors in terms
-    ),
+    )),
 }
 
 
@@ -356,7 +346,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"line {lineno}: key {key!r} in section [{section}] repeats line {seen[section, key]}")
         seen[section, key] = lineno
         field_name, tag = _SCHEMA[section][key]
-        value = _PARSERS[tag](raw_value, f"line {lineno}, key {key!r}")
+        value = _TAGS[tag][0](raw_value, f"line {lineno}, key {key!r}")
         if field_name is not None:
             fields[field_name] = value
     if "kind" not in fields:
@@ -376,7 +366,7 @@ def serialize_scenario(s: Scenario) -> str:
         lines = [f"[{section}]"]
         for key, (name, tag) in keys.items():
             if name is not None:
-                lines.append(f"{key} = {_FORMATTERS[tag](getattr(s, name))}")
+                lines.append(f"{key} = {_TAGS[tag][1](getattr(s, name))}")
         if len(lines) > 1:  # a section of discarded keys, like [state_grid], is not written
             sections.append("\n".join(lines) + "\n")
     return "\n".join(sections)

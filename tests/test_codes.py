@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from decoq.errors import ShapeError, ValidationError
+from decoq.errors import ConfigError, ShapeError, ValidationError
+from decoq.scenario import parse_scenario
 from decoq.tolerances import CHANNEL_TOL
 from decoq.tensor import DensityMatrix, partial_trace_array, trace_distance
 from decoq.pauli import pauli_string
@@ -30,9 +31,6 @@ from decoq.codes import (
     asymptotic_bound_gap,
     asymptotic_x0,
     build_code,
-    build_five_qubit_code,
-    build_identity_code,
-    build_repetition_code,
     covered_errors,
     encode_logical,
     hamming_gv_check,
@@ -50,7 +48,7 @@ DENSE_REFERENCE_CODES = ("identity", "repetition-3", "repetition-5", "repetition
 # codes whose recovery dilation, 2^n x 2^(n-1), is too large to build
 UNDILATED_CODES = ("steane", "shor", "repetition-9")
 # codes whose Kraus stack, (2^(n-1), 2^n, 2^n), fits in memory: at n = 9 it takes a GiB
-KRAUS_CODES = tuple(name for name, (n, _) in CODES.items() if n <= 7)
+KRAUS_CODES = tuple(name for name, (n, *_) in CODES.items() if n <= 7)
 
 
 def syndrome_space_projectors(code) -> dict:
@@ -83,7 +81,7 @@ def test_projectors_resolve_identity(name):
 
 
 def test_projectors_mutually_orthogonal():
-    code = build_five_qubit_code()
+    code = build_code("five_qubit")
     projs = list(syndrome_space_projectors(code).values())
     assert len(projs) == 16
     for i, p in enumerate(projs):
@@ -94,7 +92,7 @@ def test_projectors_mutually_orthogonal():
 
 def test_five_qubit_cosets_span_register():
     # the encoded basis times the 16 covered errors fills all 32 dimensions
-    code = build_five_qubit_code()
+    code = build_code("five_qubit")
     columns = []
     for err in covered_errors(code):
         e = pauli_string(err)
@@ -106,17 +104,17 @@ def test_five_qubit_cosets_span_register():
 
 
 def test_covered_error_counts():
-    assert sum(1 for _ in covered_errors(build_repetition_code(5))) == 16
-    assert sum(1 for _ in covered_errors(build_five_qubit_code())) == 16
-    assert sum(1 for _ in covered_errors(build_repetition_code(3))) == 4
-    assert sum(1 for _ in covered_errors(build_identity_code())) == 1
+    assert sum(1 for _ in covered_errors(build_code("repetition-5"))) == 16
+    assert sum(1 for _ in covered_errors(build_code("five_qubit"))) == 16
+    assert sum(1 for _ in covered_errors(build_code("repetition-3"))) == 4
+    assert sum(1 for _ in covered_errors(build_code("identity"))) == 1
 
 
 def test_error_class_letters():
-    rep = build_repetition_code(3)
+    rep = build_code("repetition-3")
     assert rep.error_class == AMPLITUDE_ONLY
     assert all(set(v) <= {0, 1} for v in covered_errors(rep))
-    five = build_five_qubit_code()
+    five = build_code("five_qubit")
     assert five.error_class == FULL_PAULI
 
 
@@ -202,7 +200,7 @@ def test_recovery_channel_is_complete(name):
 
 def test_ancilla_records_syndrome():
     # after writing, the ancilla holds the syndrome bits as a basis state
-    code = build_repetition_code(3)
+    code = build_code("repetition-3")
     r = recovery_unitary(code)
     psi = encode_logical(code, 1.0, 0.0)
     flipped = pauli_string((0, 1, 0)) @ psi  # error on qubit 2
@@ -218,18 +216,11 @@ def test_ancilla_records_syndrome():
 
 
 def test_repetition_majority_table():
-    code = build_repetition_code(5)
+    code = build_code("repetition-5")
     assert code.k_corr == 2
     assert code.syndrome_table[(0, 0, 0, 0)] == (0, 0, 0, 0, 0)
     for bits, corr in code.syndrome_table.items():
         assert sum(1 for c in corr if c) <= 2
-
-
-def test_repetition_rejects_even_or_tiny():
-    with pytest.raises(ShapeError):
-        build_repetition_code(4)
-    with pytest.raises(ShapeError):
-        build_repetition_code(1)
 
 
 def _parity_bits(basis_index: int, n: int) -> tuple[int, ...]:
@@ -306,9 +297,20 @@ def test_stabilizer_core_matches_dense_reference(name):
     assert np.array_equal(recovery_channel(code), np.stack(kraus))
 
 
-def test_registry_lengths_match_built_codes():
-    # Scenario sizes a run from the registered length without building the code
-    assert {name: build_code(name).n for name in CODES} == {name: n for name, (n, _) in CODES.items()}
+@pytest.mark.parametrize("name", CODES)
+def test_every_row_builds_its_code(name):
+    # a row holds exactly the inputs CodeSpec takes; Scenario sizes a run and checks intro_example from it unbuilt
+    n, generators, k_corr, error_class = CODES[name]
+    code = build_code(name)
+    assert (code.name, code.n, code.k_corr, code.error_class) == (name, n, k_corr, error_class)
+    assert len(generators) == n - 1 and code.generators == generators
+    omegas = ", ".join(["1.0"] * n)
+    text = f"[scenario]\nkind = intro_example\ncode = {name}\n[single_flip]\nomegas = {omegas}\n[pair_flip]\npairs = 1-2:0.8\n"
+    if error_class == AMPLITUDE_ONLY:
+        assert parse_scenario(text).code == name
+    else:
+        with pytest.raises(ConfigError, match="^the flip-drive benchmark runs on a repetition code$"):
+            parse_scenario(text)
 
 
 @pytest.mark.parametrize("name", CODES)
@@ -476,7 +478,7 @@ def test_build_code_unknown():
 
 
 def test_encode_logical_norm_gate():
-    code = build_identity_code()
+    code = build_code("identity")
     with pytest.raises(ValidationError):
         encode_logical(code, 1.0, 1.0)
 

@@ -80,6 +80,23 @@ class TestEnvironmentModel:
         with pytest.raises(ShapeError, match=r"^coupling h\[2\]\[2\] must be 2 x 2, got shape "):
             EnvironmentModel(rho, zero, couplings)
 
+    def test_near_hermitian_couplings_build_v(self):
+        # each z-coupling passes HERMITIAN_TOL alone; unsymmetrized, the n defects add up on V's diagonal blocks
+        drawn = random_environment(5, 2, 1.0, 0.0, 7)
+        couplings = drawn.couplings.copy()
+        couplings[:, 2, 0, 1] += 0.9e-12
+        env = EnvironmentModel(drawn.rho0, drawn.h_env, couplings)
+        assert np.array_equal(env.couplings, (couplings + couplings.conj().swapaxes(-1, -2)) / 2)
+        v = build_noncontact(env)
+        assert np.array_equal(v, v.conj().T)
+
+    def test_hermitian_parts_stored_exact_on_hermitian_input(self, rng):
+        h_env, coupling = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        skewed = h_env + np.triu(np.full((3, 3), 0.5e-12j), 1)
+        env = EnvironmentModel(DensityMatrix(np.eye(3) / 3), skewed, ((coupling, -coupling, 2 * coupling),))
+        assert np.array_equal(env.h_env, env.h_env.conj().T) and np.allclose(env.h_env, h_env, rtol=0, atol=1e-12)
+        assert np.array_equal(env.couplings, np.stack([coupling, -coupling, 2 * coupling])[None])
+
     def test_couplings_stored_complex(self):
         zero = np.zeros((2, 2), dtype=np.int64)
         env = EnvironmentModel(DensityMatrix(np.eye(2) / 2), zero, ((zero, np.eye(2), zero),))

@@ -18,7 +18,7 @@ from decoq.dynamics import (
     random_environment,
     trivial_environment,
 )
-from decoq.codes import asymptotic_x0, build_code, encode_logical, recovery_channel, recovery_unitary
+from decoq.codes import asymptotic_x0, build_code, encode_logical, interaction_order, recovery_channel, recovery_unitary
 from decoq.metrics import (
     ARGMAX_TIE_ULPS,
     CodeErrorResult,
@@ -788,6 +788,21 @@ class TestBounds:
         assert error_bound(0.0, 3, 5.0) == 0.0
         with pytest.raises(ShapeError):
             error_bound(-1.0, 0, 1.0)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: decoq.metrics._checked_errors(np.array([0.5, np.nan])), ValidationError),
+        (lambda: fit_power_law([(t, np.nan if i == 3 else t ** 4) for i, t in enumerate(np.geomspace(0.01, 0.1, 10))]), ValidationError),
+        (lambda: error_bound(np.nan, 1, 1.0), ShapeError),
+        (lambda: error_bound(1.0, 1, np.nan), ShapeError),
+        (lambda: stabilization_bound(1e-3, np.nan, 5), ShapeError),
+        (lambda: stabilization_bound(np.nan, 1.0, 5), ShapeError),
+        (lambda: threshold_time(np.nan), ShapeError),
+        (lambda: interaction_order(build_code("five_qubit"), []), ShapeError),
+    ], ids=["checked-errors", "fit-curve-value", "error-bound-t", "error-bound-norm", "stabilization-coupling",
+            "stabilization-t", "threshold-coupling", "empty-interaction"])
+    def test_nan_and_empty_inputs_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
     def test_stabilization_at_threshold(self):
         x0 = asymptotic_x0()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from decoq.codes import AMPLITUDE_ONLY
 from decoq.errors import ConfigError
 from decoq.scenario import (
     BLOCK_BUDGET,
@@ -321,7 +322,7 @@ def _scenarios(draw):
     n_min, n_max = draw(_ordered(1, span))
     k_min, k_max = draw(_ordered(0, span))
     intro = kind == "intro_example"
-    code = draw(st.sampled_from([c for c in CODES if c.startswith("repetition") or not intro]))
+    code = draw(st.sampled_from([c for c, row in CODES.items() if row[3] == AMPLITUDE_ONLY or not intro]))
     n = CODES[code][0]
     interaction_kind = "non_contact" if kind == "bound_check" else draw(st.sampled_from(("non_contact", "contact")))
     contact = kind in CONTACT_KINDS and interaction_kind == "contact"
