@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 configuration problems (including a file that is
-not UTF-8 text, an output directory that is empty or cannot be created or
-written, and a nan or infinite number), 3 sizing guard (environment x
+not UTF-8 text, an output directory that is empty, that the manifest's
+scenario text could not carry back, or that cannot be created or written, and
+a nan or infinite number), 3 sizing guard (environment x
 register dimension above max_dim, or a count over its budget in
 ``decoq.scenario``) or running out of memory, 4 validation, fit,
 linear-algebra or floating-point (overflow, invalid value) failures at run

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -41,11 +42,12 @@ def _syndromes(errors, generators, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
-    """One logical qubit protected on ``n`` register qubits by n - 1 stabilizer generators.
+    """One logical qubit protected on n register qubits by n - 1 stabilizer generators.
 
     ``generators`` are commuting Pauli index vectors; ``k_corr`` is the number
     of simultaneous single-qubit errors of ``error_class`` that the code
-    corrects.  Everything else is derived from them.  ``encoder`` holds
+    corrects.  Everything else is derived from them: ``n`` is one more than
+    the number of generators, each of which has n letters.  ``encoder`` holds
     Pi |0...0> and Pi |1...1>, normalized, with Pi the code-space projector.
     ``syndrome_table`` maps each syndrome (bit i is 1 where the error
     anticommutes with generator i) to a minimum-weight coset leader, checked
@@ -59,18 +61,20 @@ class CodeSpec:
     """
 
     name: str
-    n: int
     generators: tuple[PauliIndexVector, ...]
     k_corr: int
     error_class: str
+    n: int = field(init=False)
     encoder: np.ndarray = field(init=False, repr=False)
     syndrome_table: dict[tuple[int, ...], PauliIndexVector] = field(init=False, repr=False)
     readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, gens = self.n, tuple(_check_indices(g) for g in self.generators)
-        if n < 1 or len(gens) != n - 1 or any(len(g) != n for g in gens):
-            raise ShapeError(f"a code on n >= 1 qubits needs n - 1 generators of n letters, got n = {n} and {len(gens)}")
+        gens = tuple(_check_indices(g) for g in self.generators)
+        n = len(gens) + 1
+        if any(len(g) != n for g in gens):
+            raise ShapeError(f"{len(gens)} generators fix a code on {n} qubits and need {n} letters each, "
+                             f"got {sorted(set(map(len, gens)))}")
         if self.error_class not in (AMPLITUDE_ONLY, FULL_PAULI):
             raise ShapeError(f"unknown error class {self.error_class!r}")
         enc = _code_space_basis(gens, n)
@@ -88,7 +92,7 @@ class CodeSpec:
         if defect > tol.CHANNEL_TOL:
             raise ValidationError(f"syndrome spaces are not orthonormal, ||W^dag W - 1||_max = {defect:.3e}")
         readout = np.ascontiguousarray(w.conj().T).reshape(-1, 2, dc)
-        for name, value in (("generators", gens), ("encoder", enc), ("syndrome_table", table), ("readout", readout)):
+        for name, value in (("n", n), ("generators", gens), ("encoder", enc), ("syndrome_table", table), ("readout", readout)):
             object.__setattr__(self, name, value)
 
     @property
@@ -105,12 +109,22 @@ class CodeSpec:
         return tuple(sorted(self.syndrome_table))
 
 
-def encode_logical(code: CodeSpec, alpha: complex, beta: complex) -> np.ndarray:
-    """Amplitudes of the encoded register state alpha |0_L> + beta |1_L>, normalized."""
+def _unit_pair(psi_logical) -> tuple[complex, complex, float]:
+    """alpha, beta and |alpha|^2 + |beta|^2 of a logical state ``(alpha, beta)``, whose norm must be 1."""
+    try:
+        alpha, beta = psi_logical
+    except (TypeError, ValueError):
+        raise ShapeError("logical state must be a pair (alpha, beta)") from None
     alpha, beta = complex(alpha), complex(beta)
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm_sq - 1.0) > tol.LOGICAL_NORM_TOL:
         raise ValidationError(f"|alpha|^2 + |beta|^2 = {norm_sq!r} deviates from 1")
+    return alpha, beta, norm_sq
+
+
+def encode_logical(code: CodeSpec, psi_logical) -> np.ndarray:
+    """Amplitudes of the encoded register state alpha |0_L> + beta |1_L> for ``psi_logical = (alpha, beta)``, normalized."""
+    alpha, beta, _ = _unit_pair(psi_logical)
     amps = code.encoder @ np.array([alpha, beta], dtype=complex)
     return amps / np.linalg.norm(amps)
 
@@ -200,21 +214,21 @@ _FIVE_QUBIT_GENERATORS = (
 _HAMMING_ROWS = ((0, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0, 1))
 
 
-# Scenario identifier -> (n, generators, k_corr, error_class): the inputs ``CodeSpec`` derives the code from.
+# Scenario identifier -> (generators, k_corr, error_class): the inputs ``CodeSpec`` derives the code from.
 CODES = {
-    "identity": (1, (), 0, FULL_PAULI),  # no generators, one empty syndrome, no correction
+    "identity": ((), 0, FULL_PAULI),  # no generators, one qubit, one empty syndrome, no correction
     # majority vote: the neighbour parities Z_i Z_(i+1) correct (n-1)/2 amplitude errors; phase errors pass
     **{
-        f"repetition-{n}": (n, tuple(tuple(3 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)), (n - 1) // 2, AMPLITUDE_ONLY)
+        f"repetition-{n}": (tuple(tuple(3 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)), (n - 1) // 2, AMPLITUDE_ONLY)
         for n in (3, 5, 7, 9)
     },
     # perfect: the 16 syndrome spaces, the code space and one per single-qubit Pauli, fill the register
-    "five_qubit": (5, _FIVE_QUBIT_GENERATORS, 1, FULL_PAULI),
+    "five_qubit": (_FIVE_QUBIT_GENERATORS, 1, FULL_PAULI),
     # Steane [[7,1,3]]: one X check and one Z check per Hamming [7,4] parity row
-    "steane": (7, tuple(tuple(letter * bit for bit in row) for letter in (1, 3) for row in _HAMMING_ROWS), 1, FULL_PAULI),
+    "steane": (tuple(tuple(letter * bit for bit in row) for letter in (1, 3) for row in _HAMMING_ROWS), 1, FULL_PAULI),
     # Shor [[9,1,3]]: Z_i Z_(i+1) within each block of three, X on qubits 1-6 and 4-9.  Degenerate (Z errors in
     # one block share a syndrome and act alike); the encoder columns are the textbook |+_L> and |-_L>.
-    "shor": (9, tuple(tuple(3 if q in pair else 0 for q in range(1, 10)) for pair in ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)))
+    "shor": (tuple(tuple(3 if q in pair else 0 for q in range(1, 10)) for pair in ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)))
              + tuple(tuple(1 if lo <= q <= lo + 5 else 0 for q in range(1, 10)) for lo in (1, 4)), 1, FULL_PAULI),
 }
 
@@ -280,7 +294,7 @@ def hamming_gv_check(n: int, k: int) -> BoundsRow:
     Covering side: 2^(n-1) <= sum_{l<=2k} C(n,l) 3^l.
     Both evaluated in exact integer arithmetic.
     """
-    n, k = int(n), int(k)
+    n, k = operator.index(n), operator.index(k)
     if n < 1 or k < 0 or k > n:
         raise ShapeError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
     half_space = 2 ** (n - 1)
@@ -294,7 +308,7 @@ def hamming_gv_check(n: int, k: int) -> BoundsRow:
 
 def min_code_length(k: int) -> int:
     """Smallest register size whose packing bound admits a k-error code."""
-    k = int(k)
+    k = operator.index(k)
     if k < 0:
         raise ShapeError("k must be non-negative")
     n = max(1, k)

@@ -20,6 +20,7 @@ keep their digits, and the maximum over |r| = 1 is found exactly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .errors import FitError, ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
 from .dynamics import EnvironmentModel, build_noncontact, noncontact_strings
-from .codes import CodeSpec, asymptotic_x0, encode_logical, interaction_order
+from .codes import CodeSpec, _unit_pair, asymptotic_x0, encode_logical, interaction_order
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,6 @@ class DecayResult:
         return cycles * sys.float_info.epsilon / dt
 
 
-def _logical_amplitudes(psi_logical) -> tuple[complex, complex]:
-    try:
-        alpha, beta = psi_logical
-    except (TypeError, ValueError):
-        raise ShapeError("logical state must be a pair (alpha, beta)") from None
-    return complex(alpha), complex(beta)
-
-
 def _bloch_pair(theta: float, phi: float) -> tuple[complex, complex]:
     return (
         complex(math.cos(theta / 2.0)),
@@ -91,10 +84,7 @@ def _bloch_pair(theta: float, phi: float) -> tuple[complex, complex]:
 
 def _bloch_vector(psi_logical) -> np.ndarray:
     """Bloch vector of alpha |0_L> + beta |1_L>, after the same norm gate as ``encode_logical``."""
-    alpha, beta = _logical_amplitudes(psi_logical)
-    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm_sq - 1.0) > tol.LOGICAL_NORM_TOL:
-        raise ValidationError(f"|alpha|^2 + |beta|^2 = {norm_sq!r} deviates from 1")
+    alpha, beta, norm_sq = _unit_pair(psi_logical)
     cross = alpha.conjugate() * beta
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(alpha) ** 2 - abs(beta) ** 2]) / norm_sq
 
@@ -368,13 +358,13 @@ class _CorrectionPipeline:
         most d columns (one chunk unless d_e r > d), so no array needs more
         memory than the d x d eigenvectors, whatever ``cycles`` and d_e are.
         """
-        cycles = int(cycles)
+        cycles = operator.index(cycles)
         if cycles < 10:
             raise ShapeError("need at least 10 cycles for a stable rate")
         dts = [float(dt) for dt in dts]
         if not all(0.0 < dt < math.inf for dt in dts):
             raise ShapeError("cycle time must be positive and finite")
-        psi_bar = encode_logical(self.code, *_logical_amplitudes(psi_logical))
+        psi_bar = encode_logical(self.code, psi_logical)
         psi_l = self.code.encoder.conj().T @ psi_bar
         if not dts:
             return []
@@ -497,8 +487,8 @@ def fit_power_law(curve) -> PowerLawFit:
     )
 
 
-def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical, k: int) -> float:
-    """Coefficient of t^(2k+2) in the short-time error, for k the order q of the non-contact V of ``env`` on the code.
+def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical) -> float:
+    """Coefficient of t^(2q+2) in the short-time error, for q the order of the non-contact V of ``env`` on the code.
 
     A product of at most q terms of V reads out with no traceless part, so of
     the order-(q+1) Taylor term of U(t) X only V^(q+1) X counts (the other
@@ -507,19 +497,15 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical, k: i
         sum_s || (1 - P_psi) K_s V^(q+1) (|env_i> (x) |psi_bar>) ||^2 / ((q+1)!)^2
 
     over the environment eigenvectors: q + 1 products with V of the start
-    vectors, reduced by the sphere quadratic.  A k other than q raises ``ShapeError``."""
-    k = int(k)
+    vectors, reduced by the sphere quadratic, with q from ``interaction_order``."""
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
     q = interaction_order(code, noncontact_strings(code.n))
-    if k != q:
-        raise ShapeError(f"k = {k} does not match the order q = {q} of the non-contact coupling on {code.name}")
-
     v, x = build_noncontact(env), _start_vectors(code, env)
-    for _ in range(k + 1):
+    for _ in range(q + 1):
         x = v @ x
     c = _pauli_covariance(code.readout, x[:, None, :], env.dim)
-    return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(k + 1) ** 2
+    return float(_sphere_error(c, _bloch_vector(psi_logical))[0]) / math.factorial(q + 1) ** 2
 
 
 def _power(base: float, exponent: float) -> float:
@@ -535,29 +521,29 @@ def error_bound(t: float, k: int, v_norm: float) -> float:
 
     It is inf where (t ||V||)^(2k+2) passes the largest float; for every
     k < 98 the envelope is then above 1, so it says nothing either way."""
-    t, v_norm, k = float(t), float(v_norm), int(k)
+    t, v_norm, k = float(t), float(v_norm), operator.index(k)
     if not (t >= 0 and v_norm >= 0 and k >= 0):  # NaN fails too
         raise ShapeError("need t >= 0, ||V|| >= 0, k >= 0")
     return _power(t * v_norm, 2 * k + 2) / math.factorial(k + 1) ** 2
 
 
-def stabilization_bound(t: float, coupling_bound: float, n: int, x0: float | None = None) -> float:
+_X0 = asymptotic_x0()  # the asymptotic correctable error fraction of both envelopes, found once
+
+
+def stabilization_bound(t: float, coupling_bound: float, n: int) -> float:
     """Asymptotic envelope (t C e / x0)^(2 x0 n) for a length-n code at the rate edge; inf past the largest float."""
-    t, c = float(t), float(coupling_bound)
-    n = int(n)
+    t, c, n = float(t), float(coupling_bound), operator.index(n)
     if not (t >= 0 and c > 0 and n >= 1):  # NaN fails too
         raise ShapeError("need t >= 0, coupling bound > 0, n >= 1")
-    x0 = asymptotic_x0() if x0 is None else float(x0)
-    return _power(t * c * math.e / x0, 2.0 * x0 * n)
+    return _power(t * c * math.e / _X0, 2.0 * _X0 * n)
 
 
-def threshold_time(coupling_bound: float, x0: float | None = None) -> float:
-    """Time below which the stabilization envelope shrinks with code length."""
+def threshold_time(coupling_bound: float) -> float:
+    """Time x0 / (C e) below which the stabilization envelope shrinks with code length."""
     c = float(coupling_bound)
     if not c > 0:  # NaN fails too
         raise ShapeError("coupling bound must be positive")
-    x0 = asymptotic_x0() if x0 is None else float(x0)
-    return x0 / (c * math.e)
+    return _X0 / (c * math.e)
 
 
 def periodic_correction_decay(

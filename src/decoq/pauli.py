@@ -15,6 +15,7 @@ d_e, form a probability distribution over ranks whenever U is unitary.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -98,7 +99,7 @@ def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
     unbuffered scatter per block adds them in their given order: every entry
     equals the in-order sum of dense krons to the bit.
     """
-    n, de = int(n_qubits), int(env_dim)
+    n, de = operator.index(n_qubits), operator.index(env_dim)
     dc = 2 ** n
     out = np.zeros((de * dc, de * dc), dtype=complex)
     if not terms:
@@ -135,15 +136,15 @@ def anticommutation(strings, others) -> np.ndarray:
     return ((x != 0) & (y != 0) & (x != y)).sum(axis=2) % 2
 
 
-def decompose(u: np.ndarray, env_dim: int, n_qubits: int) -> dict[PauliIndexVector, np.ndarray]:
+def decompose(u: np.ndarray, n_qubits: int) -> dict[PauliIndexVector, np.ndarray]:
     """Error-operator components of an operator on environment (x) register.
 
     Parameters
     ----------
-    u : array of shape (env_dim * 2**n_qubits,) * 2, environment factor first.
-    env_dim : dimension of the environment factor (1 for none).
-    n_qubits : register size; capped at 7 because the loop enumerates 4**n
-        index vectors.
+    u : array of shape (d_e * 2**n_qubits,) * 2, environment factor first;
+        the environment dimension d_e (1 for none) is read off its shape.
+    n_qubits : register size, at least 1; capped at 7 because the loop
+        enumerates 4**n index vectors.
 
     Returns
     -------
@@ -152,19 +153,14 @@ def decompose(u: np.ndarray, env_dim: int, n_qubits: int) -> dict[PauliIndexVect
     threshold are set to exact zeros.
     """
     u = _as_complex(u)
-    if n_qubits < 1:
-        raise ShapeError("need at least one qubit")
-    if n_qubits > tol.MAX_DECOMPOSE_QUBITS:
+    if not 1 <= n_qubits <= tol.MAX_DECOMPOSE_QUBITS:
         raise ShapeError(
-            f"decompose enumerates 4**n index vectors and is capped at "
-            f"n = {tol.MAX_DECOMPOSE_QUBITS}, got {n_qubits}"
+            f"decompose enumerates 4**n index vectors and needs 1 <= n <= {tol.MAX_DECOMPOSE_QUBITS}, got {n_qubits}"
         )
-    if env_dim < 1:
-        raise ShapeError("environment dimension must be at least 1")
     dc = 2 ** n_qubits
-    d = env_dim * dc
-    if u.shape != (d, d):
-        raise ShapeError(f"operator shape {u.shape} does not match env {env_dim} x register {dc}")
+    env_dim = len(u) // dc if u.ndim else 0
+    if not env_dim or u.shape != (env_dim * dc,) * 2:
+        raise ShapeError(f"operator shape {u.shape} is not (d_e 2^n, d_e 2^n) for n = {n_qubits} and some d_e >= 1")
 
     blocks = u.reshape(env_dim, dc, env_dim, dc)
     components: dict[PauliIndexVector, np.ndarray] = {}
@@ -177,6 +173,10 @@ def decompose(u: np.ndarray, env_dim: int, n_qubits: int) -> dict[PauliIndexVect
     return components
 
 
-def reconstruct(components: dict[PauliIndexVector, np.ndarray], env_dim: int, n_qubits: int) -> np.ndarray:
-    """Rebuild the joint operator from its components (inverse of ``decompose``)."""
-    return pauli_sum([(comp, v) for v, comp in components.items()], env_dim, n_qubits)
+def reconstruct(components: dict[PauliIndexVector, np.ndarray]) -> np.ndarray:
+    """Rebuild the joint operator from its components (inverse of ``decompose``); n and d_e are read off them."""
+    terms = [(comp, v) for v, comp in components.items()]
+    if not terms:
+        raise ShapeError("no components to rebuild an operator from")
+    comp, v = terms[0]
+    return pauli_sum(terms, len(np.atleast_1d(comp)), len(v))

@@ -158,7 +158,7 @@ class _Outputs:
         text, dropped = emit_svg(series, axes)
         self.write(name, text)
         if dropped:
-            self.warnings.append(f"{name}: dropped {dropped} non-positive points on log axes")
+            self.warnings.append(f"{name}: dropped {dropped} points that are not finite, or not positive on a log axis")
 
 
 def _fit_rows(label: str, samples) -> list[tuple]:
@@ -169,59 +169,33 @@ def _fit_rows(label: str, samples) -> list[tuple]:
 _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_max", "residual"]
 
 
-def _run_scaling(scenario: Scenario, out: _Outputs, check_bounds: bool) -> None:
+def _run_scaling(scenario: Scenario, out: _Outputs) -> None:
+    """A ``scaling_sweep`` writes the sweep and its fit; a ``bound_check`` the envelopes, and fails on a point above its bound."""
     code, env, v, h, q = _materialize(scenario)
     ts = scenario.times().tolist()
     sups = code_error(code, env, h, ts)
-    points = [(t, sup.value, sup.theta, sup.phi) for t, sup in zip(ts, sups)]
+    es = [sup.value for sup in sups]
     v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
+    bound = [error_bound(t, q, v_norm) for t in ts]
+    check = scenario.kind == "bound_check"
 
-    if check_bounds:
+    if check:
         coupling = env.coupling_bound
-        x0 = asymptotic_x0()
-        rows = []
-        violations = 0
-        for t, e, _, _ in points:
-            rigorous = error_bound(t, q, v_norm)
-            asymptotic = stabilization_bound(t, coupling, code.n, x0)
-            ok = (rigorous > 1.0) or (e <= rigorous + BOUND_SLACK)
-            violations += 0 if ok else 1
-            rows.append((t, e, rigorous, asymptotic, ok))
-        out.csv("bound_check.csv", ["t", "E", "bound", "stab_bound", "ok"], rows)
-        out.csv(
-            "threshold.csv",
-            ["coupling_bound", "x0", "threshold_time"],
-            [(coupling, x0, threshold_time(coupling, x0))],
-        )
-        if scenario.plots:
-            out.svg(
-                "bound_check.svg",
-                [
-                    ("measured", [(t, e) for t, e, *_ in rows]),
-                    ("bound", [(t, b) for t, _, b, *_ in rows]),
-                ],
-                AxesSpec("t", "E", xlog=True, ylog=True, title="error vs rigorous envelope"),
-            )
-        if violations:
-            raise ValidationError(f"{violations} sweep points exceed the rigorous error envelope")
-        return
-
-    sweep_rows = [(t, e, error_bound(t, q, v_norm), theta, phi) for t, e, theta, phi in points]
-    out.csv("sweep.csv", ["t", "E", "bound", "argmax_theta", "argmax_phi"], sweep_rows)
-    out.csv(
-        "fit_summary.csv",
-        _FIT_HEADER,
-        _fit_rows(f"{scenario.kind}:{scenario.code}", [(t, e) for t, e, *_ in points]),
-    )
+        ok = [b > 1.0 or e <= b + BOUND_SLACK for e, b in zip(es, bound)]
+        stab = [stabilization_bound(t, coupling, code.n) for t in ts]
+        out.csv("bound_check.csv", ["t", "E", "bound", "stab_bound", "ok"], zip(ts, es, bound, stab, ok))
+        out.csv("threshold.csv", ["coupling_bound", "x0", "threshold_time"], [(coupling, asymptotic_x0(), threshold_time(coupling))])
+        name, label, title = "bound_check", "measured", "error vs rigorous envelope"
+    else:
+        rows = [(t, sup.value, b, sup.theta, sup.phi) for t, sup, b in zip(ts, sups, bound)]
+        out.csv("sweep.csv", ["t", "E", "bound", "argmax_theta", "argmax_phi"], rows)
+        out.csv("fit_summary.csv", _FIT_HEADER, _fit_rows(f"{scenario.kind}:{scenario.code}", list(zip(ts, es))))
+        name, label, title = "sweep", "E", f"{scenario.code} error sweep"
     if scenario.plots:
-        out.svg(
-            "sweep.svg",
-            [
-                ("E", [(t, e) for t, e, *_ in points]),
-                ("bound", [(t, b) for t, _, b, *_ in sweep_rows]),
-            ],
-            AxesSpec("t", "E", xlog=True, ylog=True, title=f"{scenario.code} error sweep"),
-        )
+        series = [(label, list(zip(ts, es))), ("bound", list(zip(ts, bound)))]
+        out.svg(f"{name}.svg", series, AxesSpec("t", "E", xlog=True, ylog=True, title=title))
+    if check and not all(ok):
+        raise ValidationError(f"{ok.count(False)} sweep points exceed the rigorous error envelope")
 
 
 def _run_intro(scenario: Scenario, out: _Outputs) -> None:
@@ -319,7 +293,7 @@ def run(
 
     with np.errstate(all="raise", under="ignore"):  # an overflow, NaN or division by zero raises FloatingPointError
         if scenario.kind in ("scaling_sweep", "bound_check"):
-            _run_scaling(scenario, out, check_bounds=scenario.kind == "bound_check")
+            _run_scaling(scenario, out)
         elif scenario.kind == "intro_example":
             _run_intro(scenario, out)
         elif scenario.kind == "bounds_table":

@@ -77,6 +77,8 @@ class Scenario:
             raise ConfigError(f"interaction kind must be non_contact or contact, got {self.interaction_kind!r}")
         if not self.out:
             raise ConfigError("[scenario] out, the output directory (also set by --out), must not be empty")
+        if "#" in self.out or self.out.splitlines() != [self.out] or self.out != self.out.strip():
+            raise ConfigError(f"[scenario] out {self.out!r} would not read back from a scenario file: no '#', line break or edge space")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.env_dim < 1:
@@ -127,7 +129,8 @@ class Scenario:
         for pair in unordered:
             if pair[0] == pair[1] or unordered.count(pair) > 1:
                 raise ConfigError(f"pair flip {pair[0]}-{pair[1]} must join two distinct qubits and appear once")
-        n, _, _, error_class = CODES[self.code]  # read off the code's row, without building it
+        generators, _, error_class = CODES[self.code]  # read off the code's row, without building it
+        n = len(generators) + 1
         contact = self.kind in CONTACT_KINDS and self.interaction_kind == "contact"
         if contact:
             if not self.contact_terms:

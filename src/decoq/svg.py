@@ -68,11 +68,11 @@ def _escape(text: str) -> str:
 
 
 def emit_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]], axes: AxesSpec) -> tuple[str, int]:
-    """A line plot as SVG text, and the number of points dropped by log axes.
+    """A line plot as SVG text, and the number of points it cannot place.
 
     ``series`` is a list of (label, [(x, y), ...]) pairs.  Points with a
-    non-positive coordinate on a log axis are dropped and counted rather than
-    plotted.  The caller writes the text.
+    non-finite coordinate, or a non-positive one on a log axis, are dropped
+    and counted rather than plotted.  The caller writes the text.
     """
     dropped = 0
     cleaned: list[tuple[str, list[tuple[float, float]]]] = []
@@ -80,14 +80,14 @@ def emit_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]], axes: 
         keep = []
         for x, y in samples:
             x, y = float(x), float(y)
-            if (axes.xlog and x <= 0.0) or (axes.ylog and y <= 0.0):
+            if not (math.isfinite(x) and math.isfinite(y)) or (axes.xlog and x <= 0.0) or (axes.ylog and y <= 0.0):
                 dropped += 1
                 continue
             keep.append((x, y))
         cleaned.append((str(label), keep))
     points = [p for _, samples in cleaned for p in samples]
     if not points:
-        raise ShapeError("nothing to plot after filtering log-incompatible points")
+        raise ShapeError("nothing to plot after dropping non-finite points and non-positive ones on log axes")
 
     x_lo, y_lo = min(x for x, _ in points), min(y for _, y in points)
     x_ticks, fx_lo, fx_hi = _axis(x_lo, max(x for x, _ in points), axes.xlog)

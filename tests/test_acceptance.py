@@ -72,7 +72,7 @@ def exponent_law_data():
         pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env) + v)
         curve = tuple(zip(ts.tolist(), _state_error(pipeline.covariances(ts), PSI).tolist()))
         fit = fit_power_law(curve)
-        c13 = leading_coefficient(code, env, PSI, 1)
+        c13 = leading_coefficient(code, env, PSI)
         data[seed] = {"curve": curve, "fit": fit, "c13": c13, "v_norm": operator_norm(v)}
     return {"seeds": data, "elapsed": time.monotonic() - started}
 
@@ -85,8 +85,8 @@ def test_criterion_01_decomposition_round_trip(rng):
     for i in range(50):
         de, n = cases[i % len(cases)]
         u = random_unitary(rng, de * 2 ** n)
-        comps = decompose(u, de, n)
-        recon = reconstruct(comps, de, n)
+        comps = decompose(u, n)
+        recon = reconstruct(comps)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - u))))
         weight = sum(float(np.linalg.norm(a) ** 2) for a in comps.values())
         worst_weight = max(worst_weight, abs(weight - de))
@@ -239,7 +239,7 @@ def test_criterion_08_recovery_equivalence(rng):
         for _ in range(draws):
             raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             raw = raw / np.linalg.norm(raw)
-            psi = encode_logical(code, raw[0], raw[1])
+            psi = encode_logical(code, raw)
             err = errors[int(rng.integers(0, len(errors)))]
             corrupted = pauli_string(err) @ psi
             rho = np.outer(corrupted, corrupted.conj())

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 
@@ -10,7 +11,8 @@ from decoq.errors import ConfigError, ShapeError, ValidationError
 from decoq.scenario import parse_scenario
 from decoq.tolerances import CHANNEL_TOL
 from decoq.tensor import DensityMatrix, partial_trace_array, trace_distance
-from decoq.pauli import pauli_string
+from decoq.pauli import decompose, pauli_string, reconstruct
+from decoq.runner import _run_scaling
 from decoq.dynamics import (
     EnvironmentModel,
     build_noncontact,
@@ -20,7 +22,15 @@ from decoq.dynamics import (
     random_environment,
     trivial_environment,
 )
-from decoq.metrics import _CorrectionPipeline, _sphere_suprema, _state_error, fit_power_law
+from decoq.metrics import (
+    _CorrectionPipeline,
+    _sphere_suprema,
+    _state_error,
+    fit_power_law,
+    leading_coefficient,
+    stabilization_bound,
+    threshold_time,
+)
 from decoq.codes import (
     AMPLITUDE_ONLY,
     CODES,
@@ -48,7 +58,7 @@ DENSE_REFERENCE_CODES = ("identity", "repetition-3", "repetition-5", "repetition
 # codes whose recovery dilation, 2^n x 2^(n-1), is too large to build
 UNDILATED_CODES = ("steane", "shor", "repetition-9")
 # codes whose Kraus stack, (2^(n-1), 2^n, 2^n), fits in memory: at n = 9 it takes a GiB
-KRAUS_CODES = tuple(name for name, (n, *_) in CODES.items() if n <= 7)
+KRAUS_CODES = tuple(name for name, (generators, *_) in CODES.items() if len(generators) + 1 <= 7)
 
 
 def syndrome_space_projectors(code) -> dict:
@@ -161,7 +171,7 @@ def test_interaction_order_rule(name, strings, q):
 def test_recovery_reverses_covered_errors(name):
     # up to the recorded correction's global phase the channel output is exact
     code = build_code(name)
-    psi = encode_logical(code, 0.6, 0.8j)
+    psi = encode_logical(code, (0.6, 0.8j))
     target = np.outer(psi, psi.conj())
     kraus = recovery_channel(code)
     worst = 0.0
@@ -202,7 +212,7 @@ def test_ancilla_records_syndrome():
     # after writing, the ancilla holds the syndrome bits as a basis state
     code = build_code("repetition-3")
     r = recovery_unitary(code)
-    psi = encode_logical(code, 1.0, 0.0)
+    psi = encode_logical(code, (1.0, 0.0))
     flipped = pauli_string((0, 1, 0)) @ psi  # error on qubit 2
     joint = r @ np.kron(flipped, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
     anc = partial_trace_array(np.outer(joint, joint.conj()), (8, 4), (1,))
@@ -300,10 +310,11 @@ def test_stabilizer_core_matches_dense_reference(name):
 @pytest.mark.parametrize("name", CODES)
 def test_every_row_builds_its_code(name):
     # a row holds exactly the inputs CodeSpec takes; Scenario sizes a run and checks intro_example from it unbuilt
-    n, generators, k_corr, error_class = CODES[name]
+    generators, k_corr, error_class = CODES[name]
     code = build_code(name)
-    assert (code.name, code.n, code.k_corr, code.error_class) == (name, n, k_corr, error_class)
-    assert len(generators) == n - 1 and code.generators == generators
+    n = len(generators) + 1
+    assert (code.name, code.k_corr, code.error_class) == (name, k_corr, error_class)
+    assert code.generators == generators and all(len(g) == code.n == n for g in generators)
     omegas = ", ".join(["1.0"] * n)
     text = f"[scenario]\nkind = intro_example\ncode = {name}\n[single_flip]\nomegas = {omegas}\n[pair_flip]\npairs = 1-2:0.8\n"
     if error_class == AMPLITUDE_ONLY:
@@ -355,13 +366,28 @@ def test_equality_of_records_holding_arrays_is_identity(make):
 
 
 @pytest.mark.parametrize("record, inputs", [
-    (CodeSpec, ("name", "n", "generators", "k_corr", "error_class")),
+    (CodeSpec, ("name", "generators", "k_corr", "error_class")),
     (EnvironmentModel, ("rho0", "h_env", "couplings")),
     (DensityMatrix, ("array",)),
 ], ids=["CodeSpec", "EnvironmentModel", "DensityMatrix"])
 def test_records_take_only_their_defining_inputs(record, inputs):
     # everything else a record holds is derived in __post_init__
     assert tuple(f.name for f in dataclasses.fields(record) if f.init) == inputs
+
+
+def test_calls_take_only_inputs_they_cannot_derive():
+    # n and d_e come off the arrays, q off the code and coupling, x0 is one constant, the scaling kind off the scenario
+    signatures = {
+        leading_coefficient: ("code", "env", "psi_logical"),
+        stabilization_bound: ("t", "coupling_bound", "n"),
+        threshold_time: ("coupling_bound",),
+        decompose: ("u", "n_qubits"),
+        reconstruct: ("components",),
+        encode_logical: ("code", "psi_logical"),
+        _run_scaling: ("scenario", "out"),
+    }
+    for function, inputs in signatures.items():
+        assert tuple(inspect.signature(function).parameters) == inputs, function.__name__
 
 
 def test_repetition_seven_registered():
@@ -373,20 +399,19 @@ def test_repetition_seven_registered():
 def test_rejects_two_leaders_on_one_syndrome():
     # under full Pauli noise the bit-flip checks cannot tell z1 from no error
     with pytest.raises(ValidationError, match="syndrome collision"):
-        CodeSpec("bad", 3, [(3, 3, 0), (0, 3, 3)], 1, FULL_PAULI)
+        CodeSpec("bad", [(3, 3, 0), (0, 3, 3)], 1, FULL_PAULI)
 
 
-@pytest.mark.parametrize("n, generators, k_corr, error_class, error, message", [
-    (3, [(3, 3, 0)], 1, FULL_PAULI, ShapeError, r"^a code on n >= 1 qubits needs n - 1 generators of n letters, got n = 3 and 1$"),
-    (-1, [], 0, FULL_PAULI, ShapeError, r"got n = -1 and 0$"),
-    (3, [(0, 0, 1), (0, 0, 2)], 0, FULL_PAULI, ValidationError, r"^generator \(0, 0, 2\) does not fix the encoder"),
-    (2, [(3, 0)], 0, FULL_PAULI, ValidationError, "annihilate"),
-    (2, [(1, 1)], 0, FULL_PAULI, ValidationError, "^encoder columns are not orthonormal$"),
-    (3, [(1, 1, 0), (0, 1, 1)], 0, AMPLITUDE_ONLY, ValidationError, "^errors of class amplitude_only reach only 1 of 4 syndromes$"),
-], ids=["too-few-generators", "negative-n", "y-does-not-fix", "z-annihilates", "xx-not-orthonormal", "x-checks-blind-to-x"])
-def test_rejects_bad_generator_sets(n, generators, k_corr, error_class, error, message):
+@pytest.mark.parametrize("generators, k_corr, error_class, error, message", [
+    ([(3, 3, 0), (3, 3)], 1, FULL_PAULI, ShapeError, r"^2 generators fix a code on 3 qubits and need 3 letters each, got \[2, 3\]$"),
+    ([(0, 0, 1), (0, 0, 2)], 0, FULL_PAULI, ValidationError, r"^generator \(0, 0, 2\) does not fix the encoder"),
+    ([(3, 0)], 0, FULL_PAULI, ValidationError, "annihilate"),
+    ([(1, 1)], 0, FULL_PAULI, ValidationError, "^encoder columns are not orthonormal$"),
+    ([(1, 1, 0), (0, 1, 1)], 0, AMPLITUDE_ONLY, ValidationError, "^errors of class amplitude_only reach only 1 of 4 syndromes$"),
+], ids=["wrong-length", "y-does-not-fix", "z-annihilates", "xx-not-orthonormal", "x-checks-blind-to-x"])
+def test_rejects_bad_generator_sets(generators, k_corr, error_class, error, message):
     with pytest.raises(error, match=message):
-        CodeSpec("bad", n, generators, k_corr, error_class)
+        CodeSpec("bad", generators, k_corr, error_class)
 
 
 def test_degenerate_leaders_accepted():
@@ -440,7 +465,7 @@ def test_recovery_without_dilation(name, rng):
     for _ in range(100):
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         raw = raw / np.linalg.norm(raw)
-        psi = encode_logical(code, raw[0], raw[1])
+        psi = encode_logical(code, raw)
         corrupted = pauli_string(errors[int(rng.integers(0, len(errors)))]) @ psi
         logical = code.readout @ corrupted  # K_s corrupted = encoder logical[s]
         worst = max(worst, trace_distance(logical.T @ logical.conj(), np.outer(raw, raw.conj())))
@@ -480,7 +505,7 @@ def test_build_code_unknown():
 def test_encode_logical_norm_gate():
     code = build_code("identity")
     with pytest.raises(ValidationError):
-        encode_logical(code, 1.0, 1.0)
+        encode_logical(code, (1.0, 1.0))
 
 
 class TestBoundsArithmetic:

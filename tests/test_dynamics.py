@@ -343,7 +343,7 @@ class TestInteractions:
         v = build_noncontact(env)
         u_plus = expm_hermitian(free_hamiltonian(env), -0.83)  # exp(+i H0 t)
         v_t = u_plus @ v @ u_plus.conj().T
-        for idx, comp in decompose(v_t, 3, 2).items():
+        for idx, comp in decompose(v_t, 2).items():
             if np.any(comp):
                 assert np.count_nonzero(idx) <= 1
 

@@ -151,6 +151,34 @@ def test_envelopes_past_the_largest_float_are_inf():
     assert error_bound(1e-3, 1, 1.0) == 1e-3 ** 4 / 4  # unchanged below the overflow
 
 
+def test_infinite_envelope_is_dropped_from_the_plot(tmp_path):
+    # past the largest float the bound is inf: the CSV keeps it, the plot drops it and warns in the manifest
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(with_value(SHIPPED["bound_check"], "environment", "coupling_bound", "1e200"), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "plot")]) == 0
+        assert main(["run", str(cfg), "--out", str(tmp_path / "plain"), "--no-svg"]) == 0
+    manifest = json.loads((tmp_path / "plot" / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["files"]) == ["bound_check.csv", "bound_check.svg", "threshold.csv"]
+    assert manifest["warnings"] == ["bound_check.svg: dropped 14 points that are not finite, or not positive on a log axis"]
+    for name in ("bound_check.csv", "threshold.csv"):
+        assert (tmp_path / "plot" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert (tmp_path / "plain" / "bound_check.csv").read_text(encoding="utf-8").splitlines()[1].split(",")[2] == "inf"
+
+
+def test_out_that_would_not_read_back_exits_2(tmp_path, monkeypatch):
+    # '#' would start a comment in the manifest's scenario text, so the run is refused before anything is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(SHIPPED["bounds_table"], encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["run", "s.cfg", "--out", "x#y"]) == 2
+    assert err.getvalue().splitlines() == [
+        "config error: [scenario] out 'x#y' would not read back from a scenario file: no '#', line break or edge space"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
+
+
 _KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
 
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import decoq.metrics
+import decoq.pauli
 from decoq.errors import FitError, ShapeError, ValidationError
 from decoq.tensor import DensityMatrix, operator_norm
 from decoq.pauli import pauli_string
@@ -15,10 +16,20 @@ from decoq.dynamics import (
     build_noncontact,
     contact_hamiltonian,
     free_hamiltonian,
+    noncontact_strings,
     random_environment,
     trivial_environment,
 )
-from decoq.codes import asymptotic_x0, build_code, encode_logical, interaction_order, recovery_channel, recovery_unitary
+from decoq.codes import (
+    asymptotic_x0,
+    build_code,
+    encode_logical,
+    hamming_gv_check,
+    interaction_order,
+    min_code_length,
+    recovery_channel,
+    recovery_unitary,
+)
 from decoq.metrics import (
     ARGMAX_TIE_ULPS,
     CodeErrorResult,
@@ -62,7 +73,7 @@ class DilationReference:
 
     def __call__(self, psi_logical) -> float:
         de, dc, da = self.env.dim, self.code.register_dim, self.code.ancilla_dim
-        psi_bar = encode_logical(self.code, *psi_logical)
+        psi_bar = encode_logical(self.code, psi_logical)
         total = 0.0
         for wi, evec in zip(self.env_weights, self.env_vecs.T):
             if wi <= 1e-15:
@@ -79,7 +90,7 @@ class DilationReference:
 def dense_periodic_reference(code, env, h, dt, cycles, psi_logical, corrected):
     """Fidelity trace on the full joint density matrix: one ``exp(-i h dt)`` step per
     cycle, then every kron(1_env, K_s) of the recovery channel."""
-    psi_bar = encode_logical(code, *psi_logical)
+    psi_bar = encode_logical(code, psi_logical)
     eye_e = np.eye(env.dim)
     p_full = np.kron(eye_e, np.outer(psi_bar, psi_bar.conj()))
     rho = np.kron(env.rho0.array, np.outer(psi_bar, psi_bar.conj()))
@@ -734,17 +745,17 @@ class TestLeadingCoefficient:
         # V^(k+1) differs from W by the products that repeat a qubit, which have weight <= k and no traceless readout
         code = build_code(name)
         env = random_environment(code.n, de, beta=0.3, seed=7)
+        assert interaction_order(code, noncontact_strings(code.n)) == k
         want = permutation_coefficient(code, env, PSI, k)
         assert want > 1.0
-        assert leading_coefficient(code, env, PSI, k) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert leading_coefficient(code, env, PSI) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_repetition_takes_the_order_of_the_coupling(self):
         # y and z pass a repetition code, so the non-contact coupling has order 0 there and E falls as t^2
         code = build_code("repetition-3")
         env = random_environment(3, 2, seed=42)
-        with pytest.raises(ShapeError, match="order q = 0"):
-            leading_coefficient(code, env, PSI, 1)
-        c = leading_coefficient(code, env, PSI, 0)
+        assert interaction_order(code, noncontact_strings(3)) == 0
+        c = leading_coefficient(code, env, PSI)
         t = 1e-5
         e = _state_error(_CorrectionPipeline(code, env, free_hamiltonian(env) + build_noncontact(env)).covariances([t]), PSI)[0]
         assert c == pytest.approx(2.3567955, rel=1e-7)
@@ -755,7 +766,7 @@ class TestLeadingCoefficient:
         env, h = dephasing_environment(rng, 3)
         code = build_code("identity")
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        c = leading_coefficient(code, env, psi_plus, 0)
+        c = leading_coefficient(code, env, psi_plus)
         expected = np.trace(env.rho0.array @ h @ h).real
         assert c == pytest.approx(expected, rel=1e-10)
 
@@ -764,7 +775,7 @@ class TestLeadingCoefficient:
         code = build_code("identity")
         v = build_noncontact(env)
         psi_plus = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        c = leading_coefficient(code, env, psi_plus, 0)
+        c = leading_coefficient(code, env, psi_plus)
         t = 1e-4
         e = _state_error(_CorrectionPipeline(code, env, v).covariances([t]), psi_plus)[0]
         assert e / t ** 2 == pytest.approx(c, rel=1e-6)
@@ -772,13 +783,7 @@ class TestLeadingCoefficient:
     def test_zero_coupling_gives_zero(self):
         env = random_environment(5, 2, coupling_bound=0.0, seed=5)
         code = build_code("five_qubit")
-        assert leading_coefficient(code, env, PSI, 1) == 0.0
-
-    def test_k_mismatch_rejected(self):
-        env = random_environment(5, 2, seed=5)
-        code = build_code("five_qubit")
-        with pytest.raises(ShapeError):
-            leading_coefficient(code, env, PSI, 2)
+        assert leading_coefficient(code, env, PSI) == 0.0
 
 
 class TestBounds:
@@ -804,16 +809,33 @@ class TestBounds:
         with pytest.raises(error):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda count: error_bound(1e-3, count(1.5), 1.0),
+        lambda count: stabilization_bound(1e-3, 1.0, count(5.5)),
+        lambda count: hamming_gv_check(count(5.5), 1),
+        lambda count: min_code_length(count(1.5)),
+        lambda count: periodic_correction_decay(
+            build_code("identity"), trivial_environment(1), pauli_string((3,)), 0.1, count(10.7), PSI
+        ),
+        lambda count: decoq.pauli.pauli_sum([(1.0, (1,))], count(1.7), 1),
+    ], ids=["error-bound-k", "stabilization-n", "hamming-gv-n", "min-code-length-k", "periodic-cycles", "pauli-sum-env-dim"])
+    def test_fractional_counts_rejected(self, call):
+        # a count is an integer: a float raises instead of being cut to one, and a numpy integer is one
+        with pytest.raises(TypeError):
+            call(float)
+        call(lambda x: np.int64(math.floor(x)))
+
     def test_stabilization_at_threshold(self):
         x0 = asymptotic_x0()
         c = 1.3
-        t_star = threshold_time(c, x0)
-        assert stabilization_bound(t_star, c, 7, x0) == pytest.approx(1.0, abs=1e-12)
+        t_star = threshold_time(c)
+        assert t_star == x0 / (c * math.e)
+        assert stabilization_bound(t_star, c, 7) == pytest.approx(1.0, abs=1e-12)
         # below threshold longer codes help, above they hurt
         below = 0.5 * t_star
         above = 2.0 * t_star
-        assert stabilization_bound(below, c, 10, x0) < stabilization_bound(below, c, 5, x0)
-        assert stabilization_bound(above, c, 10, x0) > stabilization_bound(above, c, 5, x0)
+        assert stabilization_bound(below, c, 10) < stabilization_bound(below, c, 5)
+        assert stabilization_bound(above, c, 10) > stabilization_bound(above, c, 5)
 
 
 class TestPeriodicCorrection:

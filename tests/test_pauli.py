@@ -29,7 +29,7 @@ def error_rank(v) -> int:
 def rank_weights(u: np.ndarray, env_dim: int, n_qubits: int) -> list[float]:
     """||A_v||_F^2 / d_e over the components A_v of ``decompose``, summed per error rank."""
     weights = [0.0] * (n_qubits + 1)
-    for v, comp in decompose(u, env_dim, n_qubits).items():
+    for v, comp in decompose(u, n_qubits).items():
         weights[error_rank(v)] += float(np.linalg.norm(comp) ** 2) / env_dim
     return weights
 
@@ -85,9 +85,9 @@ def test_full_basis_reconstruct_in_blocks_equals_one_scatter(rng, monkeypatch):
         for v in itertools.product(range(4), repeat=n)
     }
     assert decoq.pauli._SUM_BLOCK_ENTRIES < len(comps) * 2 ** n * (n + de * de)
-    blocked = reconstruct(comps, de, n)
+    blocked = reconstruct(comps)
     monkeypatch.setattr(decoq.pauli, "_SUM_BLOCK_ENTRIES", len(comps) * 2 ** n * (n + de * de))
-    assert np.array_equal(blocked, reconstruct(comps, de, n))
+    assert np.array_equal(blocked, reconstruct(comps))
 
 
 def test_pauli_sum_rejects_mismatched_terms():
@@ -134,7 +134,7 @@ class TestDecompose:
         blocks = u.reshape(de, 2, de, 2)
         a00, a11 = blocks[:, 0, :, 0], blocks[:, 1, :, 1]
         a01, a10 = blocks[:, 0, :, 1], blocks[:, 1, :, 0]
-        comps = decompose(u, de, 1)
+        comps = decompose(u, 1)
         assert np.allclose(comps[(0,)], (a00 + a11) / 2, atol=1e-12)
         assert np.allclose(comps[(3,)], (a00 - a11) / 2, atol=1e-12)
         assert np.allclose(comps[(1,)], (a10 + a01) / 2, atol=1e-12)
@@ -143,8 +143,8 @@ class TestDecompose:
     def test_round_trip_random_unitary(self, rng):
         for de, n in ((1, 2), (2, 2), (3, 1)):
             u = random_unitary(rng, de * 2 ** n)
-            comps = decompose(u, de, n)
-            assert np.max(np.abs(reconstruct(comps, de, n) - u)) < 1e-12
+            comps = decompose(u, n)
+            assert np.max(np.abs(reconstruct(comps) - u)) < 1e-12
 
     def test_uniqueness_from_components(self, rng):
         # decompose inverts reconstruct on arbitrary component dictionaries
@@ -153,31 +153,36 @@ class TestDecompose:
             v: rng.standard_normal((de, de)) + 1j * rng.standard_normal((de, de))
             for v in itertools.product(range(4), repeat=n)
         }
-        recovered = decompose(reconstruct(comps, de, n), de, n)
+        recovered = decompose(reconstruct(comps), n)
         for v in comps:
             assert np.allclose(recovered[v], comps[v], atol=1e-12)
 
     def test_component_count(self, rng):
-        comps = decompose(random_unitary(rng, 8), 1, 3)
+        comps = decompose(random_unitary(rng, 8), 3)
         assert len(comps) == 4 ** 3
 
     def test_qubit_cap(self):
         with pytest.raises(ShapeError):
-            decompose(np.eye(2 ** 8), 1, 8)
+            decompose(np.eye(2 ** 8), 8)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            decompose(np.eye(6), 2, 2)
+            decompose(np.eye(6), 2)
+
+    def test_reconstruct_of_nothing_rejected(self):
+        # n and d_e are read off the components, so an empty dict names no operator
+        with pytest.raises(ShapeError, match="no components"):
+            reconstruct({})
 
     def test_rank_one_products_stay_low_rank(self):
         # a product of k single-qubit factors involves at most k qubits
         n = 3
         prod = pauli_string(one_letter(1, 1, n)) @ pauli_string(one_letter(2, 1, n))  # same qubit twice: rank 1
-        for v, comp in decompose(prod, 1, n).items():
+        for v, comp in decompose(prod, n).items():
             if np.any(comp):
                 assert error_rank(v) <= 1
         prod2 = pauli_string(one_letter(1, 1, n)) @ pauli_string(one_letter(3, 2, n))
-        for v, comp in decompose(prod2, 1, n).items():
+        for v, comp in decompose(prod2, n).items():
             if np.any(comp):
                 assert error_rank(v) <= 2
 
