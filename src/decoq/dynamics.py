@@ -121,9 +121,22 @@ def random_environment(
     return EnvironmentModel(rho0, h_env, h)
 
 
-def free_hamiltonian(env: EnvironmentModel) -> np.ndarray:
-    """The free part h_env (x) 1 on environment (x) register; the register has no free term."""
-    return np.kron(env.h_env, np.eye(2 ** env.n_qubits, dtype=complex))
+def free_hamiltonian(env: EnvironmentModel, onto: np.ndarray | None = None) -> np.ndarray:
+    """The free part h_env (x) 1 on environment (x) register; the register has no free term.
+
+    With ``onto``, a complex d x d array such as V, h_env (x) 1 is added to it
+    in place and ``onto`` is returned, equal to ``free_hamiltonian(env) + onto``
+    with no second d x d array made: only the register diagonal of each
+    environment block (e, f) moves, by h_env[e, f]."""
+    dc = 2 ** env.n_qubits
+    if onto is None:
+        return np.kron(env.h_env, np.eye(dc, dtype=complex))
+    d = env.dim * dc
+    if not (isinstance(onto, np.ndarray) and onto.shape == (d, d) and onto.dtype == complex and onto.flags.c_contiguous):
+        raise ShapeError(f"the free part goes onto a C-contiguous complex {d} x {d} array, got shape {np.shape(onto)}")
+    diagonals = np.einsum("eifi->efi", onto.reshape(env.dim, dc, env.dim, dc))  # a writeable view of onto
+    diagonals += env.h_env[:, :, None]
+    return onto
 
 
 def noncontact_strings(n_qubits: int) -> list[tuple[int, ...]]:

@@ -85,8 +85,9 @@ def pauli_action(strings) -> tuple[np.ndarray, np.ndarray]:
     return rows ^ flips[:, None], phase
 
 
-# Entries, counted per term as 2^n (n + d_e^2), that one block of ``pauli_sum`` holds at once.
-_SUM_BLOCK_ENTRIES = 2 ** 18
+# Entries, counted per term as 2^n (n + d_e^2), that one block of ``pauli_sum`` holds at once: about 150 KB of
+# indices and values, so a block's scratch is reused from the heap rather than mapped in fresh on every call.
+_SUM_BLOCK_ENTRIES = 2 ** 13
 
 
 def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
@@ -105,7 +106,10 @@ def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
     if not terms:
         return out
     ops, strings = zip(*terms)
-    a = _as_complex(ops)
+    try:
+        a = _as_complex(ops)
+    except ValueError:  # coefficients of several shapes do not stack
+        raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got several shapes") from None
     if a.shape[1:] != (de, de) and not (de == 1 and a.ndim == 1):
         raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got shape {a.shape[1:]}")
     d = de * dc

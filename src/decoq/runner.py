@@ -101,8 +101,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+# The kinds whose CSVs print the envelope on ||V||, and so take the norm.
+_SCALING_KINDS = ("scaling_sweep", "bound_check")
+
+
 def _materialize(scenario: Scenario):
-    """Build the code, the environment, the interaction V, the joint Hamiltonian H = h_env (x) 1 + V and V's order q."""
+    """Build the code, the environment, the joint Hamiltonian H = h_env (x) 1 + V, V's order q and ||V||.
+
+    ||V|| is taken for the ``_SCALING_KINDS`` only (None for the others),
+    before V's own array becomes H: no other d x d array is made."""
     code = build_code(scenario.code)
     if scenario.interaction_kind == "contact":
         env = trivial_environment(code.n)
@@ -115,7 +122,10 @@ def _materialize(scenario: Scenario):
         env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, scenario.seed)
         v = build_noncontact(env)
         strings = noncontact_strings(code.n)
-    return code, env, v, free_hamiltonian(env) + v, interaction_order(code, strings)
+    v_norm = None
+    if scenario.kind in _SCALING_KINDS:
+        v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
+    return code, env, free_hamiltonian(env, onto=v), interaction_order(code, strings), v_norm
 
 
 def _overwrite(path: str, data: bytes) -> None:
@@ -171,11 +181,10 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 
 def _run_scaling(scenario: Scenario, out: _Outputs) -> None:
     """A ``scaling_sweep`` writes the sweep and its fit; a ``bound_check`` the envelopes, and fails on a point above its bound."""
-    code, env, v, h, q = _materialize(scenario)
+    code, env, h, q, v_norm = _materialize(scenario)
     ts = scenario.times().tolist()
     sups = code_error(code, env, h, ts)
     es = [sup.value for sup in sups]
-    v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
     bound = [error_bound(t, q, v_norm) for t in ts]
     check = scenario.kind == "bound_check"
 
@@ -243,7 +252,7 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
 
 
 def _run_periodic(scenario: Scenario, out: _Outputs) -> None:
-    code, env, _, h, _ = _materialize(scenario)
+    code, env, h, _, _ = _materialize(scenario)
     pipeline = _CorrectionPipeline(code, env, h)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     dts = [math.ldexp(scenario.dt, -i) for i in range(scenario.halvings + 1)]
@@ -292,7 +301,7 @@ def run(
     out = _Outputs(scenario.out)
 
     with np.errstate(all="raise", under="ignore"):  # an overflow, NaN or division by zero raises FloatingPointError
-        if scenario.kind in ("scaling_sweep", "bound_check"):
+        if scenario.kind in _SCALING_KINDS:
             _run_scaling(scenario, out)
         elif scenario.kind == "intro_example":
             _run_intro(scenario, out)

@@ -193,6 +193,24 @@ class TestFreeHamiltonian:
             env = random_environment(5, de, seed=de)
             assert free_hamiltonian(env).tobytes() == kron_free_matrix(env).tobytes(), de
 
+    @pytest.mark.parametrize("de", [1, 2, 8])
+    def test_onto_adds_the_free_part_in_place(self, rng, de):
+        # a non-diagonal h_env: block (e, f) of V gains h_env[e, f] on its register diagonal
+        drawn = random_environment(3, de, seed=de)
+        env = EnvironmentModel(drawn.rho0, random_hermitian(rng, de), drawn.couplings)
+        v = build_noncontact(env)
+        expected = free_hamiltonian(env) + v
+        h = free_hamiltonian(env, onto=v)
+        assert h is v
+        assert np.array_equal(h, expected) and h.tobytes() == expected.tobytes()
+
+    def test_onto_needs_the_joint_array(self):
+        env = random_environment(2, 2, seed=3)
+        v = build_noncontact(env)
+        for onto in (v[:4, :4], v.real.copy(), v.T, v.tolist()):
+            with pytest.raises(ShapeError, match="C-contiguous complex 8 x 8 array"):
+                free_hamiltonian(env, onto=onto)
+
 
 def drawn_couplings(n: int, de: int, coupling_bound: float, seed: int) -> list[np.ndarray]:
     """Reference draw: one coupling at a time, real then imaginary part, each rescaled to its own norm."""

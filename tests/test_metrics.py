@@ -410,6 +410,18 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+def horner_out_of_place(terms, times, tau, mu, minus_one):
+    """Reference for ``_taylor_sums``: the same Horner's rule with a new array per step."""
+    steps = -1j * (times / tau)[:, None]
+    acc = terms[-1][:, None, :]
+    for p in reversed(terms[1:-1]):
+        acc = p[:, None, :] + steps * acc
+    x, s = terms[0][:, None, :], steps * acc
+    if minus_one:
+        return np.expm1(-1j * mu * times)[:, None] * (x + s) + s
+    return np.exp(-1j * mu * times)[:, None] * (x + s)
+
+
 class TestTaylorPropagation:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_eigendecomposition(self, seed, eigh_sizes):
@@ -435,6 +447,20 @@ class TestTaylorPropagation:
                 assert abs(got.theta - want.theta) <= 1e-7
                 assert abs(math.remainder(got.phi - want.phi, 2.0 * math.pi)) <= 1e-7
             np.testing.assert_allclose(_state_error(taylor, PSI), _state_error(dense, PSI), rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_in_place_horner_bit_identical_to_out_of_place(self, seed):
+        pipeline = _CorrectionPipeline(*wide_model(seed))
+        mu, norm, t_edge = taylor_radius(pipeline)
+        shifted = pipeline.h - mu * np.eye(len(pipeline.h))
+        terms = _taylor_terms(shifted, pipeline.start, 1.0 / norm)
+        times = np.array(WIDE_GRID + (t_edge,))
+        for minus_one in (False, True):
+            want = horner_out_of_place(terms, times, 1.0 / norm, mu, minus_one)
+            assert _taylor_sums(terms, times, 1.0 / norm, mu, minus_one).tobytes() == want.tobytes()
+            out = np.full((len(shifted), len(times) + 2, pipeline.start.shape[1]), np.nan, dtype=complex)
+            _taylor_sums(terms, times, 1.0 / norm, mu, minus_one, out[:, 1:-1])  # into a strided view
+            assert out[:, 1:-1].tobytes() == want.tobytes() and np.isnan(out[:, [0, -1]]).all()
 
     def test_dense_below_taylor_dimension(self, eigh_sizes):
         pipeline = _CorrectionPipeline(*shipped_model("five_qubit", 1))

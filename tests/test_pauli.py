@@ -90,6 +90,16 @@ def test_full_basis_reconstruct_in_blocks_equals_one_scatter(rng, monkeypatch):
     assert np.array_equal(blocked, reconstruct(comps))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: pauli_sum([(np.eye(2), (1,)), (np.eye(3), (1,))], 2, 1),
+    lambda: pauli_sum([(np.eye(2), (1,)), (1.0, (1,))], 2, 1),
+    lambda: reconstruct({(1,): np.eye(2), (2,): np.eye(3)}),
+], ids=["two-matrix-shapes", "matrix-and-scalar", "reconstruct"])
+def test_coefficients_of_mixed_shapes_rejected(build):
+    with pytest.raises(ShapeError, match="^Pauli-sum coefficients must be 2 x 2, got several shapes$"):
+        build()
+
+
 def test_pauli_sum_rejects_mismatched_terms():
     for a in (np.eye(3), 1.0):  # a scalar stands for a 1 x 1 matrix only
         with pytest.raises(ShapeError, match="must be 2 x 2"):

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import decoq.cli
 import decoq.metrics
 import decoq.runner
 from decoq.codes import asymptotic_bound_gap
-from decoq.dynamics import build_noncontact, random_environment
+from decoq.dynamics import build_noncontact, free_hamiltonian, random_environment
 from decoq.metrics import error_bound
 
 from decoq.cli import main
@@ -748,3 +749,45 @@ def test_runtime_needs_numpy_only(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "sweep.csv").exists()
+
+
+def traced_bytes(call):
+    """The result of ``call()`` and the peak and held bytes it adds, as tracemalloc sees numpy's array data."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+class TestJointArrays:
+    """At d = 256 the interaction V is the one joint array the runner makes: H is built in V's own array."""
+
+    WIDE = Scenario(kind="bound_check", code="five_qubit", env_dim=8, t_start=2e-3, t_end=1.6e-2, t_points=3, plots=False)
+    UNIT = 256 * 256 * 16  # bytes of one complex d x d array
+
+    def test_interaction_build_peaks_below_two_arrays(self):
+        env = random_environment(5, 8, seed=1)
+        v, peak, _ = traced_bytes(lambda: build_noncontact(env))
+        assert v.shape == (256, 256)
+        assert peak <= 1.75 * self.UNIT
+
+    @pytest.mark.parametrize("kind", ["bound_check", "periodic_correction"])
+    def test_materialize_holds_one_array(self, kind):
+        scenario = replace(self.WIDE, kind=kind)
+        decoq.runner.build_code(scenario.code)  # the shared code is built once per process, outside the count
+        (_, env, h, _, v_norm), peak, held = traced_bytes(lambda: decoq.runner._materialize(scenario))
+        assert peak <= 1.75 * self.UNIT
+        assert held <= 1.05 * self.UNIT
+        v = build_noncontact(env)
+        assert (v_norm is None) == (kind == "periodic_correction")
+        if v_norm is not None:
+            assert v_norm == float(np.max(np.abs(np.linalg.eigvalsh(v))))
+        assert h.tobytes() == (free_hamiltonian(env) + v).tobytes()
