@@ -16,8 +16,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -58,9 +57,7 @@ class CodeSpec:
     (syndrome, 2, 2^n): block s is W_s^dag = encoder^dag K_s for the recovery
     Kraus operator K_s = encoder W_s^dag.  K_s lands in the span of the
     encoder, which every generator fixes, so these blocks are the whole
-    logical readout.  The arrays are read-only and the table a read-only
-    mapping, so one record can be shared.  Equality is identity, as for any
-    record holding arrays.
+    logical readout.  Equality is identity, as for any record holding arrays.
     """
 
     name: str
@@ -69,7 +66,7 @@ class CodeSpec:
     error_class: str
     n: int = field(init=False)
     encoder: np.ndarray = field(init=False, repr=False)
-    syndrome_table: Mapping[tuple[int, ...], PauliIndexVector] = field(init=False, repr=False)
+    syndrome_table: dict[tuple[int, ...], PauliIndexVector] = field(init=False, repr=False)
     readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -95,14 +92,8 @@ class CodeSpec:
         if defect > tol.CHANNEL_TOL:
             raise ValidationError(f"syndrome spaces are not orthonormal, ||W^dag W - 1||_max = {defect:.3e}")
         readout = np.ascontiguousarray(w.conj().T).reshape(-1, 2, dc)
-        enc.flags.writeable = readout.flags.writeable = False
-        for name, value in (("n", n), ("generators", gens), ("encoder", enc), ("syndrome_table", MappingProxyType(table)),
-                            ("readout", readout)):
+        for name, value in (("n", n), ("generators", gens), ("encoder", enc), ("syndrome_table", table), ("readout", readout)):
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        """Pickles as its defining inputs, rebuilt on load: the read-only table (a ``MappingProxyType``) does not pickle."""
-        return CodeSpec, (self.name, self.generators, self.k_corr, self.error_class)
 
     @property
     def register_dim(self) -> int:
@@ -242,16 +233,11 @@ CODES = {
 }
 
 
-_BUILT: dict[str, CodeSpec] = {}  # the codes ``build_code`` has built in this process, by name
-
-
 def build_code(name: str) -> CodeSpec:
-    """The code registered under a scenario identifier, built on first use and shared by every later call."""
+    """Build the code registered under a scenario identifier."""
     if name not in CODES:
         raise ShapeError(f"unknown code {name!r}; known: {sorted(CODES)}")
-    if name not in _BUILT:
-        _BUILT[name] = CodeSpec(name, *CODES[name])
-    return _BUILT[name]
+    return CodeSpec(name, *CODES[name])
 
 
 def recovery_channel(code: CodeSpec) -> np.ndarray:

@@ -243,22 +243,19 @@ def _taylor_terms(shifted: np.ndarray, x: np.ndarray, tau: float) -> list[np.nda
     return terms
 
 
-def _taylor_sums(
-    terms: list[np.ndarray], times: np.ndarray, tau: float, mu: float, minus_one: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
+def _taylor_sums(terms: list[np.ndarray], times: np.ndarray, tau: float, mu: float, minus_one: bool = False) -> np.ndarray:
     """exp(-i mu t) sum_j (-i t / tau)^j P_j at every t of ``times`` by one stacked Horner's rule, as (d, T, cols).
 
     This is exp(-iHt) x for H = A + mu and x = P_0; every t is summed on its
     own.  With ``minus_one`` it is (exp(-iHt) - 1) x, formed without
     subtracting x: with S the sum from j = 1, expm1(-i mu t) (x + S) + S.
-    The rule runs in place in one (d, T, cols) array for S, and the result
-    is written into ``out`` when it is given (a new array otherwise)."""
+    The rule runs in place in one (d, T, cols) array for S."""
     steps = -1j * (times / tau)[:, None]
     s = steps * terms[-1][:, None, :]
     for p in reversed(terms[1:-1]):
         np.add(p[:, None, :], s, out=s)
         np.multiply(steps, s, out=s)
-    out = np.add(terms[0][:, None, :], s, out=out)
+    out = terms[0][:, None, :] + s
     phase = np.expm1 if minus_one else np.exp
     np.multiply(phase(-1j * mu * times)[:, None], out, out=out)
     if minus_one:
@@ -325,11 +322,7 @@ class _CorrectionPipeline:
             late = np.abs(times) * norm > 1.0
             if not late.all():
                 tau = 1.0 / norm if norm > 0.0 else 1.0
-                terms = _taylor_terms(shifted, x, tau)
-                if late.any():
-                    out[:, ~late] = _taylor_sums(terms, times[~late], tau, mu, minus_one)
-                else:  # every t in the window: the sums go straight into ``out``
-                    _taylor_sums(terms, times, tau, mu, minus_one, out)
+                out[:, ~late] = _taylor_sums(_taylor_terms(shifted, x, tau), times[~late], tau, mu, minus_one)
         if late.any():
             evals, evecs = self.eigenbasis()
             coeffs = evecs.conj().T @ x

@@ -106,10 +106,9 @@ def pauli_sum(terms, env_dim: int, n_qubits: int) -> np.ndarray:
     if not terms:
         return out
     ops, strings = zip(*terms)
-    try:
-        a = _as_complex(ops)
-    except ValueError:  # coefficients of several shapes do not stack
-        raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got several shapes") from None
+    if len({np.shape(op) for op in ops}) > 1:  # they would not stack
+        raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got several shapes")
+    a = _as_complex(ops)
     if a.shape[1:] != (de, de) and not (de == 1 and a.ndim == 1):
         raise ShapeError(f"Pauli-sum coefficients must be {de} x {de}, got shape {a.shape[1:]}")
     d = de * dc

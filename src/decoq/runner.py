@@ -101,15 +101,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-# The kinds whose CSVs print the envelope on ||V||, and so take the norm.
-_SCALING_KINDS = ("scaling_sweep", "bound_check")
-
-
 def _materialize(scenario: Scenario):
-    """Build the code, the environment, the joint Hamiltonian H = h_env (x) 1 + V, V's order q and ||V||.
+    """Build the code, the environment, the interaction V and V's order q.
 
-    ||V|| is taken for the ``_SCALING_KINDS`` only (None for the others),
-    before V's own array becomes H: no other d x d array is made."""
+    The caller turns V into H = h_env (x) 1 + V in V's own array,
+    ``free_hamiltonian(env, onto=v)``, once it has what it needs of V."""
     code = build_code(scenario.code)
     if scenario.interaction_kind == "contact":
         env = trivial_environment(code.n)
@@ -122,10 +118,7 @@ def _materialize(scenario: Scenario):
         env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, scenario.seed)
         v = build_noncontact(env)
         strings = noncontact_strings(code.n)
-    v_norm = None
-    if scenario.kind in _SCALING_KINDS:
-        v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
-    return code, env, free_hamiltonian(env, onto=v), interaction_order(code, strings), v_norm
+    return code, env, v, interaction_order(code, strings)
 
 
 def _overwrite(path: str, data: bytes) -> None:
@@ -181,9 +174,10 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 
 def _run_scaling(scenario: Scenario, out: _Outputs) -> None:
     """A ``scaling_sweep`` writes the sweep and its fit; a ``bound_check`` the envelopes, and fails on a point above its bound."""
-    code, env, h, q, v_norm = _materialize(scenario)
+    code, env, v, q = _materialize(scenario)
+    v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
     ts = scenario.times().tolist()
-    sups = code_error(code, env, h, ts)
+    sups = code_error(code, env, free_hamiltonian(env, onto=v), ts)
     es = [sup.value for sup in sups]
     bound = [error_bound(t, q, v_norm) for t in ts]
     check = scenario.kind == "bound_check"
@@ -252,8 +246,8 @@ def _run_bounds(scenario: Scenario, out: _Outputs) -> None:
 
 
 def _run_periodic(scenario: Scenario, out: _Outputs) -> None:
-    code, env, h, _, _ = _materialize(scenario)
-    pipeline = _CorrectionPipeline(code, env, h)
+    code, env, v, _ = _materialize(scenario)
+    pipeline = _CorrectionPipeline(code, env, free_hamiltonian(env, onto=v))
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     dts = [math.ldexp(scenario.dt, -i) for i in range(scenario.halvings + 1)]
     on, off = (pipeline.decay(dts, scenario.cycles, psi, apply_correction=corrected) for corrected in (True, False))
@@ -301,7 +295,7 @@ def run(
     out = _Outputs(scenario.out)
 
     with np.errstate(all="raise", under="ignore"):  # an overflow, NaN or division by zero raises FloatingPointError
-        if scenario.kind in _SCALING_KINDS:
+        if scenario.kind in ("scaling_sweep", "bound_check"):
             _run_scaling(scenario, out)
         elif scenario.kind == "intro_example":
             _run_intro(scenario, out)

@@ -100,6 +100,13 @@ def test_coefficients_of_mixed_shapes_rejected(build):
         build()
 
 
+def test_coefficient_that_is_no_number_keeps_numpy_error():
+    # one shape, so not a ShapeError: the conversion's own ValueError comes through
+    with pytest.raises(ValueError) as raised:
+        pauli_sum([(1.0, (1,)), ("x", (1,))], 1, 1)
+    assert type(raised.value) is ValueError and "several shapes" not in str(raised.value)
+
+
 def test_pauli_sum_rejects_mismatched_terms():
     for a in (np.eye(3), 1.0):  # a scalar stands for a 1 x 1 matrix only
         with pytest.raises(ShapeError, match="must be 2 x 2"):
