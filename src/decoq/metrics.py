@@ -29,7 +29,7 @@ import numpy as np
 from .errors import FitError, ShapeError, ValidationError
 from . import tolerances as tol
 from .tensor import _as_complex, require_hermitian
-from .dynamics import EnvironmentModel, build_noncontact, noncontact_strings
+from .dynamics import EnvironmentModel, build_noncontact
 from .codes import CodeSpec, _unit_pair, asymptotic_x0, encode_logical, interaction_order
 
 
@@ -492,7 +492,7 @@ def fit_power_law(curve) -> PowerLawFit:
 
 
 def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical) -> float:
-    """Coefficient of t^(2q+2) in the short-time error, for q the order of the non-contact V of ``env`` on the code.
+    """Coefficient of t^(2q+2) in the short-time error, for q the order of the interaction V of ``env`` on the code.
 
     A product of at most q terms of V reads out with no traceless part, so of
     the order-(q+1) Taylor term of U(t) X only V^(q+1) X counts (the other
@@ -501,10 +501,10 @@ def leading_coefficient(code: CodeSpec, env: EnvironmentModel, psi_logical) -> f
         sum_s || (1 - P_psi) K_s V^(q+1) (|env_i> (x) |psi_bar>) ||^2 / ((q+1)!)^2
 
     over the environment eigenvectors: q + 1 products with V of the start
-    vectors, reduced by the sphere quadratic, with q from ``interaction_order``."""
+    vectors, reduced by the sphere quadratic, with q from ``interaction_order`` of the record's strings."""
     if env.n_qubits != code.n:
         raise ShapeError(f"environment couples {env.n_qubits} qubits, code uses {code.n}")
-    q = interaction_order(code, noncontact_strings(code.n))
+    q = interaction_order(code, env.strings)
     v, x = build_noncontact(env), _start_vectors(code, env)
     for _ in range(q + 1):
         x = v @ x

@@ -21,14 +21,8 @@ from . import __version__
 from .errors import ShapeError, ValidationError
 from .scenario import Scenario, serialize_scenario
 from .codes import asymptotic_x0, build_code, hamming_gv_check, interaction_order
-from .dynamics import (
-    build_noncontact,
-    contact_hamiltonian,
-    free_hamiltonian,
-    noncontact_strings,
-    random_environment,
-    trivial_environment,
-)
+from .dynamics import build_noncontact, contact_environment, free_hamiltonian, random_environment
+from .dynamics import trivial_environment  # noqa: F401 -- not called here; perfbench's tracer wraps it under this module
 from .metrics import (
     _bloch_pair,
     _CorrectionPipeline,
@@ -101,24 +95,25 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _contact_terms(products, n: int) -> list[tuple[float, tuple[int, ...]]]:
+    """(omega, Pauli string) pairs on n qubits of (omega, ((axis, position), ...)) products, positions from 1."""
+    return [(omega, tuple(dict((pos, axis) for axis, pos in factors).get(i, 0) for i in range(1, n + 1))) for omega, factors in products]
+
+
+_ENVIRONMENTS = {  # each interaction kind's environment record, from the scenario and the code length n
+    "non_contact": lambda s, n: random_environment(n, s.env_dim, s.coupling_bound, s.beta, s.seed),
+    "contact": lambda s, n: contact_environment(_contact_terms(s.contact_terms, n)),
+}
+
+
 def _materialize(scenario: Scenario):
-    """Build the code, the environment, the interaction V and V's order q.
+    """Build the code, the environment record, its interaction V and V's order q.
 
     The caller turns V into H = h_env (x) 1 + V in V's own array,
     ``free_hamiltonian(env, onto=v)``, once it has what it needs of V."""
     code = build_code(scenario.code)
-    if scenario.interaction_kind == "contact":
-        env = trivial_environment(code.n)
-        strings = [[0] * code.n for _ in scenario.contact_terms]
-        for string, (_, factors) in zip(strings, scenario.contact_terms):
-            for axis, pos in factors:
-                string[pos - 1] = axis
-        v = contact_hamiltonian([(omega, s) for (omega, _), s in zip(scenario.contact_terms, strings)], code.n)
-    else:
-        env = random_environment(code.n, scenario.env_dim, scenario.coupling_bound, scenario.beta, scenario.seed)
-        v = build_noncontact(env)
-        strings = noncontact_strings(code.n)
-    return code, env, v, interaction_order(code, strings)
+    env = _ENVIRONMENTS[scenario.interaction_kind](scenario, code.n)
+    return code, env, build_noncontact(env), interaction_order(code, env.strings)
 
 
 def _overwrite(path: str, data: bytes) -> None:
@@ -175,7 +170,7 @@ _FIT_HEADER = ["scenario", "exponent", "log_coefficient", "window_min", "window_
 def _run_scaling(scenario: Scenario, out: _Outputs) -> None:
     """A ``scaling_sweep`` writes the sweep and its fit; a ``bound_check`` the envelopes, and fails on a point above its bound."""
     code, env, v, q = _materialize(scenario)
-    v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V is checked Hermitian when built
+    v_norm = float(np.max(np.abs(np.linalg.eigvalsh(v))))  # V summed from Hermitian terms is exactly Hermitian
     ts = scenario.times().tolist()
     sups = code_error(code, env, free_hamiltonian(env, onto=v), ts)
     es = [sup.value for sup in sups]
@@ -202,19 +197,17 @@ def _run_scaling(scenario: Scenario, out: _Outputs) -> None:
 
 
 def _run_intro(scenario: Scenario, out: _Outputs) -> None:
+    """Each flip drive, sum_l omega_l x_l and sum omega_kl x_k x_l, is a contact record; its V is the whole H."""
     code = build_code(scenario.code)
-    n = code.n
-    env = trivial_environment(n)
     psi = _bloch_pair(scenario.state_theta, scenario.state_phi)
     ts = scenario.times().tolist()
-    drives = {  # sum_l omega_l sigma_x^l and sum over pairs omega_kl sigma_x^k sigma_x^l, as contact terms
-        "single_flip": [(w, [int(i == l) for i in range(n)]) for l, w in enumerate(scenario.single_flip_omegas)],
-        "pair_flip": [(w, [int(i in (k, l)) for i in range(1, n + 1)]) for k, l, w in scenario.pair_flip],
-    }
+    single = [(w, ((1, l),)) for l, w in enumerate(scenario.single_flip_omegas, start=1)]
+    pair = [(w, ((1, k), (1, l))) for k, l, w in scenario.pair_flip]
 
     curves = {}
-    for label, terms in drives.items():
-        pipeline = _CorrectionPipeline(code, env, contact_hamiltonian(terms, n))
+    for label, products in (("single_flip", single), ("pair_flip", pair)):
+        drive = contact_environment(_contact_terms(products, code.n))
+        pipeline = _CorrectionPipeline(code, drive, build_noncontact(drive))
         curves[label] = list(zip(ts, _state_error(pipeline.covariances(ts), psi).tolist()))
         out.csv(f"{label}.csv", ["t", "E"], curves[label])
     fit_rows = _fit_rows("single_flip", curves["single_flip"]) + _fit_rows("pair_flip", curves["pair_flip"])

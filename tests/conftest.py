@@ -43,6 +43,12 @@ def one_letter(mu: int, position: int, n: int) -> tuple[int, ...]:
     return tuple(mu if i == position else 0 for i in range(1, n + 1))
 
 
+def noncontact_terms(couplings) -> list:
+    """The terms (h^l_mu, sigma^l_mu) of n triples of couplings, in (l, mu) order, as ``random_environment`` emits them."""
+    n = len(couplings)
+    return [(h, one_letter(mu, l, n)) for l, triple in enumerate(couplings, start=1) for mu, h in enumerate(triple, start=1)]
+
+
 def single_flip_product(omegas, t: float) -> np.ndarray:
     """Closed form prod_l [cos(w_l t) + i sin(w_l t) sigma_x^l] = exp(+i H t) for the single-flip drive.
 

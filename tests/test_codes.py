@@ -18,7 +18,6 @@ from decoq.dynamics import (
     build_noncontact,
     contact_hamiltonian,
     free_hamiltonian,
-    noncontact_strings,
     random_environment,
     trivial_environment,
 )
@@ -149,7 +148,7 @@ def test_interaction_order_of_registered_codes(name):
     singles = [one_letter(1, l, n) for l in range(1, n + 1)]
     pairs = [tuple(int(i in (l, l + 1)) for i in range(1, n + 1)) for l in range(1, n)]
     got = (
-        interaction_order(code, noncontact_strings(n)),
+        interaction_order(code, trivial_environment(n).strings),
         interaction_order(code, singles),
         interaction_order(code, pairs) if pairs else None,
     )
@@ -367,7 +366,7 @@ def test_equality_of_records_holding_arrays_is_identity(make):
 
 @pytest.mark.parametrize("record, inputs", [
     (CodeSpec, ("name", "generators", "k_corr", "error_class")),
-    (EnvironmentModel, ("rho0", "h_env", "couplings")),
+    (EnvironmentModel, ("rho0", "h_env", "terms")),
     (DensityMatrix, ("array",)),
 ], ids=["CodeSpec", "EnvironmentModel", "DensityMatrix"])
 def test_records_take_only_their_defining_inputs(record, inputs):

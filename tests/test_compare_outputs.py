@@ -66,7 +66,7 @@ def test_two_snapshots_compare_identical(tmp_path):
     status, lines = compare(tmp_path / "old", tmp_path / "new")
     assert status == 0
     shipped = {path.stem for path in (ROOT / "scenarios").glob("*.cfg")}
-    assert {line.split("/")[0] for line in lines} == shipped | {"sweep", "wide_env", "periodic"}
+    assert {line.split("/")[0] for line in lines} == shipped | {"sweep", "wide_env", "periodic", "contact_sweep"}
 
 
 

@@ -3,11 +3,12 @@ import pytest
 
 from decoq import tolerances as tol
 from decoq.errors import ShapeError, ValidationError
-from decoq.tensor import DensityMatrix, operator_norm, require_hermitian
+from decoq.tensor import DensityMatrix, hermiticity_defect, operator_norm, require_hermitian
 from decoq.pauli import SIGMA_X, SIGMA_Z, decompose, pauli_string
 from decoq.dynamics import (
     EnvironmentModel,
     build_noncontact,
+    contact_environment,
     contact_hamiltonian,
     free_hamiltonian,
     gibbs_weights,
@@ -17,6 +18,7 @@ from decoq.dynamics import (
 
 from conftest import (
     expm_hermitian,
+    noncontact_terms,
     one_letter,
     pair_flip_product,
     random_density,
@@ -30,7 +32,7 @@ def dephasing_environment(rng, de: int) -> tuple[EnvironmentModel, np.ndarray]:
     h = random_hermitian(rng, de)
     zero = np.zeros((de, de), dtype=complex)
     rho = DensityMatrix(random_density(rng, de))
-    env = EnvironmentModel(rho, zero, ((zero, zero, h),))
+    env = EnvironmentModel(rho, zero, ((h, (3,)),))
     return env, h
 
 
@@ -41,14 +43,14 @@ class TestEnvironmentModel:
         rho = DensityMatrix(np.eye(de) / de)
         zero = np.zeros((de, de))
         with pytest.raises(ValidationError):
-            EnvironmentModel(rho, zero, ((zero, zero, bad),))
+            EnvironmentModel(rho, zero, ((bad, (3,)),))
 
     def test_rejects_nan_coupling(self):
         zero = np.zeros((2, 2))
         rho = DensityMatrix(np.eye(2) / 2)
         bad = np.diag([0.0, np.nan])
-        with pytest.raises(ValidationError, match=r"^coupling h\[2\]\[1\] is not Hermitian: max \|M - M\^dag\| = nan"):
-            EnvironmentModel(rho, zero, ((zero, zero, zero), (bad, zero, zero)))
+        with pytest.raises(ValidationError, match=r"^operator of term 4 \(Pauli string \(0, 1\)\) is not Hermitian: max \|M - M\^dag\| = nan"):
+            EnvironmentModel(rho, zero, noncontact_terms(((zero, zero, zero), (bad, zero, zero))))
 
     @pytest.mark.parametrize("offenders", [[(0, 0)], [(1, 2)], [(2, 1), (0, 2)], [(1, 0), (1, 1), (2, 2)]])
     def test_stacked_check_names_the_first_offender(self, rng, offenders):
@@ -57,35 +59,45 @@ class TestEnvironmentModel:
         for k, (l, mu) in enumerate(offenders):
             couplings[l][mu] = couplings[l][mu] + np.diag([0.0, 2e-12 * (k + 1) * 1j, 0.0])
         rho = DensityMatrix(np.eye(de) / de)
+        terms = noncontact_terms(couplings)
         with pytest.raises(ValidationError) as stacked:
-            EnvironmentModel(rho, np.zeros((de, de)), tuple(map(tuple, couplings)))
+            EnvironmentModel(rho, np.zeros((de, de)), terms)
         with pytest.raises(ValidationError) as looped:
-            for l, triple in enumerate(couplings):  # the per-coupling check the stack replaced
-                for mu, h in enumerate(triple):
-                    require_hermitian(h, tol.HERMITIAN_TOL, f"coupling h[{l + 1}][{mu + 1}]")
+            for k, (h, v) in enumerate(terms):  # the per-term check the stack replaced
+                require_hermitian(h, tol.HERMITIAN_TOL, f"operator of term {k + 1} (Pauli string {v})")
         assert str(stacked.value) == str(looped.value)
-        assert "h[%d][%d]" % tuple(x + 1 for x in min(offenders)) in str(stacked.value)
+        l, mu = min(offenders)
+        assert f"term {3 * l + mu + 1} " in str(stacked.value)
 
     def test_environment_hamiltonian_of_the_wrong_size_rejected(self):
         # d_e is read off rho0; an h_env of another size would fail later in free_hamiltonian + V
         zero = np.zeros((2, 2))
         with pytest.raises(ShapeError, match=r"^environment Hamiltonian is 3 x 3, rho0 is 2 x 2$"):
-            EnvironmentModel(DensityMatrix(np.eye(2) / 2), np.zeros((3, 3)), ((zero, zero, np.eye(2)),))
+            EnvironmentModel(DensityMatrix(np.eye(2) / 2), np.zeros((3, 3)), ((np.eye(2), (3,)),))
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,), (1, 1)])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,), (1, 1), ()])
     def test_coupling_of_the_wrong_shape_rejected(self, shape):
+        # a scalar is an operator only at d_e = 1
         zero = np.zeros((2, 2))
         rho = DensityMatrix(np.eye(2) / 2)
         couplings = ((zero, zero, zero), (zero, np.zeros(shape), zero))
-        with pytest.raises(ShapeError, match=r"^coupling h\[2\]\[2\] must be 2 x 2, got shape "):
-            EnvironmentModel(rho, zero, couplings)
+        with pytest.raises(ShapeError, match=r"^operator of term 5 must be 2 x 2, got shape "):
+            EnvironmentModel(rho, zero, noncontact_terms(couplings))
+
+    def test_strings_of_several_lengths_or_bad_letters_rejected(self):
+        with pytest.raises(ShapeError, match="^need a stack of equal-length Pauli index vectors"):
+            contact_environment([(1.0, (1, 0)), (1.0, (1, 0, 0))])
+        with pytest.raises(ShapeError, match="0..3"):
+            contact_environment([(1.0, (1, 4))])
+        with pytest.raises(ValidationError, match=r"^operator of term 2 \(Pauli string \(0, 3\)\) is not Hermitian"):
+            contact_environment([(1.0, (1, 0)), (0.5 + 1e-6j, (0, 3))])
 
     def test_near_hermitian_couplings_build_v(self):
         # each z-coupling passes HERMITIAN_TOL alone; unsymmetrized, the n defects add up on V's diagonal blocks
         drawn = random_environment(5, 2, 1.0, 0.0, 7)
         couplings = drawn.couplings.copy()
         couplings[:, 2, 0, 1] += 0.9e-12
-        env = EnvironmentModel(drawn.rho0, drawn.h_env, couplings)
+        env = EnvironmentModel(drawn.rho0, drawn.h_env, noncontact_terms(couplings))
         assert np.array_equal(env.couplings, (couplings + couplings.conj().swapaxes(-1, -2)) / 2)
         v = build_noncontact(env)
         assert np.array_equal(v, v.conj().T)
@@ -93,13 +105,14 @@ class TestEnvironmentModel:
     def test_hermitian_parts_stored_exact_on_hermitian_input(self, rng):
         h_env, coupling = random_hermitian(rng, 3), random_hermitian(rng, 3)
         skewed = h_env + np.triu(np.full((3, 3), 0.5e-12j), 1)
-        env = EnvironmentModel(DensityMatrix(np.eye(3) / 3), skewed, ((coupling, -coupling, 2 * coupling),))
+        env = EnvironmentModel(DensityMatrix(np.eye(3) / 3), skewed, noncontact_terms(((coupling, -coupling, 2 * coupling),)))
         assert np.array_equal(env.h_env, env.h_env.conj().T) and np.allclose(env.h_env, h_env, rtol=0, atol=1e-12)
         assert np.array_equal(env.couplings, np.stack([coupling, -coupling, 2 * coupling])[None])
 
     def test_couplings_stored_complex(self):
         zero = np.zeros((2, 2), dtype=np.int64)
-        env = EnvironmentModel(DensityMatrix(np.eye(2) / 2), zero, ((zero, np.eye(2), zero),))
+        env = EnvironmentModel(DensityMatrix(np.eye(2) / 2), zero, noncontact_terms(((zero, np.eye(2), zero),)))
+        assert all(h.dtype == complex and h.shape == (2, 2) for h, _ in env.terms)
         assert all(h.dtype == complex and h.shape == (2, 2) for triple in env.couplings for h in triple)
         assert env.couplings[0][1].tolist() == np.eye(2).tolist()
 
@@ -107,13 +120,21 @@ class TestEnvironmentModel:
     def test_couplings_held_as_one_array(self, n, de):
         drawn = random_environment(n, de, seed=3)
         nested = tuple(tuple(np.array(h) for h in triple) for triple in drawn.couplings)
-        rebuilt = EnvironmentModel(drawn.rho0, drawn.h_env, nested)
+        rebuilt = EnvironmentModel(drawn.rho0, drawn.h_env, noncontact_terms(nested))
         for env in (drawn, rebuilt, trivial_environment(n)):
             assert isinstance(env.couplings, np.ndarray)
             assert env.couplings.dtype == complex
             assert env.couplings.shape == (n, 3, env.dim, env.dim)
             assert len(env.couplings) == env.n_qubits == n
         assert rebuilt.couplings.tobytes() == drawn.couplings.tobytes()
+
+    def test_couplings_need_the_noncontact_layout(self):
+        # the triples are read off terms sigma^l_mu in (l, mu) order; a contact record has none
+        with pytest.raises(ShapeError, match="one per qubit and Pauli axis"):
+            contact_environment([(0.9, (1, 1)), (-0.4, (3, 0))]).couplings
+        drawn = random_environment(2, 2, seed=3)
+        with pytest.raises(ShapeError, match="one per qubit and Pauli axis"):
+            EnvironmentModel(drawn.rho0, drawn.h_env, drawn.terms[::-1]).couplings
 
     @pytest.mark.parametrize("de", [1, 2, 3, 8])
     def test_coupling_bound_bits_equal_per_coupling_norms(self, de):
@@ -197,7 +218,7 @@ class TestFreeHamiltonian:
     def test_onto_adds_the_free_part_in_place(self, rng, de):
         # a non-diagonal h_env: block (e, f) of V gains h_env[e, f] on its register diagonal
         drawn = random_environment(3, de, seed=de)
-        env = EnvironmentModel(drawn.rho0, random_hermitian(rng, de), drawn.couplings)
+        env = EnvironmentModel(drawn.rho0, random_hermitian(rng, de), drawn.terms)
         v = build_noncontact(env)
         expected = free_hamiltonian(env) + v
         h = free_hamiltonian(env, onto=v)
@@ -331,7 +352,7 @@ def with_zero_couplings(env: EnvironmentModel, zero_at) -> EnvironmentModel:
         tuple(zero if (l, mu) in zero_at else h for mu, h in enumerate(triple))
         for l, triple in enumerate(env.couplings)
     )
-    return EnvironmentModel(env.rho0, env.h_env, couplings)
+    return EnvironmentModel(env.rho0, env.h_env, noncontact_terms(couplings))
 
 
 class TestInteractions:
@@ -345,6 +366,20 @@ class TestInteractions:
         assert build_noncontact(partly).tobytes() == kron_noncontact(partly).tobytes()
         none = random_environment(n, de, coupling_bound=0.0, seed=4)
         assert build_noncontact(none).tobytes() == np.zeros((de * 2 ** n,) * 2, dtype=complex).tobytes()
+
+    def test_v_and_h_exactly_hermitian(self, rng):
+        # entry (j, i) of V sums the conjugates of entry (i, j)'s addends in the same order, so the defect is 0.0
+        # and a run checks its joint H once; seeded non-contact draws, contact weights and random multi-qubit terms
+        models = [random_environment(n, de, beta=0.7, seed=seed) for n in (1, 3, 5) for de in (1, 2, 5) for seed in (0, 1)]
+        models.append(contact_environment([(0.9, (1, 1, 0)), (-0.25, (0, 0, 3)), (0.4, (0, 2, 3)), (1.3, (2, 2, 2))]))
+        for de, n in ((1, 4), (3, 3), (4, 2)):
+            strings = rng.integers(0, 4, size=(6, n))
+            models.append(EnvironmentModel(DensityMatrix(np.eye(de) / de), np.zeros((de, de)), [(random_hermitian(rng, de), v) for v in strings]))
+        for model in models:
+            env = EnvironmentModel(model.rho0, random_hermitian(rng, model.dim), model.terms)  # h_env off the diagonal too
+            v = build_noncontact(env)
+            assert hermiticity_defect(v) == 0.0
+            assert hermiticity_defect(free_hamiltonian(env, onto=v)) == 0.0
 
     def test_noncontact_is_hermitian_sum(self):
         env = random_environment(2, 2, seed=9)

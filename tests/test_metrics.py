@@ -14,9 +14,9 @@ from decoq.pauli import pauli_string
 from decoq.dynamics import (
     EnvironmentModel,
     build_noncontact,
+    contact_environment,
     contact_hamiltonian,
     free_hamiltonian,
-    noncontact_strings,
     random_environment,
     trivial_environment,
 )
@@ -123,7 +123,7 @@ def dephasing_environment(rng, de):
     h = random_hermitian(rng, de)
     zero = np.zeros((de, de), dtype=complex)
     rho = DensityMatrix(random_density(rng, de))
-    return EnvironmentModel(rho, zero, ((zero, zero, h),)), h
+    return EnvironmentModel(rho, zero, ((h, (3,)),)), h
 
 
 class TestCurveTypes:
@@ -193,6 +193,11 @@ class TestFidelity:
         h[0, 1] += 1e-6
         with pytest.raises(ValidationError, match="^joint Hamiltonian is not Hermitian"):
             _CorrectionPipeline(code, env, h)
+        # the public entry points take H from their caller and check it: the runner's V alone is not checked
+        with pytest.raises(ValidationError, match="^joint Hamiltonian is not Hermitian"):
+            code_error(code, env, h, [0.1])
+        with pytest.raises(ValidationError, match="^joint Hamiltonian is not Hermitian"):
+            periodic_correction_decay(code, env, h, 0.1, 10, PSI)
 
     def test_logical_pair_required(self):
         env = trivial_environment(1)
@@ -768,7 +773,7 @@ class TestLeadingCoefficient:
         # V^(k+1) differs from W by the products that repeat a qubit, which have weight <= k and no traceless readout
         code = build_code(name)
         env = random_environment(code.n, de, beta=0.3, seed=7)
-        assert interaction_order(code, noncontact_strings(code.n)) == k
+        assert interaction_order(code, env.strings) == k
         want = permutation_coefficient(code, env, PSI, k)
         assert want > 1.0
         assert leading_coefficient(code, env, PSI) == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -777,12 +782,25 @@ class TestLeadingCoefficient:
         # y and z pass a repetition code, so the non-contact coupling has order 0 there and E falls as t^2
         code = build_code("repetition-3")
         env = random_environment(3, 2, seed=42)
-        assert interaction_order(code, noncontact_strings(3)) == 0
+        assert interaction_order(code, env.strings) == 0
         c = leading_coefficient(code, env, PSI)
         t = 1e-5
         e = _state_error(_CorrectionPipeline(code, env, free_hamiltonian(env) + build_noncontact(env)).covariances([t]), PSI)[0]
         assert c == pytest.approx(2.3567955, rel=1e-7)
         assert e / t ** 2 == pytest.approx(c, rel=1e-6)
+
+    def test_contact_record_takes_its_own_order(self):
+        # pair flips on repetition-5 (k_corr = 2) have order 1, so the coefficient of t^4 is the product form at q + 1 = 2
+        code = build_code("repetition-5")
+        pairs = {(1, 2): 0.8, (1, 3): 0.7, (2, 3): 0.65, (3, 4): 1.05, (4, 5): 0.95}
+        env = contact_environment([(w, [int(i in pair) for i in range(1, 6)]) for pair, w in pairs.items()])
+        psi = (0.6, 0.8j)
+        assert interaction_order(code, env.strings) == 1
+        c = leading_coefficient(code, env, psi)
+        t = 1e-3
+        e = _state_error(_CorrectionPipeline(code, env, build_noncontact(env)).covariances([t]), psi)[0]
+        assert c == pytest.approx(2.10673125, rel=1e-12)
+        assert e / t ** 4 == pytest.approx(c, rel=1e-4)
 
     def test_dephasing_matches_second_moment(self, rng):
         # k = 0, sigma_z coupling, |+>: the coefficient is tr(rho_e h^2)

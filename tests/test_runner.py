@@ -16,14 +16,16 @@ from scipy.optimize import brentq
 import decoq.cli
 import decoq.metrics
 import decoq.runner
-from decoq.codes import asymptotic_bound_gap
+import decoq.tensor
+from decoq.codes import asymptotic_bound_gap, interaction_order
 from decoq.dynamics import build_noncontact, free_hamiltonian, random_environment
 from decoq.metrics import error_bound
+from decoq.pauli import pauli_sum
 
 from decoq.cli import main
 from decoq.errors import ShapeError, SizingError
 from decoq.runner import _cell, format_csv, run, verify_manifest
-from decoq.scenario import Scenario, parse_scenario, serialize_scenario
+from decoq.scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
 from decoq.svg import AxesSpec, emit_svg
 
 SWEEP = Scenario(
@@ -298,12 +300,70 @@ class TestSizingGuard:
         def built(*args, **kwargs):
             raise AssertionError("built before the sizing guard")
 
-        for name in ("build_code", "random_environment", "build_noncontact", "contact_hamiltonian"):
+        for name in ("build_code", "random_environment", "build_noncontact", "contact_environment"):
             monkeypatch.setattr(decoq.runner, name, built)
         with pytest.raises(SizingError, match="exceeds the cap"):
             s = Scenario(**{"code": "five_qubit", "env_dim": 8, "max_dim": 64, **fields})
             run(s, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+
+PAIR_FLIP_SWEEP = (
+    "[scenario]\nkind = scaling_sweep\ncode = repetition-5\n[interaction]\nkind = contact\n"
+    "terms = 0.8:x1 x2, 0.7:x1 x3, 0.65:x2 x3, 1.05:x3 x4, 0.95:x4 x5\n[time_grid]\nstart = 1e-3\nend = 2e-2\npoints = 12\n"
+)
+
+
+class TestInteractionRecords:
+    """Every V the runner builds is the pauli_sum of a record's terms: bit for bit the V of the strings built by hand."""
+
+    def test_contact_terms_of_a_scenario(self):
+        scenario = parse_scenario(
+            "[scenario]\nkind = scaling_sweep\ncode = five_qubit\n[interaction]\nkind = contact\n"
+            "terms = 0.9:x1 x2, -0.25:z3, 0.4:z5 y2, 1.3:y1 y3 x4\n"
+        )
+        code, env, v, q = decoq.runner._materialize(scenario)
+        strings = [[0] * 5 for _ in scenario.contact_terms]  # one letter per (axis, position) factor
+        for string, (_, factors) in zip(strings, scenario.contact_terms):
+            for axis, pos in factors:
+                string[pos - 1] = axis
+        want = pauli_sum([(float(w), tuple(s)) for (w, _), s in zip(scenario.contact_terms, strings)], 1, 5)
+        assert v.tobytes() == want.tobytes()
+        assert env.strings == tuple(map(tuple, strings)) and q == interaction_order(code, strings)
+
+    def test_intro_flip_drives(self, tmp_path, monkeypatch):
+        # sum_l omega_l sigma_x^l in [single_flip] order and sum omega_kl sigma_x^k sigma_x^l in [pair_flip] order
+        built = []
+
+        def keep(env):
+            built.append(build_noncontact(env))
+            return built[-1].copy()
+
+        monkeypatch.setattr(decoq.runner, "build_noncontact", keep)
+        scenario = load_scenario(str(SCENARIO_DIR / "intro_example.cfg"))
+        run(scenario, out_dir=str(tmp_path), plots=False)
+        n = 5
+        single = pauli_sum([(w, [int(i == l) for i in range(n)]) for l, w in enumerate(scenario.single_flip_omegas)], 1, n)
+        pair = pauli_sum([(w, [int(i in (k, l)) for i in range(1, n + 1)]) for k, l, w in scenario.pair_flip], 1, n)
+        assert [v.tobytes() for v in built] == [single.tobytes(), pair.tobytes()]
+
+    @pytest.mark.parametrize("text, d", [
+        ((SCENARIO_DIR / "exponent_law.cfg").read_text(), 64),
+        ((SCENARIO_DIR / "periodic_correction.cfg").read_text(), 64),
+        (PAIR_FLIP_SWEEP, 32),
+    ], ids=["non_contact_sweep", "periodic", "contact_sweep"])
+    def test_one_joint_hermiticity_pass_per_run(self, tmp_path, monkeypatch, text, d):
+        # V summed from Hermitian terms is exactly Hermitian, so only the pipeline checks the joint H
+        sizes = []
+        defect = decoq.tensor.hermiticity_defect
+
+        def counted(a):
+            sizes.append(len(a))
+            return defect(a)
+
+        monkeypatch.setattr(decoq.tensor, "hermiticity_defect", counted)
+        run(parse_scenario(text), out_dir=str(tmp_path), plots=False)
+        assert sizes.count(d) == 1 and max(sizes) == d
 
 
 class TestPeriodicKind:
