@@ -114,8 +114,11 @@ def random_environment(
     """Draw a seeded random environment: 3n non-contact terms h^l_mu (x) sigma^l_mu in (l, mu) order.
 
     Each coupling starts as the Hermitian part of an i.i.d. standard complex
-    Gaussian matrix and is rescaled so its operator norm equals
-    ``coupling_bound`` exactly.  The free environment Hamiltonian is a unit
+    Gaussian matrix and is rescaled by ``coupling_bound`` over its operator
+    norm, so its norm is ``coupling_bound`` up to rounding.  The record's
+    ``coupling_bound``, which ``threshold.csv`` prints, is the largest norm as
+    computed: 1.0000000000000002 for a bound of 1 on five qubits at d_e = 2
+    and seed 0.  The free environment Hamiltonian is a unit
     energy ladder and the initial state carries Gibbs-like diagonal weights
     for the inverse-temperature knob ``beta``.
     """

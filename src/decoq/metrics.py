@@ -154,6 +154,42 @@ def _state_error(cs: np.ndarray, psi_logical) -> np.ndarray:
 
 
 ARGMAX_TIE_ULPS = 4  # rounding ties: E this many ulps below the other's, or a twist |g| this many eps from 0
+NEWTON_STEPS = 12  # points of the secular root picked by Newton's method; later points bisect
+
+
+def _secular_root(g0: float, g1: float, g2: float, d0: float, d1: float, d2: float, lo: float, hi: float) -> float:
+    """The smallest float s in (lo, hi) at which q0*q0 + q1*q1 + q2*q2 <= 1, q_i = g_i / (d_i + s), or hi if none.
+
+    Every operation of that sum is monotone under round-to-nearest, so the
+    float-evaluated sum never increases with s, and any search that closes
+    (lo, hi) on two adjacent floats, with the sum above 1 at lo and at most 1
+    at hi, returns this one float.  Newton's method on 1/|q(s)| = 1, which is
+    concave and nearly linear in s (More and Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 553 (1983)), picks each point from the one before, starting one
+    ulp above lo, where the hard case ends at once.  A point that would leave
+    the bracket is its midpoint instead, and a step below one ulp is one ulp,
+    so the bracket closes by probes next to the root; past NEWTON_STEPS points
+    every point is the midpoint.  The sum is only evaluated strictly inside
+    (lo, hi), where each d_i + s > 0 for lo >= 0.
+    """
+    s, points = math.nextafter(lo, math.inf), 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats (or hi = 0, or NaN): hi is the root
+            return hi
+        if points >= NEWTON_STEPS or not lo < s < hi:
+            s = mid
+        points += 1
+        e0, e1, e2 = d0 + s, d1 + s, d2 + s
+        q0, q1, q2 = g0 / e0, g1 / e1, g2 / e2
+        p0, p1, p2 = q0 * q0, q1 * q1, q2 * q2
+        n2 = p0 + p1 + p2
+        slope = p0 / e0 + p1 / e1 + p2 / e2  # -(d/ds) n2 / 2
+        step = n2 * (n2 - 1.0) / ((1.0 + math.sqrt(n2)) * slope) if slope > 0.0 else math.nan
+        if n2 > 1.0:
+            lo, s = s, max(s + step, math.nextafter(s, math.inf))
+        else:
+            hi, s = s, min(s + step, math.nextafter(s, -math.inf))
 
 
 def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
@@ -162,57 +198,65 @@ def _sphere_suprema(cs: np.ndarray) -> list[CodeErrorResult]:
     Per row, with m = Re C / tr C and w the twist / tr C, the maximiser r of
     w.r - r^T m r solves (m + lam) r = w / 2 with m + lam >= 0.  In the
     eigenbasis of m, with g = evecs^T w / 2, gaps d_i = m_i - m_0 and
-    s = lam + m_0, |r| = 1 is a secular equation falling in s, bisected on
-    plain floats to float resolution between max(|g_i| - d_i) and |g|.  The
-    hard case s = 0 completes the unit norm along the bottom eigenvector; of
-    the two candidates the one with the larger E is kept, and the hard case
-    also when it scores at most ARGMAX_TIE_ULPS ulps lower: both are then
+    s = lam + m_0, |r| = 1 is a secular equation falling in s, solved by
+    ``_secular_root`` to float resolution between max(|g_i| - d_i) and |g|.
+    The hard case s = 0 completes the unit norm along the bottom eigenvector;
+    of the two candidates the one with the larger E is kept, and the hard
+    case also when it scores at most ARGMAX_TIE_ULPS ulps lower: both are then
     maximisers to rounding, and the printed angles should not hang on their
     last bits.  Likewise a twist |g| <= ARGMAX_TIE_ULPS eps is rounding alone:
     E is then even, and of r and -r the one with z >= 0 (on the equator
-    y >= 0, then x >= 0) is scored and reported.  Everything but the
-    bisection runs once for the whole stack.  A zero C has no error anywhere
-    and is reported at the pole.
+    y >= 0, then x >= 0) is scored and reported.  The trace, the twist and
+    one ``eigh`` run for the whole stack; the rest runs per row on plain
+    floats, each sum left to right, so a row depends on its own C alone.  A
+    zero C has no error anywhere and is reported at the pole.
     """
-    trace = cs[:, 0, 0].real + cs[:, 1, 1].real + cs[:, 2, 2].real
-    zero = trace == 0.0
-    scale = np.where(zero, 1.0, trace)[:, None]
-    evals, evecs = np.linalg.eigh(cs.real / scale[..., None])
-    g = _dot3(evecs.transpose(0, 2, 1), (_twist(cs) / scale)[:, None, :]) / 2.0
-    gaps = evals - evals[:, :1]
-    los, his = np.maximum(0.0, (np.abs(g) - gaps).max(axis=1)), np.sqrt(_dot3(g, g))
-    roots = []
-    for (g0, g1, g2), (d0, d1, d2), lo, hi in zip(g.tolist(), gaps.tolist(), los.tolist(), his.tolist()):
-        while True:  # hi = 0 (g = 0) stops at once and leaves only the hard case
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            q0, q1, q2 = g0 / (d0 + mid), g1 / (d1 + mid), g2 / (d2 + mid)  # each |q_i| <= 1 for mid >= lo
-            if q0 * q0 + q1 * q1 + q2 * q2 > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(hi)
-    s = np.array(roots)[:, None]
-
-    hard = np.divide(g, gaps, out=np.zeros_like(g), where=gaps > 0.0)
-    spare = 1.0 - _dot3(hard, hard)
-    hard[:, 0] = np.copysign(np.sqrt(np.maximum(spare, 0.0)), g[:, 0])
-    inner = np.divide(g, gaps + s, out=hard.copy(), where=s > 0.0)
-
-    r = _dot3(evecs[:, None], np.stack([inner, hard], axis=1)[:, :, None, :])  # evecs @ each candidate
-    r /= np.sqrt(_dot3(r, r))[..., None]
-    tie = ARGMAX_TIE_ULPS * np.finfo(float).eps
-    lead = np.where(np.abs(r[..., 2]) > tie, r[..., 2], np.where(np.abs(r[..., 1]) > tie, r[..., 1], r[..., 0]))
-    r[(his <= tie)[:, None] & (lead < 0.0)] *= -1.0  # E(r) = E(-r) to rounding: keep the z >= 0 one
-    e = _sphere_error(cs[:, None], r)
-    use_hard = (spare >= 0.0) & (e[:, 1] >= e[:, 0] - ARGMAX_TIE_ULPS * np.spacing(np.abs(e[:, 0])))
-    r = np.where(use_hard[:, None], r[:, 1], r[:, 0])
-    r[zero] = (0.0, 0.0, 1.0)  # the pole: theta = phi = 0
-    values = _checked_errors(np.where(use_hard, e[:, 1], e[:, 0]))
+    m = cs.real
+    trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    scale = np.where(trace == 0.0, 1.0, trace)[:, None]
+    twist = _twist(cs)
+    evals, evecs = np.linalg.eigh(m / scale[..., None])
+    rows = np.concatenate([trace[:, None], evals, evecs.reshape(-1, 9), m.reshape(-1, 9), twist, twist / scale], axis=1)
+    # a stack with an entry here that is not finite is scored on numpy scalars, which signal np.errstate's errors
+    rows = rows.tolist() if np.isfinite(rows).all() else list(rows)
+    tie = ARGMAX_TIE_ULPS * sys.float_info.epsilon
+    values, angles = [], []
+    for (
+        tr, l0, l1, l2,  # tr C and the eigenvalues of m
+        v00, v01, v02, v10, v11, v12, v20, v21, v22,  # the eigenvector matrix of m by rows: eigenvector i is column i
+        m00, m01, m02, m10, m11, m12, m20, m21, m22,  # Re C
+        w0, w1, w2, u0, u1, u2,  # the twist, and the twist / tr C
+    ) in rows:
+        g0 = (v00 * u0 + v10 * u1 + v20 * u2) / 2.0
+        g1 = (v01 * u0 + v11 * u1 + v21 * u2) / 2.0
+        g2 = (v02 * u0 + v12 * u1 + v22 * u2) / 2.0
+        d0, d1, d2 = l0 - l0, l1 - l0, l2 - l0  # d0 = 0, or NaN where l0 is not finite
+        top = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
+        s = _secular_root(g0, g1, g2, d0, d1, d2, max(abs(g0) - d0, abs(g1) - d1, abs(g2) - d2, 0.0), top)
+        h1 = g1 / d1 if d1 > 0.0 else 0.0
+        h2 = g2 / d2 if d2 > 0.0 else 0.0
+        spare = 1.0 - (h1 * h1 + h2 * h2)
+        hard = (math.copysign(math.sqrt(max(spare, 0.0)), g0), h1, h2)
+        inner = (g0 / (d0 + s), g1 / (d1 + s), g2 / (d2 + s)) if s > 0.0 else hard
+        scored = []
+        for c0, c1, c2 in (inner, hard):
+            x = v00 * c0 + v01 * c1 + v02 * c2  # evecs @ the candidate
+            y = v10 * c0 + v11 * c1 + v12 * c2
+            z = v20 * c0 + v21 * c1 + v22 * c2
+            norm = math.sqrt(x * x + y * y + z * z) or np.float64(0.0)  # a zero norm divides as numpy does
+            x, y, z = x / norm, y / norm, z / norm
+            if top <= tie and (z if abs(z) > tie else y if abs(y) > tie else x) < 0.0:  # E(r) = E(-r): keep z >= 0
+                x, y, z = -x, -y, -z
+            quad = x * (m00 * x + m01 * y + m02 * z) + y * (m10 * x + m11 * y + m12 * z) + z * (m20 * x + m21 * y + m22 * z)
+            scored.append((tr - quad + (w0 * x + w1 * y + w2 * z), x, y, z))
+        (e_in, *r_in), (e_hard, *r_hard) = scored
+        # an infinite E ties with nothing, as the spacing of inf is NaN
+        use_hard = spare >= 0.0 and math.isfinite(e_in) and e_hard >= e_in - ARGMAX_TIE_ULPS * math.ulp(e_in)
+        values.append(e_hard if use_hard else e_in)
+        angles.append((0.0, 0.0, 1.0) if tr == 0.0 else r_hard if use_hard else r_in)  # a zero C: the pole
     return [
         CodeErrorResult(value=v, theta=math.acos(min(max(z, -1.0), 1.0)), phi=_azimuth(x, y))
-        for v, (x, y, z) in zip(values.tolist(), r.tolist())
+        for v, (x, y, z) in zip(_checked_errors(np.array(values, dtype=float)).tolist(), angles)
     ]
 
 

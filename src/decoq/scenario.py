@@ -132,6 +132,10 @@ class Scenario:
         generators, _, error_class = CODES[self.code]  # read off the code's row, without building it
         n = len(generators) + 1
         contact = self.kind in CONTACT_KINDS and self.interaction_kind == "contact"
+        if self.contact_terms and not contact:
+            raise ConfigError(
+                f"[interaction] terms are not read by a {self.kind} with a {self.interaction_kind} interaction; remove them"
+            )
         if contact:
             if not self.contact_terms:
                 raise ConfigError("contact interaction declared without terms")

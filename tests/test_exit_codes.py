@@ -127,6 +127,19 @@ def test_empty_output_directory_ends_in_one_line(tmp_path, capsys, text, flags):
     assert err == ["config error: [scenario] out, the output directory (also set by --out), must not be empty"]
 
 
+@pytest.mark.parametrize(
+    "kind, interaction",
+    [("scaling_sweep", "non_contact"), ("intro_example", "contact"), ("bounds_table", "non_contact")],
+)
+def test_contact_terms_the_run_would_not_read_end_in_one_line(kind, interaction):
+    # none of these runs builds a contact interaction, so the terms, qubit 9 of 5 included, would be dropped unread
+    code = "repetition-5" if kind == "intro_example" else "five_qubit"
+    text = f"[scenario]\nkind = {kind}\ncode = {code}\n[interaction]\nkind = {interaction}\nterms = 0.9:x1 x9\n"
+    assert run_cli(text)[:2] == (
+        2, [f"config error: [interaction] terms are not read by a {kind} with a {interaction} interaction; remove them"]
+    )
+
+
 def test_budgets_admit_their_edges():
     Scenario(kind="scaling_sweep", code="identity", t_points=ROW_BUDGET)
     Scenario(kind="periodic_correction", cycles=SAMPLE_BUDGET // 3 - 1, halvings=2)

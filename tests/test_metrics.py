@@ -33,9 +33,12 @@ from decoq.codes import (
 from decoq.metrics import (
     ARGMAX_TIE_ULPS,
     CodeErrorResult,
+    _azimuth,
     _bloch_pair,
     _bloch_vector,
+    _checked_errors,
     _CorrectionPipeline,
+    _dot3,
     _log_slopes,
     _pauli_covariance,
     _sphere_error,
@@ -44,6 +47,7 @@ from decoq.metrics import (
     _state_error,
     _taylor_sums,
     _taylor_terms,
+    _twist,
     code_error,
     error_bound,
     fit_power_law,
@@ -591,7 +595,135 @@ def _physical_covariance(entries):
     return _pauli_covariance(np.eye(2, dtype=complex)[None], q[:, None, :], 3)[0]
 
 
+def vectorized_suprema(cs):
+    """The sphere search as one stacked pass, with only the bisection per row: the reference ``_sphere_suprema`` keeps to the bit."""
+    trace = cs[:, 0, 0].real + cs[:, 1, 1].real + cs[:, 2, 2].real
+    zero = trace == 0.0
+    scale = np.where(zero, 1.0, trace)[:, None]
+    evals, evecs = np.linalg.eigh(cs.real / scale[..., None])
+    g = _dot3(evecs.transpose(0, 2, 1), (_twist(cs) / scale)[:, None, :]) / 2.0
+    gaps = evals - evals[:, :1]
+    los, his = np.maximum(0.0, (np.abs(g) - gaps).max(axis=1)), np.sqrt(_dot3(g, g))
+    roots = []
+    for (g0, g1, g2), (d0, d1, d2), lo, hi in zip(g.tolist(), gaps.tolist(), los.tolist(), his.tolist()):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            q0, q1, q2 = g0 / (d0 + mid), g1 / (d1 + mid), g2 / (d2 + mid)
+            if q0 * q0 + q1 * q1 + q2 * q2 > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(hi)
+    s = np.array(roots)[:, None]
+    hard = np.divide(g, gaps, out=np.zeros_like(g), where=gaps > 0.0)
+    spare = 1.0 - _dot3(hard, hard)
+    hard[:, 0] = np.copysign(np.sqrt(np.maximum(spare, 0.0)), g[:, 0])
+    inner = np.divide(g, gaps + s, out=hard.copy(), where=s > 0.0)
+    r = _dot3(evecs[:, None], np.stack([inner, hard], axis=1)[:, :, None, :])
+    r /= np.sqrt(_dot3(r, r))[..., None]
+    tie = ARGMAX_TIE_ULPS * np.finfo(float).eps
+    lead = np.where(np.abs(r[..., 2]) > tie, r[..., 2], np.where(np.abs(r[..., 1]) > tie, r[..., 1], r[..., 0]))
+    r[(his <= tie)[:, None] & (lead < 0.0)] *= -1.0
+    e = _sphere_error(cs[:, None], r)
+    use_hard = (spare >= 0.0) & (e[:, 1] >= e[:, 0] - ARGMAX_TIE_ULPS * np.spacing(np.abs(e[:, 0])))
+    r = np.where(use_hard[:, None], r[:, 1], r[:, 0])
+    r[zero] = (0.0, 0.0, 1.0)
+    values = _checked_errors(np.where(use_hard, e[:, 1], e[:, 0]))
+    return [
+        CodeErrorResult(value=v, theta=math.acos(min(max(z, -1.0), 1.0)), phi=_azimuth(x, y))
+        for v, (x, y, z) in zip(values.tolist(), r.tolist())
+    ]
+
+
+def _with_twist(re, w):
+    """Stack of Hermitian C with real parts ``re`` (n, 3, 3) and twists ``w`` (n, 3)."""
+    a = np.zeros(re.shape)
+    a[:, 1, 2], a[:, 2, 0], a[:, 0, 1] = (w / 2.0).T
+    return re + 1j * (a - a.transpose(0, 2, 1))
+
+
+def reference_rows(rng, count):
+    """``count`` rows of C in eight families of equal size, each scaled so that its supremum is at most 1.
+
+    Random states of rank 1 to 3; the same made real (twist 0); zero rows, +0 and -0; trace scales from 1
+    down to 1e-30; eigenvalues equal or split by 1e-16 to 1e-10 relative; the hard case, with a diagonal Re C
+    and a twist that misses its bottom axis by 0 to 1e-9; twists whose |g| lies within an ulp or a factor 2 of
+    ARGMAX_TIE_ULPS eps; and twists 1e-10 to 1e-200 of the trace."""
+    n = count // 8
+    a = rng.standard_normal((n * 8, 3, 3)) + 1j * rng.standard_normal((n * 8, 3, 3))
+    a[rng.integers(1, 4, n * 8)[:, None] <= np.arange(3)] = 0.0  # rank 1 to 3
+    states = np.einsum("nki,nkj->nij", a, a.conj())
+    physical, real, zero, scaled, degenerate, hard, tie, tiny = np.split(states, 8)
+    real = real.real + 0j
+    zero = np.zeros_like(zero) * np.where(rng.random(n) < 0.5, 1.0, -1.0)[:, None, None]
+    q, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    ev = np.sort(rng.uniform(0.0, 1.0, (n, 3)), axis=1)
+    split = rng.choice([0.0, 1e-16, 1e-14, 1e-10], n)
+    pair = rng.integers(0, 2, n)
+    ev[np.arange(n), pair + 1] = ev[np.arange(n), pair] * (1.0 + split)
+    degenerate = _with_twist(q * ev[:, None, :] @ q.transpose(0, 2, 1), rng.standard_normal((n, 3)) * 10.0 ** -rng.uniform(0, 12, (n, 1)))
+    diag = np.sort(rng.uniform(0.0, 1.0, (n, 3)), axis=1)
+    miss = rng.choice([0.0, 1e-300, 1e-13, 1e-9], n)[:, None]
+    hard = _with_twist(diag[:, :, None] * np.eye(3), np.hstack([miss, rng.uniform(-0.1, 0.1, (n, 2))]))
+    unit = rng.standard_normal((n, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    near = rng.choice([0.5, 1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52, 2.0], n)[:, None]
+    tr = np.trace(tie.real, axis1=1, axis2=2)[:, None]
+    tie = _with_twist(tie.real, 2.0 * ARGMAX_TIE_ULPS * np.finfo(float).eps * near * tr * unit)
+    tiny = tiny.real + 1j * tiny.imag * 10.0 ** -rng.uniform(10, 200, (n, 1, 1))
+    rows = np.concatenate([physical, real, zero, scaled, degenerate, hard, tie, tiny])
+    top = np.trace(rows.real, axis1=1, axis2=2) + np.linalg.norm(_twist(rows), axis=1)
+    rows = rows / np.where(top > 0.0, top, 1.0)[:, None, None]  # E <= tr C + |w| = 1
+    rows[3 * n:4 * n] *= 10.0 ** -rng.uniform(0, 30, (n, 1, 1))
+    return rows
+
+
+def _bits(results):
+    return np.array([(r.value, r.theta, r.phi) for r in results]).tobytes()
+
+
 class TestSphereMaximum:
+    def test_bits_equal_the_vectorized_search(self):
+        # 56,000 seeded rows in stacks of 500: value, theta and phi to the bit, -0.0 told from 0.0
+        rows = reference_rows(np.random.Generator(np.random.Philox(33)), 56_000)
+        for stack in np.split(rows, len(rows) // 500):
+            assert _bits(_sphere_suprema(stack)) == _bits(vectorized_suprema(stack))
+
+    @pytest.mark.parametrize("mode", [dict(all="ignore"), dict(all="raise"), dict(all="raise", under="ignore")])
+    def test_non_finite_stacks_raise_as_the_vectorized_search(self, mode):
+        # a NaN or an infinity at a seeded place, in the real part, the imaginary part or both, alone or beside
+        # finite rows: the same exception as the vectorized search, with its message but for FloatingPointError's
+        def outcome(search, stack):
+            try:
+                with np.errstate(**mode):
+                    return "ok", _bits(search(stack))
+            except (np.linalg.LinAlgError, ValidationError, FloatingPointError) as exc:
+                return type(exc).__name__, "" if isinstance(exc, FloatingPointError) else str(exc)
+
+        rng = np.random.Generator(np.random.Philox(7))
+        rows = reference_rows(rng, 1200)[:150]  # the random states of rank 1 to 3
+        seen = set()
+        for k, bad in enumerate(itertools.islice(itertools.cycle([np.nan, np.inf, -np.inf]), 300)):
+            c = rows[k % 150].copy()
+            i, j = rng.integers(0, 3, 2)
+            c[i, j] = [complex(bad, c[i, j].imag), complex(c[i, j].real, bad), complex(bad, bad)][k // 3 % 3]
+            if i != j and k % 4:
+                c[j, i] = c[i, j].conjugate()
+            stack = np.stack([rows[(k + 1) % 150], c, rows[(k + 2) % 150]]) if k % 2 else c[None]
+            got = outcome(_sphere_suprema, stack)
+            assert got == outcome(vectorized_suprema, stack), (k, bad, i, j)
+            seen.add(got[0])
+        assert seen >= {"LinAlgError", "ValidationError"} | ({"FloatingPointError"} if mode["all"] == "raise" else set())
+
+    def test_one_stacked_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        _sphere_suprema(reference_rows(np.random.Generator(np.random.Philox(1)), 64))
+        assert calls == [(64, 3, 3)]
+
     @_PROPERTY
     @given(st.lists(_entries, min_size=9, max_size=9), st.lists(_entries, min_size=3, max_size=3),
            st.sampled_from([0.0, 1e-6, 1.0]))

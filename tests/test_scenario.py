@@ -327,10 +327,8 @@ def _scenario_fields(draw):
     n = len(CODES[code][0]) + 1
     interaction_kind = "non_contact" if kind == "bound_check" else draw(st.sampled_from(("non_contact", "contact")))
     contact = kind in CONTACT_KINDS and interaction_kind == "contact"
-    if contact:  # distinct positions in 1..n, at least one term
-        factors = st.lists(st.tuples(st.integers(1, 3), st.integers(1, n)), min_size=1, max_size=4, unique_by=lambda f: f[1])
-    else:
-        factors = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), min_size=1, max_size=4)
+    # distinct positions in 1..n, at least one term for a contact run; no terms where the run would not read them
+    factors = st.lists(st.tuples(st.integers(1, 3), st.integers(1, n)), min_size=1, max_size=4, unique_by=lambda f: f[1])
     env_dim = draw(st.integers(1, 10 ** 3 if kind == "bounds_table" else 8))  # d_e <= 8 keeps every budget >= 60
     env = 1 if intro or contact else env_dim
     joint = 2 if kind == "bounds_table" else max(2, env * 2 ** n)
@@ -349,7 +347,7 @@ def _scenario_fields(draw):
         coupling_bound=draw(st.floats(min_value=0.0, exclude_min=kind == "bound_check", allow_infinity=False)),
         beta=draw(_finite),
         interaction_kind=interaction_kind,
-        contact_terms=tuple(draw(st.lists(st.tuples(_finite, factors.map(tuple)), min_size=int(contact), max_size=4))),
+        contact_terms=tuple(draw(st.lists(st.tuples(_finite, factors.map(tuple)), min_size=int(contact), max_size=4 * contact))),
         **draw(_time_grids(max_points)),
         state_theta=draw(_finite),
         state_phi=draw(_finite),
